@@ -188,21 +188,28 @@ def load_correspondences(
                 u, v, x, y, z = (float(field) for field in row)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not all(math.isfinite(value) for value in (u, v, x, y, z)):
+                raise ValueError(f"{path}:{lineno}: non-finite field")
             region = classify_surface_point((x, y, z), geometry, tol)
             if region is Region.OFF:
                 raise ValueError(
                     f"{path}:{lineno}: point ({x}, {y}, {z}) is not on the membrane"
                 )
             out.append(Correspondence(PixelCoord(u, v), SurfacePoint(x, y, z, region)))
+    if not out:
+        raise ValueError(f"{path}: no correspondences")
     return out
 
 
 def save_correspondences(path: str | Path, cs: list[Correspondence]) -> None:
-    """Write correspondences as CSV with header ``u,v,x,y,z``."""
+    """Write correspondences as CSV with header ``u,v,x,y,z``.
+
+    Values are written as ``repr(float(x))``, the shortest text that reads
+    back to the same double, whatever numeric type the caller stored.
+    """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v", "x", "y", "z"])
         for c in cs:
-            writer.writerow(
-                [repr(c.pixel.u), repr(c.pixel.v), repr(c.point.x), repr(c.point.y), repr(c.point.z)]
-            )
+            values = (c.pixel.u, c.pixel.v, c.point.x, c.point.y, c.point.z)
+            writer.writerow([repr(float(value)) for value in values])

@@ -9,6 +9,7 @@ so a typo cannot silently leave a setting at its default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,8 @@ class SessionConfig:
                     raise ConfigError(f"{key} must be an integer, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         try:
             return cls(
                 geometry=SensorGeometry(r=merged["r_mm"], d=merged["d_mm"]),

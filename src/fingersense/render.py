@@ -17,6 +17,17 @@ with dist the 3D Euclidean distance to the footprint set and k_falloff = 1
 (a 45-degree shoulder around the imprint).  In-surface distances are
 approximated by 3D chords; for footprints up to ~5 mm on a 10 mm-radius
 membrane the error is under 2%.
+
+Imprint window: a surface point farther than delta / k_falloff from the
+footprint is not displaced, and every footprint point lies within a
+per-shape extent E of the contact point c, so the imprint is confined to the
+ball of radius rho = E + delta / k_falloff around c.  Each pixel sees exactly
+one membrane point, so only pixels inside the projection of that ball can
+differ from the background.  The renderer back-projects and shades just the
+ball's pixel bounding box, padded by 2 px against rounding, and fills the
+rest of the frame with the background; when the ball reaches the camera
+plane (z <= 0) or a tangent ray reaches 90 degrees the box is the whole
+frame.  Render cost therefore scales with the imprint, not the frame.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +47,7 @@ from .geometry import (
     Region,
     SensorGeometry,
     SurfacePoint,
-    back_project_grid,
+    back_project_pixels,
     pose_to_contact_point,
     surface_normal,
 )
@@ -47,6 +57,11 @@ from .pgm import write_pgm
 BACKGROUND_INTENSITY = 128  # membrane at rest
 IMPRINT_GAIN = 60  # intensity units at full indentation depth
 K_FALLOFF = 1.0  # depth lost per mm of distance from the footprint
+WINDOW_PAD_PX = 2  # margin around the projected imprint ball
+
+# Irregular footprint lobes (centre a, centre b, radius) in mm at size 8;
+# the primary lobe covers the contact point.
+IRREGULAR_LOBES = ((0.0, 0.0, 2.5), (2.5, 1.5, 1.5), (-1.0, -2.5, 1.2))
 
 # The contact protocol: every object is pressed at four tip rotations and
 # four side translations, eight contacts in total.
@@ -164,12 +179,10 @@ def _planar_footprint_distance(ind: Indenter, a: np.ndarray, b: np.ndarray) -> n
         dy = np.maximum(np.abs(b) - half / 2.0, 0.0)
         return np.hypot(dx, dy)
     if ind.shape is Shape.IRREGULAR:
-        # Three overlapping discs; the primary lobe covers the contact point.
         scale = ind.characteristic_size / 8.0
-        lobes = ((0.0, 0.0, 2.5), (2.5, 1.5, 1.5), (-1.0, -2.5, 1.2))
         dists = [
             np.maximum(np.hypot(a - ca * scale, b - cb * scale) - radius * scale, 0.0)
-            for ca, cb, radius in lobes
+            for ca, cb, radius in IRREGULAR_LOBES
         ]
         return np.minimum.reduce(dists)
     raise ValueError(f"unhandled shape {ind.shape}")  # pragma: no cover
@@ -207,22 +220,59 @@ def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> floa
     return max(0.0, ind.depth - dist * K_FALLOFF)
 
 
-@lru_cache(maxsize=4)
-def _surface_grid(k: CameraIntrinsics, g: SensorGeometry) -> np.ndarray:
-    points, _ = back_project_grid(k, g)
-    points.flags.writeable = False
-    return points
+def _footprint_extent_mm(ind: Indenter) -> float:
+    """Radius of a ball about the contact point that holds the whole footprint."""
+    half = ind.characteristic_size / 2.0
+    if ind.shape is Shape.CONE:
+        return 0.0
+    if ind.shape is Shape.SPHERE:
+        return 2.0 * half  # the far pole of the tangent ball
+    if ind.shape in (Shape.CYLINDER, Shape.TUBE, Shape.EDGE):
+        return half
+    if ind.shape is Shape.SLAB:
+        return math.hypot(half, half / 2.0)
+    if ind.shape is Shape.IRREGULAR:
+        scale = ind.characteristic_size / 8.0
+        return max((math.hypot(ca, cb) + radius) * scale for ca, cb, radius in IRREGULAR_LOBES)
+    raise ValueError(f"unhandled shape {ind.shape}")  # pragma: no cover
+
+
+def _imprint_window(ind: Indenter, k: CameraIntrinsics) -> tuple[slice, slice]:
+    """(rows, columns) of the frame that can show the indenter's imprint.
+
+    The box bounds the projection of the ball of radius
+    rho = E + delta / k_falloff around the contact point, padded by
+    WINDOW_PAD_PX and clipped to the frame.  Along each image axis the bound
+    comes from the two rays tangent to the ball's disc in the x-z (for u) or
+    y-z (for v) plane.  If the ball reaches z <= 0 or a tangent ray reaches
+    90 degrees, its projection is unbounded and the window is the whole frame.
+    """
+    c = ind.contact_point
+    rho = _footprint_extent_mm(ind) + ind.depth / K_FALLOFF
+    full = (slice(0, k.height), slice(0, k.width))
+    if c.z - rho <= 0:
+        return full
+    window = []
+    for lateral, centre, size in ((c.y, k.cy, k.height), (c.x, k.cx, k.width)):
+        theta = math.atan2(lateral, c.z)
+        half_angle = math.asin(rho / math.hypot(lateral, c.z))
+        if abs(theta) + half_angle >= math.pi / 2:
+            return full
+        lo = k.alpha * math.tan(theta - half_angle) + centre
+        hi = k.alpha * math.tan(theta + half_angle) + centre
+        start = min(size, max(0, math.floor(lo) - WINDOW_PAD_PX))
+        stop = max(start, min(size, math.ceil(hi) + WINDOW_PAD_PX + 1))
+        window.append(slice(start, stop))
+    return window[0], window[1]
 
 
 def render_reference(g: SensorGeometry, k: CameraIntrinsics) -> TactileImage:
     """The no-contact frame: uniform background across the membrane silhouette.
 
     The membrane wraps around the camera, so every forward pixel ray strikes
-    it and the silhouette covers the full frame.
+    it (at z > 0) and the silhouette covers the full frame.
     """
-    points = _surface_grid(k, g)
-    image = np.where(points[..., 2] > 0, BACKGROUND_INTENSITY, 0).astype(np.uint8)
-    return TactileImage(image)
+    return TactileImage(np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8))
 
 
 def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> TactileImage:
@@ -231,16 +281,26 @@ def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> Tac
     Pixel intensity is BACKGROUND + GAIN * depth / ind.depth, clamped to
     [0, 255]: the deepest point renders at a fixed contrast regardless of
     delta, and the imprint shrinks as delta does.
+
+    Only the imprint window is shaded: the pixel box bounding the projection
+    of the ball of radius rho = E + delta / k_falloff around the contact
+    point (E the footprint's extent), padded by 2 px.  Every other pixel sees
+    an undisplaced membrane point and keeps the background.  If the ball
+    reaches z <= 0 or a tangent ray reaches 90 degrees the window is the
+    whole frame.
     """
     if not ind.depth < g.r:
         raise ValueError(
             f"indentation depth {ind.depth} must stay below the membrane radius {g.r}"
         )
-    points = _surface_grid(k, g)
+    rows, columns = _imprint_window(ind, k)
+    v, u = np.mgrid[rows, columns]
+    points, _ = back_project_pixels(u, v, k, g)
     dist = footprint_distance_mm(ind, points, g)
     depth = np.maximum(0.0, ind.depth - dist * K_FALLOFF)
     intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
-    image = np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
+    image = np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
+    image[rows, columns] = np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
     return TactileImage(image)
 
 
@@ -295,23 +355,43 @@ def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _manifest_entry(item) -> ManifestEntry:
+    """Parse one manifest entry; raises ValueError naming what is wrong."""
+    if not isinstance(item, dict):
+        raise ValueError(f"expected a JSON object, got {type(item).__name__}")
+    keys = ("object", "pose_kind", "pose_value", "reference", "frame", "truth_mm")
+    missing = [key for key in keys if key not in item]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    for key in ("object", "reference", "frame"):
+        if not isinstance(item[key], str):
+            raise ValueError(f"{key} must be a string, got {item[key]!r}")
+    truth = item["truth_mm"]
+    if not isinstance(truth, list) or len(truth) != 3:
+        raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")
+    try:
+        pose = ContactPose(PoseKind(item["pose_kind"]), float(item["pose_value"]))
+        truth_mm = tuple(float(v) for v in truth)
+    except TypeError as exc:  # float() of a list, object or null
+        raise ValueError(f"non-numeric pose_value or truth_mm ({exc})") from None
+    if not all(math.isfinite(v) for v in (pose.value, *truth_mm)):
+        raise ValueError("pose_value and truth_mm must be finite")
+    return ManifestEntry(item["object"], pose, item["reference"], item["frame"], truth_mm)
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(payload, list):
+        raise ValueError(f"{path}: expected a JSON list of entries, got {type(payload).__name__}")
     entries = []
-    for item in payload:
-        pose = ContactPose(PoseKind(item["pose_kind"]), float(item["pose_value"]))
-        entries.append(
-            ManifestEntry(
-                object_label=item["object"],
-                pose=pose,
-                reference=item["reference"],
-                frame=item["frame"],
-                truth_mm=tuple(float(v) for v in item["truth_mm"]),
-            )
-        )
+    for index, item in enumerate(payload):
+        try:
+            entries.append(_manifest_entry(item))
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {index}: {exc}") from None
     return DatasetManifest(tuple(entries))
 
 
@@ -337,8 +417,8 @@ def generate_protocol_dataset(
     the master seed per image, so outputs are reproducible for a fixed
     (seed, noise_sigma) and unchanged by rendering order.
     """
-    if noise_sigma < 0:
-        raise ValueError(f"noise sigma must be non-negative, got {noise_sigma}")
+    if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
+        raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

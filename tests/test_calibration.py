@@ -226,6 +226,42 @@ def test_csv_round_trip(tmp_path, geometry):
         assert a.point.region is b.point.region
 
 
+def test_csv_round_trip_numpy_scalars(tmp_path, geometry):
+    # Values stored as NumPy scalars must be written as plain decimals that
+    # read back to the same doubles.
+    rng = np.random.default_rng(10)
+    cs = [
+        Correspondence(
+            PixelCoord(np.float64(c.pixel.u), np.float64(c.pixel.v)),
+            SurfacePoint(
+                np.float64(c.point.x), np.float64(c.point.y), np.float64(c.point.z), c.point.region
+            ),
+        )
+        for c in synthesize(5, CameraIntrinsics(), geometry, rng, sigma=0.3)
+    ]
+    path = tmp_path / "corr.csv"
+    save_correspondences(path, cs)
+    assert "np.float64" not in path.read_text()
+    loaded = load_correspondences(path, geometry)
+    for a, b in zip(cs, loaded):
+        assert (a.pixel.u, a.pixel.v) == (b.pixel.u, b.pixel.v)
+        assert (a.point.x, a.point.y, a.point.z) == (b.point.x, b.point.y, b.point.z)
+
+
+def test_csv_rejects_header_only_file(tmp_path, geometry):
+    path = tmp_path / "empty.csv"
+    path.write_text("u,v,x,y,z\n\n")
+    with pytest.raises(ValueError, match=f"^{path}: no correspondences$"):
+        load_correspondences(path, geometry)
+
+
+def test_csv_rejects_non_finite_field(tmp_path, geometry):
+    path = tmp_path / "bad.csv"
+    path.write_text("u,v,x,y,z\n1160,540,10,0,15\nnan,540,10,0,15\n")
+    with pytest.raises(ValueError, match=":3: non-finite"):
+        load_correspondences(path, geometry)
+
+
 def test_csv_rejects_wrong_header(tmp_path, geometry):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,d,e\n1,2,3,4,5\n")

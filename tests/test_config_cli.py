@@ -61,6 +61,23 @@ def test_config_rejects_invalid_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"noise_sigma": NaN}', "noise_sigma"),
+        ('{"d_mm": NaN}', "d_mm"),
+        ('{"sigma_px": Infinity}', "sigma_px"),
+        ('{"alpha_px": -Infinity}', "alpha_px"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, text, key):
+    # Python's JSON reader accepts these literals; the config must not.
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{path}: {key} must be finite"):
+        load_config(path)
+
+
 def test_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -184,6 +201,23 @@ def test_dataset_matches_library_output(tmp_path, capsys, protocol_dataset):
     assert _digest_dir(out) == _digest_dir(fixture_dir)
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_dataset_rejects_invalid_noise(tmp_path, capsys, noise):
+    out = tmp_path / "ds"
+    code = main(["dataset", "--out-dir", str(out), "--noise", noise])
+    assert code == 1
+    assert "noise sigma" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dataset_rejects_nan_noise_in_config(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"noise_sigma": NaN}')
+    code = main(["dataset", "--config", str(config_path), "--out-dir", str(tmp_path / "ds")])
+    assert code == 1
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+
+
 def test_localize_closed_loop(capsys, protocol_dataset):
     out_dir, _ = protocol_dataset
     code = main(["localize", "--manifest", str(out_dir / "manifest.json")])
@@ -214,6 +248,25 @@ def test_localize_empty_manifest_fails(tmp_path, capsys):
     code = main(["localize", "--manifest", str(manifest)])
     assert code == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"entries": []}', "expected a JSON list"),
+        ('[{"object": "cone"}]', "entry 0: missing key"),
+        ('[["cone", "rotation", 0.0]]', "entry 0: expected a JSON object"),
+    ],
+)
+def test_localize_malformed_manifest_fails_cleanly(tmp_path, capsys, payload, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(payload)
+    code = main(["localize", "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ")
+    assert message in err
+    assert len(err.strip().splitlines()) == 1  # no traceback
 
 
 def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_dataset):
@@ -285,6 +338,14 @@ def test_calibrate_on_axis_only_fails(tmp_path, capsys):
     code = main(["calibrate", str(csv_path)])
     assert code == 1
     assert "axis" in capsys.readouterr().err
+
+
+def test_calibrate_header_only_csv_fails_cleanly(tmp_path, capsys):
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("u,v,x,y,z\n")
+    code = main(["calibrate", str(csv_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: no correspondences\n"
 
 
 def test_calibrate_malformed_row_names_line(tmp_path, capsys):

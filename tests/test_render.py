@@ -1,15 +1,21 @@
 """Tests for the synthetic imprint renderer and the protocol dataset."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingersense.geometry import (
     CameraIntrinsics,
     ContactPose,
+    Region,
     SensorGeometry,
+    SurfacePoint,
+    back_project_grid,
     pose_to_contact_point,
 )
 from fingersense.imaging import (
@@ -24,6 +30,8 @@ from fingersense.pgm import read_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
     BACKGROUND_INTENSITY,
+    IMPRINT_GAIN,
+    K_FALLOFF,
     Indenter,
     Shape,
     default_indenter,
@@ -267,6 +275,86 @@ def test_cone_closed_loop_every_protocol_pose(geometry, intrinsics):
 
 
 # ---------------------------------------------------------------------------
+# imprint window: render_contact against a full-frame brute-force oracle
+
+SMALL_FRAME = (160, 120)  # width, height
+
+
+def full_frame_oracle(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> np.ndarray:
+    """Shade every pixel of the frame, with no window."""
+    points, _ = back_project_grid(k, g)
+    depth = np.maximum(0.0, ind.depth - footprint_distance_mm(ind, points, g) * K_FALLOFF)
+    intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
+    return np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
+
+
+@st.composite
+def window_cases(draw):
+    # One case in four or so is the pure hemisphere, d = 0.
+    d = draw(st.floats(2.0, 60.0)) if draw(st.integers(0, 3)) else 0.0
+    g = SensorGeometry(r=draw(st.floats(4.0, 20.0)), d=d)
+    width, height = SMALL_FRAME
+    k = CameraIntrinsics(
+        alpha=draw(st.floats(20.0, 400.0)),
+        cx=draw(st.floats(0.0, float(width))),
+        cy=draw(st.floats(0.0, float(height))),
+        width=width,
+        height=height,
+    )
+    if draw(st.booleans()):
+        # Rotation 0 is the apex, on the optical axis.
+        pose = ContactPose.rotation(draw(st.one_of(st.just(0.0), st.floats(0.0, 1.55))))
+    else:
+        # Translation 0 is the tip/side seam; contacts near the base (z = 0)
+        # mostly take the full-frame fallback, which has its own test below.
+        pose = ContactPose.translation(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.8 * g.d))))
+    c = pose_to_contact_point(pose, g)
+    phi = draw(st.floats(-math.pi, math.pi))  # spin the contact about the axis
+    contact = SurfacePoint(c.x * math.cos(phi), c.x * math.sin(phi), c.z, c.region)
+    ind = Indenter(
+        draw(st.sampled_from(list(Shape))),
+        draw(st.floats(0.1, 10.0)),
+        contact,
+        draw(st.floats(0.05, 3.0)),  # below the smallest r drawn
+        draw(st.floats(-math.pi, math.pi)),
+    )
+    return ind, g, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_windowed_render_matches_full_frame_oracle(case):
+    ind, g, k = case
+    image = render_contact(ind, g, k)
+    np.testing.assert_array_equal(image.pixels, full_frame_oracle(ind, g, k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(window_cases())
+def test_reference_is_constant_background(case):
+    _, g, k = case
+    ref = render_reference(g, k)
+    np.testing.assert_array_equal(
+        ref.pixels, np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
+    )
+
+
+@pytest.mark.parametrize("shape", list(Shape))
+def test_window_falls_back_to_full_frame_near_camera_plane(shape):
+    # A contact at the base of a short membrane: the imprint ball reaches
+    # z <= 0, so its projection is unbounded and the whole frame is shaded.
+    g = SensorGeometry(r=10.0, d=2.0)
+    # A wide-angle camera: the frame corners see the side down to z = 0.5.
+    k = CameraIntrinsics(alpha=5.0, cx=80.0, cy=60.0, width=160, height=120)
+    contact = SurfacePoint(-6.0, 8.0, 1.0, Region.SIDE)
+    ind = Indenter(shape, 6.0, contact, 1.5, 0.3)
+    assert contact.z - ind.depth / K_FALLOFF <= 0  # even the cone's ball crosses z = 0
+    image = render_contact(ind, g, k)
+    np.testing.assert_array_equal(image.pixels, full_frame_oracle(ind, g, k))
+    assert image.pixels.max() > BACKGROUND_INTENSITY  # the imprint is visible
+
+
+# ---------------------------------------------------------------------------
 # footprint sanity
 
 
@@ -338,3 +426,46 @@ def test_dataset_noise_is_reproducible(tmp_path, geometry, intrinsics):
 def test_dataset_rejects_negative_noise(tmp_path, geometry, intrinsics):
     with pytest.raises(ValueError):
         generate_protocol_dataset(tmp_path, geometry, intrinsics, noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_dataset_rejects_non_finite_noise(tmp_path, geometry, intrinsics, sigma):
+    with pytest.raises(ValueError, match="noise sigma"):
+        generate_protocol_dataset(tmp_path, geometry, intrinsics, noise_sigma=sigma)
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+# ---------------------------------------------------------------------------
+# manifest validation
+
+GOOD_ENTRY = {
+    "object": "cone",
+    "pose_kind": "rotation",
+    "pose_value": 0.0,
+    "reference": "reference.pgm",
+    "frame": "cone_rotation_0.pgm",
+    "truth_mm": [0.0, 0.0, 40.0],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"entries": []}, "expected a JSON list"),
+        ([GOOD_ENTRY, "cone"], "entry 1: expected a JSON object"),
+        ([{k: v for k, v in GOOD_ENTRY.items() if k != "frame"}], "entry 0: missing key.*frame"),
+        ([{**GOOD_ENTRY, "pose_kind": "twist"}], "entry 0: .*twist"),
+        ([{**GOOD_ENTRY, "pose_value": None}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "pose_value": "fast"}], "entry 0: "),
+        ([{**GOOD_ENTRY, "truth_mm": [0.0, 40.0]}], "entry 0: truth_mm"),
+        ([{**GOOD_ENTRY, "truth_mm": [0.0, None, 40.0]}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "truth_mm": [0.0, math.nan, 40.0]}], "entry 0: .*finite"),
+        ([{**GOOD_ENTRY, "frame": 3}], "entry 0: frame must be a string"),
+    ],
+)
+def test_manifest_rejects_malformed_entries(tmp_path, payload, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message) as exc:
+        load_manifest(path)
+    assert str(exc.value).startswith(f"{path}: ")
