@@ -194,6 +194,17 @@ def discontinuity_circle_radius_px(
     return geometry.r * intrinsics.alpha / geometry.d
 
 
+def _seam_radius_squared(k: CameraIntrinsics, g: SensorGeometry) -> float:
+    """Squared image radius of the tip/side seam for d > 0.
+
+    Written as ``ratio * ratio``: Python's ``ratio ** 2`` raises OverflowError
+    for a tiny positive d, while the product gives +inf (every ray meets the
+    tip) and equals ``ratio ** 2`` bit for bit whenever that is finite.
+    """
+    ratio = g.r * k.alpha / g.d
+    return ratio * ratio
+
+
 def back_project(
     pixel: PixelCoord, intrinsics: CameraIntrinsics, geometry: SensorGeometry
 ) -> SurfacePoint:
@@ -213,7 +224,7 @@ def back_project(
         return SurfacePoint(0.0, 0.0, g.d + g.r, Region.TIP)
 
     alpha2 = k.alpha * k.alpha
-    tip = g.d == 0 or omega < (g.r * k.alpha / g.d) ** 2
+    tip = g.d == 0 or omega < _seam_radius_squared(k, g)
     if tip:
         # z^2 (omega + alpha^2) - 2 d alpha^2 z + (d^2 - r^2) alpha^2 = 0
         a = omega + alpha2
@@ -260,7 +271,7 @@ def back_project_pixels(
     if g.d == 0:
         tip = np.ones(omega.shape, dtype=bool)
     else:
-        tip = omega < (g.r * k.alpha / g.d) ** 2
+        tip = omega < _seam_radius_squared(k, g)
 
     a = omega + alpha2
     reduced_disc = g.d * g.d * alpha2 - a * (g.d * g.d - g.r * g.r)

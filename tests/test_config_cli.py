@@ -287,6 +287,28 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
     assert json.loads(captured.out)["n_detected"] == 55
 
 
+def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):
+    # r * alpha / d overflows for d = 1e-300; every command must still end in
+    # exit 0 or a one-line error, not an OverflowError.
+    config = tmp_path / "config.json"
+    config.write_text('{"d_mm": 1e-300}')
+    out_dir, _ = protocol_dataset
+    for image in out_dir.glob("*.pgm"):
+        (tmp_path / image.name).symlink_to(image)
+    (tmp_path / "manifest.json").write_text((out_dir / "manifest.json").read_text())
+
+    render = ["render", "--object", "cone", "--rotation", "0", "--out", str(tmp_path / "r")]
+    assert main([*render, "--config", str(config)]) == 0
+    localize = ["localize", "--manifest", str(tmp_path / "manifest.json")]
+    assert main([*localize, "--config", str(config)]) == 0
+    capsys.readouterr()
+
+    code = main(["dataset", "--config", str(config), "--out-dir", str(tmp_path / "ds")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: translation 5.0 outside [0, 1e-300] mm\n"
+
+
 # ---------------------------------------------------------------------------
 # calibrate command
 

@@ -168,6 +168,27 @@ def test_back_project_hemisphere_geometry():
     assert surface_residual(p, g) < 1e-9
 
 
+def test_back_project_tiny_d_is_the_hemisphere(intrinsics):
+    # r * alpha / d overflows to +inf for d = 1e-300: every ray meets the tip,
+    # as for d = 0, instead of squaring the ratio raising OverflowError.
+    tiny = SensorGeometry(r=10.0, d=1e-300)
+    flat = SensorGeometry(r=10.0, d=0.0)
+    for pixel in (PixelCoord(0.0, 0.0), PixelCoord(1000.0, 700.0), PixelCoord(1919.0, 0.0)):
+        p = back_project(pixel, intrinsics, tiny)
+        q = back_project(pixel, intrinsics, flat)
+        assert p.region is Region.TIP
+        assert (p.x, p.y, p.z) == pytest.approx((q.x, q.y, q.z), abs=1e-12)
+
+
+def test_back_project_pixels_tiny_d_is_the_hemisphere(intrinsics):
+    u = np.array([0.0, 960.0, 1000.0, 1919.0])
+    v = np.array([0.0, 540.0, 700.0, 1079.0])
+    pts, tip = back_project_pixels(u, v, intrinsics, SensorGeometry(r=10.0, d=1e-300))
+    flat_pts, _ = back_project_pixels(u, v, intrinsics, SensorGeometry(r=10.0, d=0.0))
+    assert tip.all()
+    np.testing.assert_allclose(pts, flat_pts, rtol=0, atol=1e-12)
+
+
 def test_back_project_pixels_matches_scalar(intrinsics, geometry):
     rng = np.random.default_rng(3)
     u = rng.uniform(0, intrinsics.width, size=64)

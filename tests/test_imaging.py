@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from fingersense.geometry import ContactPose, PixelCoord, Region, SurfacePoint
 from fingersense.imaging import (
@@ -183,6 +186,128 @@ def test_detect_translation_equivariance():
 def test_detect_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         detect_blobs(DiffImage(np.zeros((4, 4))), 0.0, 1)
+
+
+def oracle_detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactBlob]:
+    """Brute force: one full-frame mask per component, summed in scan order."""
+    mask = d.values > threshold
+    labels, n_labels = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    if n_labels == 0:
+        return []
+    v, u = np.mgrid[0 : d.height, 0 : d.width]
+    blobs = []
+    for index in range(1, n_labels + 1):
+        member = labels == index
+        area = int(np.count_nonzero(member))
+        if area < min_area:
+            continue
+        weights = d.values[member]
+        mass = float(weights.sum())
+        blobs.append(
+            ContactBlob(
+                centroid=PixelCoord(
+                    float((weights * u[member]).sum() / mass),
+                    float((weights * v[member]).sum() / mass),
+                ),
+                area=area,
+                peak=float(weights.max()),
+                total_mass=mass,
+            )
+        )
+    blobs.sort(key=lambda b: -b.total_mass)
+    return blobs
+
+
+def assert_matches_oracle(values: np.ndarray, threshold: float, min_area: int) -> list:
+    # Dataclass equality is exact float equality on every field, and list
+    # equality checks the order.
+    d = DiffImage(values)
+    blobs = detect_blobs(d, threshold, min_area)
+    assert blobs == oracle_detect_blobs(d, threshold, min_area)
+    return blobs
+
+
+@st.composite
+def detection_cases(draw):
+    shape = (draw(st.integers(1, 48)), draw(st.integers(1, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Arbitrary floats make sums whose last bits depend on the summation
+    # order; a share of repeated round values makes ties in mass.
+    values = np.where(
+        rng.random(shape) < draw(st.floats(0.0, 1.0)),
+        rng.choice([0.0, 10.0, 30.0], size=shape),
+        rng.uniform(0.0, 100.0, size=shape),
+    )
+    threshold = draw(st.floats(0.0, 100.0, exclude_min=True))
+    return values, threshold, draw(st.integers(1, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_cases())
+def test_detect_matches_per_label_oracle(case):
+    assert_matches_oracle(*case)
+
+
+def test_detect_oracle_empty_results():
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 50.0, size=(48, 64))
+    assert assert_matches_oracle(values, 60.0, 1) == []  # nothing above threshold
+    assert assert_matches_oracle(values, 45.0, 30) == []  # only small components
+
+
+def test_detect_oracle_all_foreground_is_one_blob():
+    rng = np.random.default_rng(6)
+    values = rng.uniform(30.0, 90.0, size=(48, 64))
+    (blob,) = assert_matches_oracle(values, 25.0, 1)
+    assert blob.area == 48 * 64
+
+
+def test_detect_oracle_checkerboard_is_one_blob():
+    # Diagonal neighbours touch, so 8-connectivity joins the whole board.
+    values = 60.0 * (np.add.outer(np.arange(48), np.arange(64)) % 2)
+    (blob,) = assert_matches_oracle(values, 25.0, 1)
+    assert blob.area == 48 * 64 // 2
+
+
+def test_detect_oracle_lattice_of_single_pixels():
+    rng = np.random.default_rng(7)
+    values = np.zeros((48, 64))
+    values[::2, ::2] = rng.uniform(30.0, 90.0, size=(24, 32))
+    blobs = assert_matches_oracle(values, 25.0, 1)
+    assert len(blobs) == 24 * 32
+    assert all(b.area == 1 for b in blobs)
+
+
+def test_detect_oracle_equal_mass_ties_keep_scan_order():
+    values = np.zeros((48, 64))
+    corners = [(30, 40), (2, 50), (30, 3), (2, 10)]  # (v, u) of each 3x3 blob
+    for v, u in corners:
+        values[v : v + 3, u : u + 3] = 50.0
+    blobs = assert_matches_oracle(values, 25.0, 9)
+    assert [(b.centroid.v, b.centroid.u) for b in blobs] == [
+        (3.0, 11.0), (3.0, 51.0), (31.0, 4.0), (31.0, 41.0)
+    ]
+
+
+def test_detect_many_components_full_frame():
+    # 32,400 isolated 2x2 dots of equal mass on an 8 px lattice, plus a
+    # one-pixel speck beside each, which min_area 4 drops: 64,800 components.
+    values = np.zeros((1080, 1920))
+    values[0::8, 0::8] = 10.0
+    values[0::8, 1::8] = 20.0
+    values[1::8, 0::8] = 30.0
+    values[1::8, 1::8] = 40.0
+    values[4::8, 4::8] = 50.0
+    d = DiffImage(values)
+    assert ndimage.label(d.values > 5.0, structure=np.ones((3, 3)))[1] == 64_800
+    blobs = detect_blobs(d, 5.0, 4)
+    assert len(blobs) == 135 * 240
+    assert all(b.area == 4 and b.total_mass == 100.0 and b.peak == 40.0 for b in blobs)
+    # Equal masses keep scan order; each centroid sits (0.6, 0.7) px from the
+    # dot's top-left pixel.
+    for index, (row, col) in {0: (0, 0), 239: (0, 239), 240: (1, 0), 32_399: (134, 239)}.items():
+        assert blobs[index].centroid.u == pytest.approx(8 * col + 0.6, abs=1e-9)
+        assert blobs[index].centroid.v == pytest.approx(8 * row + 0.7, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
