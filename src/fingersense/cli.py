@@ -38,11 +38,9 @@ from .imaging import (
     GroupStats,
     TactileImage,
     aggregate_errors,
-    detect_blobs,
+    detect_contacts,
     localization_error,
     localize_contact,
-    smooth,
-    subtract_reference,
 )
 from .pgm import read_pgm, write_pgm
 from .render import (
@@ -146,8 +144,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
                 references[entry.reference] = TactileImage(read_pgm(base / entry.reference))
             reference = references[entry.reference]
             frame = TactileImage(read_pgm(base / entry.frame))
-            diff = smooth(subtract_reference(reference, frame), config.sigma_px)
-            blobs = detect_blobs(diff, config.threshold, config.min_area_px)
+            blobs = detect_contacts(
+                reference, frame, config.sigma_px, config.threshold, config.min_area_px
+            )
             if not blobs:
                 raise ValueError("no contact detected")
             estimate = localize_contact(blobs[0], config.intrinsics, config.geometry)

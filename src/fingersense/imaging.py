@@ -5,6 +5,11 @@ thresholding, 8-connected blob extraction, then back-projection of the blob
 centroid onto the membrane.  All five tuning values (grayscale averaging,
 absolute differencing, sigma, threshold, minimum area) are parameters of the
 operations, not hidden constants.
+
+``detect_contacts`` runs the first four stages as one call.  It smooths and
+labels only the box that can hold above-threshold pixels, so its cost scales
+with the imprint, not the frame; it falls back to the whole frame only when
+noise crosses the threshold.
 """
 
 from __future__ import annotations
@@ -56,10 +61,9 @@ HARDWARE_ERRORS_BY_OBJECT: dict[str, tuple[float, float]] = {
 
 
 def _frozen_2d(values: np.ndarray, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")  # a private copy, converted once
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -89,6 +93,7 @@ class DiffImage:
     """Non-negative per-pixel deviation from the reference frame."""
 
     values: np.ndarray  # (height, width) float64, all >= 0
+    origin: tuple[int, int] = (0, 0)  # frame (row, column) of values[0, 0]
 
     def __post_init__(self) -> None:
         arr = _frozen_2d(self.values, np.float64)
@@ -136,24 +141,39 @@ class GroupStats:
     count: int
 
 
-def subtract_reference(ref: TactileImage, frame: TactileImage) -> DiffImage:
-    """Per-pixel absolute difference between a frame and its reference."""
+def _check_same_size(ref: TactileImage, frame: TactileImage) -> None:
     if (ref.height, ref.width) != (frame.height, frame.width):
         raise ValueError(
             f"dimension mismatch: reference {ref.width}x{ref.height}, "
             f"frame {frame.width}x{frame.height}"
         )
+
+
+def _check_sigma(sigma: float) -> None:
+    if sigma < 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+
+
+def _check_threshold(threshold: float) -> None:
+    if threshold <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+
+
+def subtract_reference(ref: TactileImage, frame: TactileImage) -> DiffImage:
+    """Per-pixel absolute difference between a frame and its reference."""
+    _check_same_size(ref, frame)
     diff = np.abs(frame.pixels.astype(np.int16) - ref.pixels.astype(np.int16))
     return DiffImage(diff.astype(np.float64))
 
 
 def smooth(d: DiffImage, sigma: float) -> DiffImage:
     """Gaussian blur (truncated at 3 sigma, replicated edges); sigma 0 is identity."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma)
     if sigma == 0:
         return d
-    return DiffImage(ndimage.gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"))
+    return DiffImage(
+        ndimage.gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"), d.origin
+    )
 
 
 def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactBlob]:
@@ -163,9 +183,10 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     components smaller than ``min_area`` pixels are discarded.  Blobs are
     returned sorted by total mass, heaviest first (ties keep scan order), so
     the dominant imprint is always first.  An empty list is a valid outcome:
-    weak imprints may not clear the threshold.
+    weak imprints may not clear the threshold.  Centroids are in frame
+    coordinates: ``d.origin`` is added to each pixel's row and column.
 
-    Cost is one labelling pass over the frame, a few passes over its
+    Cost is one labelling pass over the image, a few passes over its
     foreground pixels and a short loop over the kept blobs, so it does not
     grow with the number of components.  A stable sort groups the foreground
     pixels by label with each blob's pixels still in scan order, and each blob
@@ -173,8 +194,7 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     order as summing the blob's own masked pixels, so NumPy's pairwise sum
     gives the same mass and centroid bit for bit.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     mask = d.values > threshold
     labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
 
@@ -185,8 +205,8 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     stops = np.cumsum(areas)
     weights = d.values.ravel()[pixels]
     v, u = np.divmod(pixels, d.width)
-    weighted_u = weights * u
-    weighted_v = weights * v
+    weighted_u = weights * (u + d.origin[1])
+    weighted_v = weights * (v + d.origin[0])
 
     kept = areas >= min_area
     blobs = []
@@ -206,6 +226,51 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
         )
     blobs.sort(key=lambda b: -b.total_mass)
     return blobs
+
+
+def detect_contacts(
+    ref: TactileImage, frame: TactileImage, sigma: float, threshold: float, min_area: int
+) -> list[ContactBlob]:
+    """The detection pipeline: subtract, smooth, then detect blobs.
+
+    Returns exactly ``detect_blobs(smooth(subtract_reference(ref, frame),
+    sigma), threshold, min_area)``, every field and the order, but smooths and
+    labels only a box around the pixels that can pass ``threshold``.
+
+    The smoothed value is a non-negative weighted mean, normalised to 1, over
+    the pixels within ``r = int(3 sigma + 0.5)`` per axis (the radius of
+    ``gaussian_filter`` at ``truncate=3``).  Where every difference in reach is
+    at most ``floor(threshold) - 1`` the mean stays below ``threshold`` even
+    after rounding, while a plateau at an integer ``threshold`` can round just
+    above it.  So every smoothed pixel above ``threshold`` lies within ``r`` of
+    a seed, a pixel whose difference is at least ``floor(threshold)``.
+
+    The crop that is smoothed and labelled is the seed box grown by ``2 r``,
+    clipped to the frame.  Pixels within ``r`` of the seed box see the same
+    inputs as in the whole frame (where the crop edge is a frame edge,
+    ``mode="nearest"`` replicates the same pixels), so they get the same bits.
+    Farther pixels see only non-seeds, real or replicated, so they stay below
+    ``threshold`` as they do in the whole frame.  Labelling a crop that holds
+    every above-threshold pixel gives the same components in the same scan
+    order.  With no seeds the result is empty; when noise puts seeds all over
+    the frame the crop is the whole frame.
+    """
+    _check_same_size(ref, frame)
+    _check_sigma(sigma)
+    _check_threshold(threshold)
+    diff = np.maximum(frame.pixels, ref.pixels)  # |frame - ref| without leaving uint8
+    diff -= np.minimum(frame.pixels, ref.pixels)
+    # No uint8 difference reaches 256, and a NaN threshold passes no pixel.
+    seeds = diff >= (math.floor(threshold) if threshold < 256 else 256)
+    rows = np.flatnonzero(seeds.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(seeds.any(axis=0))
+    margin = 2 * int(3.0 * sigma + 0.5)
+    top, bottom = max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, frame.height)
+    left, right = max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, frame.width)
+    crop = DiffImage(diff[top:bottom, left:right], (int(top), int(left)))
+    return detect_blobs(smooth(crop, sigma), threshold, min_area)
 
 
 def localize_contact(

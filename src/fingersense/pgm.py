@@ -43,14 +43,20 @@ def read_pgm(path: str | Path) -> np.ndarray:
             end = pos
             while end < len(data) and not data[end : end + 1].isspace():
                 end += 1
-            tokens.append(int(data[pos:end]))
+            field = data[pos:end]
+            if not field.isdigit():
+                raise ValueError(f"{path}: PGM header field {field[:20]!r} is not a number")
+            tokens.append(int(field))
             pos = end
     pos += 1  # the single whitespace after maxval
 
     width, height, maxval = tokens
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: empty {width}x{height} PGM image")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
+    payload = max(len(data) - pos, 0)
+    if payload < width * height:
+        raise ValueError(f"{path}: expected {width * height} pixels, got {payload}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.size != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, got {pixels.size}")
     return pixels.reshape(height, width).copy()

@@ -395,11 +395,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(tuple(entries))
 
 
-def _add_noise(image: TactileImage, sigma: float, rng: np.random.Generator) -> TactileImage:
+def _add_noise(image: TactileImage, sigma: float, rng: np.random.Generator) -> np.ndarray:
     if sigma == 0:
-        return image
-    noisy = image.pixels.astype(np.float64) + rng.normal(0.0, sigma, image.pixels.shape)
-    return TactileImage(np.rint(np.clip(noisy, 0, 255)).astype(np.uint8))
+        return image.pixels
+    noisy = rng.normal(0.0, sigma, image.pixels.shape)
+    noisy += image.pixels  # the same sums as pixels + noise: addition commutes
+    np.clip(noisy, 0, 255, out=noisy)
+    np.rint(noisy, out=noisy)
+    return noisy.astype(np.uint8)
 
 
 def generate_protocol_dataset(
@@ -432,7 +435,7 @@ def generate_protocol_dataset(
         rng = np.random.default_rng(streams[stream_index])
         path = out_dir / name
         try:
-            write_pgm(path, _add_noise(image, noise_sigma, rng).pixels)
+            write_pgm(path, _add_noise(image, noise_sigma, rng))
         except OSError as exc:
             raise OSError(f"cannot write image {path}: {exc}") from exc
 

@@ -36,11 +36,9 @@ from fingersense.geometry import (
 )
 from fingersense.imaging import (
     TactileImage,
-    detect_blobs,
+    detect_contacts,
     localization_error,
     localize_contact,
-    smooth,
-    subtract_reference,
 )
 from fingersense.pgm import read_pgm
 
@@ -194,8 +192,7 @@ def test_criterion_05_closed_loop(geometry, intrinsics, protocol_dataset):
     detected = 0
     for entry in manifest.entries:
         frame = TactileImage(read_pgm(out_dir / entry.frame))
-        diff = smooth(subtract_reference(reference, frame), 2.0)
-        blobs = detect_blobs(diff, 25.0, 20)
+        blobs = detect_contacts(reference, frame, 2.0, 25.0, 20)
         if not blobs:
             errors.setdefault(entry.object_label, []).append(float("inf"))
             continue

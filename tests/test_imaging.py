@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from fingersense import imaging
 from fingersense.geometry import ContactPose, PixelCoord, Region, SurfacePoint
 from fingersense.imaging import (
     HARDWARE_ERRORS_BY_OBJECT,
@@ -19,6 +20,7 @@ from fingersense.imaging import (
     TactileImage,
     aggregate_errors,
     detect_blobs,
+    detect_contacts,
     localization_error,
     localize_contact,
     smooth,
@@ -308,6 +310,165 @@ def test_detect_many_components_full_frame():
     for index, (row, col) in {0: (0, 0), 239: (0, 239), 240: (1, 0), 32_399: (134, 239)}.items():
         assert blobs[index].centroid.u == pytest.approx(8 * col + 0.6, abs=1e-9)
         assert blobs[index].centroid.v == pytest.approx(8 * row + 0.7, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# detect_contacts: the windowed pipeline against the full-frame composition
+
+
+def full_frame_pipeline(ref, frame, sigma, threshold, min_area) -> list[ContactBlob]:
+    return detect_blobs(smooth(subtract_reference(ref, frame), sigma), threshold, min_area)
+
+
+def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area: int) -> list:
+    ref, frame = TactileImage(ref), TactileImage(frame)
+    blobs = detect_contacts(ref, frame, sigma, threshold, min_area)
+    assert blobs == full_frame_pipeline(ref, frame, sigma, threshold, min_area)
+    return blobs
+
+
+@pytest.fixture
+def smoothed_shapes(monkeypatch) -> list:
+    """Record the shape of every image ``detect_contacts`` smooths."""
+    shapes = []
+    original = imaging.smooth
+
+    def recording(d, sigma):
+        shapes.append(d.values.shape)
+        return original(d, sigma)
+
+    monkeypatch.setattr(imaging, "smooth", recording)
+    return shapes
+
+
+@st.composite
+def contact_frames(draw):
+    height, width = draw(st.integers(1, 64)), draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, u = np.mgrid[0:height, 0:width]
+    scene = 100.0 + 40.0 * np.sin(v / 7.0) * np.cos(u / 11.0)
+    noise = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    reference = np.rint(scene + rng.normal(0.0, 3.0, scene.shape))
+    frame = np.rint(scene + rng.normal(0.0, noise, scene.shape))
+    # Several imprints, brighter or darker, often on an edge or a corner.
+    rows = st.sampled_from([0, height - 1]) | st.integers(0, height - 1)
+    cols = st.sampled_from([0, width - 1]) | st.integers(0, width - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        centre_v, centre_u = draw(rows), draw(cols)
+        spread = draw(st.floats(0.5, 6.0))
+        amplitude = draw(st.integers(-100, 100))
+        frame += np.rint(
+            amplitude * np.exp(-((v - centre_v) ** 2 + (u - centre_u) ** 2) / (2 * spread**2))
+        )
+    threshold = draw(
+        st.sampled_from([0.5, 5.5, 25.0, 26.0])
+        | st.integers(1, 60).map(float)
+        | st.floats(0.01, 80.0)
+    )
+    if draw(st.booleans()):
+        # A plateau whose difference is exactly the integer part of the threshold.
+        top, left = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        size_v, size_u = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+        plateau = (slice(top, top + size_v), slice(left, left + size_u))
+        frame[plateau] = reference[plateau] + math.floor(threshold)
+    sigma = draw(st.sampled_from([0.0, 0.45, 0.5, 1.45, 2.0, 2.5, float(max(height, width) + 3)]))
+    return (
+        np.clip(reference, 0, 255).astype(np.uint8),
+        np.clip(frame, 0, 255).astype(np.uint8),
+        sigma,
+        threshold,
+        draw(st.integers(1, 20)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(contact_frames())
+def test_detect_contacts_matches_full_frame_pipeline(case):
+    assert_pipeline_matches(*case)
+
+
+def test_detect_contacts_integer_plateau_rounds_above_threshold():
+    # The blurred mean of a plateau at 26 rounds to just above 26 at sigma 2,
+    # so the plateau is a blob although no difference exceeds the threshold.
+    ref = np.full((48, 64), 100, dtype=np.uint8)
+    frame = ref.copy()
+    frame[10:30, 20:40] += 26
+    (blob,) = assert_pipeline_matches(ref, frame, 2.0, 26.0, 1)
+    assert blob.peak > 26.0
+
+
+def test_detect_contacts_blobs_at_corners_and_edges():
+    rng = np.random.default_rng(11)
+    ref = rng.integers(90, 110, size=(60, 90), dtype=np.uint8)
+    frame = ref.copy()
+    for v, u in [(0, 0), (0, 89), (59, 0), (59, 89), (30, 0), (0, 45), (30, 45)]:
+        frame[max(v - 3, 0) : v + 4, max(u - 3, 0) : u + 4] = 230
+    for sigma in (0.0, 0.45, 0.5, 2.0, 2.5):
+        assert len(assert_pipeline_matches(ref, frame, sigma, 25.0, 1)) == 7
+
+
+def test_detect_contacts_faint_rim_at_small_sigma():
+    # At sigma 0.45 (radius 1) a bright seed lifts its neighbours above the
+    # threshold, and the blob's mass depends on the noisy pixels one step
+    # beyond them: the crop must reach two radii past the seeds.
+    rng = np.random.default_rng(12)
+    ref = np.full((40, 50), 100, dtype=np.uint8)
+    frame = ref + rng.integers(0, 10, size=ref.shape, dtype=np.uint8)
+    frame[20, 25] = 255
+    (blob,) = assert_pipeline_matches(ref, frame, 0.45, 10.0, 1)
+    assert blob.area == 5  # the seed and its four edge neighbours
+
+
+def test_detect_contacts_threshold_below_one_smooths_whole_frame(smoothed_shapes):
+    rng = np.random.default_rng(13)
+    ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
+    assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)  # every pixel is a seed
+    assert smoothed_shapes == [(40, 50)]
+
+
+def test_detect_contacts_smooths_only_the_window(smoothed_shapes):
+    # One imprint on a 1080x1920 frame: smoothing and labelling cover the
+    # pixels at or above the threshold's integer part, grown by twice the
+    # kernel radius (6 px at sigma 2) on each side.
+    ref = np.full((1080, 1920), 128, dtype=np.uint8)
+    frame = ref.copy()
+    frame[500:520, 1000:1030] = 200
+    frame[495:500, 1000:1030] = 153  # exactly 25 above the reference: seeds
+    (blob,) = assert_pipeline_matches(ref, frame, 2.0, 25.0, 20)
+    assert smoothed_shapes == [(25 + 24, 30 + 24)]
+    assert 1000 < blob.centroid.u < 1030 and 495 < blob.centroid.v < 520
+
+
+def test_detect_contacts_no_seeds_skips_smoothing(smoothed_shapes):
+    ref = np.full((30, 40), 128, dtype=np.uint8)
+    frame = ref + 24  # one below the threshold everywhere
+    assert assert_pipeline_matches(ref, frame, 2.0, 25.0, 1) == []
+    assert smoothed_shapes == []
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 300.0])
+def test_detect_contacts_threshold_out_of_range_is_empty(threshold):
+    ref = np.zeros((8, 8), dtype=np.uint8)
+    assert assert_pipeline_matches(ref, ref + 255, 1.0, threshold, 1) == []
+
+
+def test_detect_contacts_validates_like_the_stages():
+    ref, frame = gray(128), gray(128)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        detect_contacts(ref, gray(128, (32, 31)), 2.0, 25.0, 1)
+    with pytest.raises(ValueError, match="sigma"):
+        detect_contacts(ref, frame, -1.0, 25.0, 1)
+    with pytest.raises(ValueError, match="threshold"):
+        detect_contacts(ref, frame, 2.0, 0.0, 1)
+
+
+def test_detect_blobs_adds_origin_before_weighting():
+    values = np.zeros((5, 6))
+    values[1:3, 2:4] = [[10.0, 20.0], [30.0, 40.0]]
+    (at_zero,) = detect_blobs(DiffImage(values), 5.0, 1)
+    (moved,) = detect_blobs(DiffImage(values, (100, 1000)), 5.0, 1)
+    assert moved.centroid == PixelCoord(at_zero.centroid.u + 1000, at_zero.centroid.v + 100)
+    assert smooth(DiffImage(values, (100, 1000)), 1.0).origin == (100, 1000)
 
 
 # ---------------------------------------------------------------------------

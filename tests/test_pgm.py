@@ -1,7 +1,11 @@
 """PGM round-trip and format validation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingersense.pgm import read_pgm, write_pgm
 
@@ -46,3 +50,66 @@ def test_read_rejects_truncated_payload(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P5\n0 0\n255\n", "empty 0x0"),
+        (b"P5\n3 0\n255\n", "empty 3x0"),
+        (b"P5\n4 4\n255\n" + b"\x00" * 7, "expected 16 pixels, got 7"),
+        (b"P5\n2 2\n255", "expected 4 pixels, got 0"),
+        (b"P5\nab 2\n255\n" + b"\x00" * 4, "header field b'ab'"),
+        (b"P5\n2 2.0\n255\n" + b"\x00" * 4, "header field b'2.0'"),
+        (b"P5\n-1 2\n255\n" + b"\x00" * 4, "header field b'-1'"),
+        (b"P5\n+2 2\n255\n" + b"\x00" * 4, "header field b'+2'"),
+        (b"P5\n2 2\n", "truncated PGM header"),
+    ],
+)
+def test_read_rejects_bad_header_with_path(tmp_path, content, message):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        read_pgm(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "\n" not in str(info.value)
+
+
+def test_read_checks_payload_before_allocating(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n4000000000 4000000000\n255\n" + b"\x00" * 16)
+    with pytest.raises(ValueError, match="expected 16000000000000000000 pixels, got 16"):
+        read_pgm(path)
+
+
+def test_read_ignores_trailing_bytes(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n" + bytes([7, 9, 11]))
+    np.testing.assert_array_equal(read_pgm(path), [[7, 9]])
+
+
+pgm_like = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: b"P5" + tail),
+    st.tuples(
+        st.sampled_from([b"0", b"1", b"3", b"-2", b"x", b"255", b"99999999999"]),
+        st.sampled_from([b"0", b"2", b"+2", b"1e1", b""]),
+        st.sampled_from([b"255", b"254", b"#c\n255"]),
+        st.sampled_from([b" ", b"\n", b"\t", b""]),
+        st.binary(max_size=16),
+    ).map(lambda p: b"P5\n" + p[0] + b" " + p[1] + b"\n" + p[2] + p[3] + p[4]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_like)
+def test_read_fuzzed_bytes_fail_cleanly(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "x.pgm"
+    path.write_bytes(content)
+    try:
+        image = read_pgm(path)
+    except (ValueError, OSError) as exc:
+        assert str(exc).startswith(f"{path}: ")
+        assert "\n" not in str(exc)
+    else:
+        assert image.dtype == np.uint8 and image.ndim == 2 and image.size > 0

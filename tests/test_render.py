@@ -20,10 +20,9 @@ from fingersense.geometry import (
 )
 from fingersense.imaging import (
     TactileImage,
-    detect_blobs,
+    detect_contacts,
     localization_error,
     localize_contact,
-    smooth,
     subtract_reference,
 )
 from fingersense.pgm import read_pgm
@@ -222,8 +221,7 @@ def test_slab_blob_lies_on_footprint(geometry, intrinsics):
         Shape.SLAB, ContactPose.translation(15.0), geometry, size=10.0, depth=1.0
     )
     image = render_contact(ind, geometry, intrinsics)
-    diff = smooth(subtract_reference(render_reference(geometry, intrinsics), image), 2.0)
-    blobs = detect_blobs(diff, 25.0, 20)
+    blobs = detect_contacts(render_reference(geometry, intrinsics), image, 2.0, 25.0, 20)
     assert blobs
     est = localize_contact(blobs[0], intrinsics, geometry)
     # Within the footprint half-diagonal (5, 2.5) -> 5.59 mm of the contact.
@@ -267,8 +265,7 @@ def test_cone_closed_loop_every_protocol_pose(geometry, intrinsics):
     for pose in protocol_poses():
         ind = default_indenter("cone", pose, geometry)
         image = render_contact(ind, geometry, intrinsics)
-        diff = smooth(subtract_reference(ref, image), 2.0)
-        blobs = detect_blobs(diff, 25.0, 20)
+        blobs = detect_contacts(ref, image, 2.0, 25.0, 20)
         assert blobs, f"no blob for pose {pose}"
         est = localize_contact(blobs[0], intrinsics, geometry)
         assert localization_error(est, ind.contact_point) <= 1.0
