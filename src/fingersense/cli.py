@@ -59,6 +59,13 @@ def _session_config(args: argparse.Namespace) -> SessionConfig:
     return load_config(args.config)
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, refused with a message naming the flag when negative."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _fmt(value: float) -> str:
     """Full-precision, byte-stable decimal text for CSV cells."""
     return repr(float(value))
@@ -102,11 +109,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
+    seed = _seed(args)
     config = _session_config(args)
     out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir)
     noise = args.noise if args.noise is not None else config.noise_sigma
     generate_protocol_dataset(
-        out_dir, config.geometry, config.intrinsics, noise_sigma=noise, seed=args.seed
+        out_dir, config.geometry, config.intrinsics, noise_sigma=noise, seed=seed
     )
     print(str(out_dir / "manifest.json"))
     return 0
@@ -219,11 +227,12 @@ def cmd_blocksworld(args: argparse.Namespace) -> int:
         if args.policy == "all"
         else [PolicyKind(args.policy)]
     )
+    seed = _seed(args)
     simulated = {}
     for kind in kinds:
-        metrics = run_batch(kind, args.n_boards, seed=args.seed)
+        metrics = run_batch(kind, args.n_boards, seed=seed)
         simulated[kind] = metrics
-        print(json.dumps(metrics_to_json_dict(metrics, kind, args.seed)))
+        print(json.dumps(metrics_to_json_dict(metrics, kind, seed)))
 
     if args.policy == "all":
         lines = [

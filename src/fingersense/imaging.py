@@ -176,6 +176,24 @@ def smooth(d: DiffImage, sigma: float) -> DiffImage:
     )
 
 
+def _smoothed(diff: np.ndarray, sigma: float, origin: tuple[int, int]) -> DiffImage:
+    """``smooth(DiffImage(diff, origin), sigma)`` of a uint8 ``diff``, in one float64 array.
+
+    The filter converts each line to float64 as it reads it, so filtering the
+    uint8 array gives the same bits as filtering its float64 copy, without
+    the copy (sigma 0 gives the float64 copy itself).  Its output is a fresh
+    array that nothing else holds, and a mean of non-negative values with
+    positive weights is non-negative, so it is wrapped as it is, without
+    ``DiffImage``'s private copy and sign scan.
+    """
+    out = ndimage.gaussian_filter(diff, sigma, output=np.float64, truncate=3.0, mode="nearest")
+    out.flags.writeable = False
+    image = object.__new__(DiffImage)  # skips __init__, the copy and the scan
+    object.__setattr__(image, "values", out)
+    object.__setattr__(image, "origin", origin)
+    return image
+
+
 def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactBlob]:
     """Extract connected bright regions of the difference image.
 
@@ -253,7 +271,8 @@ def detect_contacts(
     ``threshold`` as they do in the whole frame.  Labelling a crop that holds
     every above-threshold pixel gives the same components in the same scan
     order.  With no seeds the result is empty; when noise puts seeds all over
-    the frame the crop is the whole frame.
+    the frame the crop is the whole frame.  The crop is filtered straight from
+    the uint8 difference, so the only float64 array is the smoothed one.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -269,8 +288,8 @@ def detect_contacts(
     margin = 2 * int(3.0 * sigma + 0.5)
     top, bottom = max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, frame.height)
     left, right = max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, frame.width)
-    crop = DiffImage(diff[top:bottom, left:right], (int(top), int(left)))
-    return detect_blobs(smooth(crop, sigma), threshold, min_area)
+    crop = diff[top:bottom, left:right]
+    return detect_blobs(_smoothed(crop, sigma, (int(top), int(left))), threshold, min_area)
 
 
 def localize_contact(

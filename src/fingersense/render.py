@@ -27,13 +27,25 @@ differ from the background.  The renderer back-projects and shades just the
 ball's pixel bounding box, padded by 2 px against rounding, and fills the
 rest of the frame with the background; when the ball reaches the camera
 plane (z <= 0) or a tangent ray reaches 90 degrees the box is the whole
-frame.  Render cost therefore scales with the imprint, not the frame.
+frame.  Render cost therefore scales with the imprint, not the frame.  The
+box is shaded in bands of whole rows, at most RENDER_BAND_PX pixels each, so
+the float64 temporaries stay a few MB even when the box is the whole frame;
+every pixel is computed on its own, so the bands give the same bytes.
+
+Protocol dataset: every image adds Gaussian pixel noise from its own random
+stream split off the seed.  The noise, the one full-frame cost left, runs on
+worker threads, one per usable CPU; a frame's noise depends only on its own
+stream, so the bytes do not depend on scheduling or on the CPU count.
+Rendering, writing and the manifest stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -58,6 +70,8 @@ BACKGROUND_INTENSITY = 128  # membrane at rest
 IMPRINT_GAIN = 60  # intensity units at full indentation depth
 K_FALLOFF = 1.0  # depth lost per mm of distance from the footprint
 WINDOW_PAD_PX = 2  # margin around the projected imprint ball
+RENDER_BAND_PX = 1 << 15  # pixels shaded at once, in whole rows of the window
+NOISE_CHUNK_ROWS = 64  # frame rows of noise drawn and rounded at once
 
 # Irregular footprint lobes (centre a, centre b, radius) in mm at size 8;
 # the primary lobe covers the contact point.
@@ -287,20 +301,25 @@ def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> Tac
     point (E the footprint's extent), padded by 2 px.  Every other pixel sees
     an undisplaced membrane point and keeps the background.  If the ball
     reaches z <= 0 or a tangent ray reaches 90 degrees the window is the
-    whole frame.
+    whole frame.  The window is shaded in bands of whole rows holding at most
+    RENDER_BAND_PX pixels (one row if a row is wider), so memory stays
+    bounded when the window is large.
     """
     if not ind.depth < g.r:
         raise ValueError(
             f"indentation depth {ind.depth} must stay below the membrane radius {g.r}"
         )
     rows, columns = _imprint_window(ind, k)
-    v, u = np.mgrid[rows, columns]
-    points, _ = back_project_pixels(u, v, k, g)
-    dist = footprint_distance_mm(ind, points, g)
-    depth = np.maximum(0.0, ind.depth - dist * K_FALLOFF)
-    intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
     image = np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
-    image[rows, columns] = np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
+    band_rows = max(1, RENDER_BAND_PX // max(1, columns.stop - columns.start))
+    for top in range(rows.start, rows.stop, band_rows):
+        band = slice(top, min(top + band_rows, rows.stop))
+        v, u = np.mgrid[band, columns]
+        points, _ = back_project_pixels(u, v, k, g)
+        dist = footprint_distance_mm(ind, points, g)
+        depth = np.maximum(0.0, ind.depth - dist * K_FALLOFF)
+        intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
+        image[band, columns] = np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
     return TactileImage(image)
 
 
@@ -396,13 +415,35 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def _add_noise(image: TactileImage, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """``image`` plus N(0, sigma) noise per pixel, clipped to [0, 255] and rounded.
+
+    The noise is drawn, added and rounded NOISE_CHUNK_ROWS rows at a time, so
+    one chunk of float64 is alive instead of a whole frame of it.  A generator
+    fills its draws one value after another, so the chunks are the same stream
+    as one draw of the whole frame and give the same bytes.  Touches nothing
+    but ``image`` and ``rng``, so frames with their own generators can be
+    noised on different threads at once.
+    """
+    pixels = image.pixels
     if sigma == 0:
-        return image.pixels
-    noisy = rng.normal(0.0, sigma, image.pixels.shape)
-    noisy += image.pixels  # the same sums as pixels + noise: addition commutes
-    np.clip(noisy, 0, 255, out=noisy)
-    np.rint(noisy, out=noisy)
-    return noisy.astype(np.uint8)
+        return pixels
+    noisy = np.empty_like(pixels)
+    for top in range(0, pixels.shape[0], NOISE_CHUNK_ROWS):
+        rows = slice(top, top + NOISE_CHUNK_ROWS)
+        chunk = rng.normal(0.0, sigma, pixels[rows].shape)
+        chunk += pixels[rows]  # the same sums as pixels + noise: addition commutes
+        np.clip(chunk, 0, 255, out=chunk)
+        np.rint(chunk, out=chunk)
+        noisy[rows] = chunk
+    return noisy
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 def generate_protocol_dataset(
@@ -419,6 +460,15 @@ def generate_protocol_dataset(
     every written frame (reference included), with one RNG stream split off
     the master seed per image, so outputs are reproducible for a fixed
     (seed, noise_sigma) and unchanged by rendering order.
+
+    Only the noise runs on worker threads, one per usable CPU, each with at
+    most one frame in flight; NumPy's draws and ufuncs release the GIL, so
+    the frames are noised in parallel.  A frame's noise depends only on its
+    own stream, so the bytes do not depend on scheduling or on the number of
+    CPUs.  Rendering, writing, error messages and the manifest stay on the
+    calling thread in protocol order: frames rendered before a failing render
+    are written before its error is raised, and nothing is written after a
+    failing write.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
@@ -430,36 +480,54 @@ def generate_protocol_dataset(
 
     n_images = 1 + len(DEFAULT_INDENTER_SPECS) * 8
     streams = np.random.SeedSequence(seed).spawn(n_images)
+    reference_name = "reference.pgm"
+    entries = []
 
-    def write_image(name: str, image: TactileImage, stream_index: int) -> None:
-        rng = np.random.default_rng(streams[stream_index])
+    def rendered():
+        """(file name, image) in stream order, each rendered when asked for."""
+        yield reference_name, render_reference(g, k)
+        for object_label in OBJECT_ORDER:
+            for pose_index, pose in enumerate(protocol_poses()):
+                ind = default_indenter(object_label, pose, g)
+                frame_name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
+                truth = ind.contact_point
+                entries.append(
+                    ManifestEntry(
+                        object_label=object_label,
+                        pose=pose,
+                        reference=reference_name,
+                        frame=frame_name,
+                        truth_mm=(truth.x, truth.y, truth.z),
+                    )
+                )
+                yield frame_name, render_contact(ind, g, k)
+
+    def write_next() -> None:
+        name, noisy = in_flight.popleft()
+        pixels = noisy.result()
         path = out_dir / name
         try:
-            write_pgm(path, _add_noise(image, noise_sigma, rng))
+            write_pgm(path, pixels)
         except OSError as exc:
             raise OSError(f"cannot write image {path}: {exc}") from exc
 
-    reference_name = "reference.pgm"
-    write_image(reference_name, render_reference(g, k), 0)
-
-    entries = []
-    stream_index = 1
-    for object_label in OBJECT_ORDER:
-        for pose_index, pose in enumerate(protocol_poses()):
-            ind = default_indenter(object_label, pose, g)
-            frame_name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
-            write_image(frame_name, render_contact(ind, g, k), stream_index)
-            stream_index += 1
-            truth = ind.contact_point
-            entries.append(
-                ManifestEntry(
-                    object_label=object_label,
-                    pose=pose,
-                    reference=reference_name,
-                    frame=frame_name,
-                    truth_mm=(truth.x, truth.y, truth.z),
-                )
-            )
+    workers = _usable_cpus()
+    in_flight: deque[tuple[str, Future]] = deque()
+    frames = rendered()
+    with ThreadPoolExecutor(workers) as pool:
+        for stream in streams:
+            try:
+                name, image = next(frames)
+            except Exception:
+                while in_flight:  # the frames rendered before the failure
+                    write_next()
+                raise
+            rng = np.random.default_rng(stream)
+            in_flight.append((name, pool.submit(_add_noise, image, noise_sigma, rng)))
+            if len(in_flight) == workers:
+                write_next()
+        while in_flight:
+            write_next()
 
     manifest = DatasetManifest(tuple(entries))
     save_manifest(out_dir / "manifest.json", manifest)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ def test_dataset_rejects_nan_noise_in_config(tmp_path, capsys):
     code = main(["dataset", "--config", str(config_path), "--out-dir", str(tmp_path / "ds")])
     assert code == 1
     assert "noise_sigma must be finite" in capsys.readouterr().err
+
+
+def test_dataset_unwritable_image_fails_with_one_line(tmp_path, capsys):
+    out = tmp_path / "ds"
+    (out / "cone_rotation_0.pgm").mkdir(parents=True)  # a directory where a frame goes
+    threads = threading.active_count()
+    code = main(["dataset", "--out-dir", str(out), "--noise", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write image {out / 'cone_rotation_0.pgm'}: ")
+    assert captured.err.count("\n") == 1
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dataset", "--noise", "2"], ["blocksworld", "--policy", "rg", "-n", "10"]],
+    ids=["dataset", "blocksworld"],
+)
+def test_negative_seed_fails_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "ds"
+    if argv[0] == "dataset":
+        argv = [*argv, "--out-dir", str(out)]
+    assert main([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()  # refused before anything is written
 
 
 def test_localize_closed_loop(capsys, protocol_dataset):

@@ -331,13 +331,13 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 def smoothed_shapes(monkeypatch) -> list:
     """Record the shape of every image ``detect_contacts`` smooths."""
     shapes = []
-    original = imaging.smooth
+    original = imaging._smoothed
 
-    def recording(d, sigma):
-        shapes.append(d.values.shape)
-        return original(d, sigma)
+    def recording(diff, sigma, origin):
+        shapes.append(diff.shape)
+        return original(diff, sigma, origin)
 
-    monkeypatch.setattr(imaging, "smooth", recording)
+    monkeypatch.setattr(imaging, "_smoothed", recording)
     return shapes
 
 

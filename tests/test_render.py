@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fingersense import render
 from fingersense.geometry import (
     CameraIntrinsics,
     ContactPose,
@@ -31,6 +35,8 @@ from fingersense.render import (
     BACKGROUND_INTENSITY,
     IMPRINT_GAIN,
     K_FALLOFF,
+    NOISE_CHUNK_ROWS,
+    OBJECT_ORDER,
     Indenter,
     Shape,
     default_indenter,
@@ -319,10 +325,17 @@ def window_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(window_cases())
-def test_windowed_render_matches_full_frame_oracle(case):
+@given(window_cases(), st.integers(1, 4 * SMALL_FRAME[0]))
+def test_windowed_render_matches_full_frame_oracle(case, band_px):
+    # Small band budgets split the window into several bands (one row each
+    # below a row's width), as the full-size frames do.
     ind, g, k = case
-    image = render_contact(ind, g, k)
+    default = render.RENDER_BAND_PX
+    render.RENDER_BAND_PX = band_px
+    try:
+        image = render_contact(ind, g, k)
+    finally:
+        render.RENDER_BAND_PX = default
     np.testing.assert_array_equal(image.pixels, full_frame_oracle(ind, g, k))
 
 
@@ -430,6 +443,99 @@ def test_dataset_rejects_non_finite_noise(tmp_path, geometry, intrinsics, sigma)
     with pytest.raises(ValueError, match="noise sigma"):
         generate_protocol_dataset(tmp_path, geometry, intrinsics, noise_sigma=sigma)
     assert not any(tmp_path.iterdir())  # nothing written
+
+
+# A small camera whose height is not a multiple of the noise chunk, so every
+# frame ends in a short chunk.
+ORACLE_CAMERA = CameraIntrinsics(alpha=40.0, cx=47.5, cy=40.0, width=96, height=NOISE_CHUNK_ROWS + 17)
+
+
+def serial_dataset(g, k, sigma: float, seed: int) -> dict[str, np.ndarray]:
+    """The protocol images drawn one after another, each from the whole frame at once."""
+    clean = {"reference.pgm": np.full((k.height, k.width), BACKGROUND_INTENSITY, np.uint8)}
+    for label in OBJECT_ORDER:
+        for index, pose in enumerate(protocol_poses()):
+            name = f"{label}_{pose.kind.value}_{index % 4}.pgm"
+            clean[name] = full_frame_oracle(default_indenter(label, pose, g), g, k)
+    streams = np.random.SeedSequence(seed).spawn(len(clean))
+    images = {}
+    for (name, pixels), stream in zip(clean.items(), streams):
+        noisy = pixels + np.random.default_rng(stream).normal(0.0, sigma, pixels.shape)
+        images[name] = np.rint(np.clip(noisy, 0, 255)).astype(np.uint8)
+    return images
+
+
+@pytest.mark.parametrize(
+    "sigma, workers, switch_s",
+    [(0.0, None, None), (16.0, None, None), (16.0, 1, None), (16.0, 3, 1e-6)],
+    ids=["noise0", "noise16", "noise16-1cpu", "noise16-3cpus-switch1us"],
+)
+def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, geometry, sigma, workers, switch_s):
+    # The bytes depend on neither the worker count nor how often threads switch.
+    if workers is not None:
+        monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    try:
+        if switch_s is not None:
+            sys.setswitchinterval(switch_s)
+        manifest = generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, sigma, seed=29)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = serial_dataset(geometry, ORACLE_CAMERA, sigma, seed=29)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*expected, "manifest.json"])
+    assert [e.frame for e in manifest.entries] == list(expected)[1:]
+    for name, pixels in expected.items():
+        np.testing.assert_array_equal(read_pgm(tmp_path / name), pixels, err_msg=name)
+
+
+def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, geometry):
+    (tmp_path / "cone_rotation_0.pgm").mkdir()
+    threads = threading.active_count()
+    with pytest.raises(OSError, match=r"^cannot write image .*cone_rotation_0\.pgm: "):
+        generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
+    assert threading.active_count() == threads
+    # As in protocol order: nothing after the frame that could not be written.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone_rotation_0.pgm", "reference.pgm"]
+
+
+def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch, geometry):
+    calls = []
+
+    def failing_third(ind, g, k):
+        calls.append(ind)
+        if len(calls) == 3:
+            raise ValueError("cannot render this one")
+        return render_contact(ind, g, k)
+
+    monkeypatch.setattr(render, "render_contact", failing_third)
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 4)  # none written before the failure
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="cannot render this one"):
+        generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
+    assert threading.active_count() == threads
+    expected = serial_dataset(geometry, ORACLE_CAMERA, 2.0, seed=3)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["cone_rotation_0.pgm", "cone_rotation_1.pgm", "reference.pgm"]
+    for name in written:
+        np.testing.assert_array_equal(read_pgm(tmp_path / name), expected[name], err_msg=name)
+
+
+def test_full_size_render_is_exact_in_bounded_memory(geometry, intrinsics):
+    # The widest protocol imprint: its window is about 810k of the 2.07M
+    # pixels, so shading it at once would take about 100 MB.
+    ind = default_indenter("sphere", ContactPose.translation(15.0), geometry)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        image = render_contact(ind, geometry, intrinsics)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before < 16 * 2**20
+    np.testing.assert_array_equal(image.pixels, full_frame_oracle(ind, geometry, intrinsics))
 
 
 # ---------------------------------------------------------------------------
