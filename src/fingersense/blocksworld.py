@@ -13,6 +13,10 @@ Policies:
 
 A collision consumes an attempt, so RgTr can still fail: a collision on the
 final attempt leaves no room for the regrasp.
+
+Batches are drawn as outcome counts: ``outcome_table`` plays a policy once over
+every (block column, draw sequence) cell, and a batch draws how many of its
+independent blocks land on each outcome, at a cost constant in the boards.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 N_COLUMNS = 4
 N_ROWS = 4
 DEFAULT_MAX_ATTEMPTS = 5
+MAX_ATTEMPTS_LIMIT = 8  # outcome tables hold 4 ** (cap + 1) cells
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Hardware baseline (20 blocks, physical gripper): failure rate, attempts and
 # collisions per block, per policy.  Reported for comparison; the simulation
@@ -152,8 +158,8 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised policy outcomes: (success, attempts, collisions) per block.
 
-    ``blocks`` has shape (n,), ``draws`` (n, max_attempts); the draw matrix is
-    fully pre-drawn so RNG consumption is independent of the outcomes.
+    ``blocks`` has shape (n,), ``draws`` (n, max_attempts); every row holds
+    all the draws a block may use, so the outcome is a function of the row.
     """
     n, cap = draws.shape
     if kind is PolicyKind.CONTROL:
@@ -209,16 +215,38 @@ def run_policy(
     ]
 
 
-def _metrics_from_arrays(
-    success: np.ndarray, attempts: np.ndarray, collisions: np.ndarray
-) -> RunMetrics:
-    n = success.size
-    return RunMetrics(
-        failure_rate=float(np.count_nonzero(~success)) / n,
-        attempts_per_block=float(attempts.mean()),
-        collisions_per_block=float(collisions.mean()),
-        n_blocks=n,
+def outcome_table(
+    kind: PolicyKind, max_attempts: int = DEFAULT_MAX_ATTEMPTS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct per-block outcome of a policy and its probability.
+
+    ``_evaluate`` runs once over the 4 ** (max_attempts + 1) equally likely
+    cells (block column, draw sequence), which are then grouped by outcome.
+    Returns (outcomes, p): sorted int64 rows of (failed, attempts,
+    collisions) and each row's share of the cells, exact in float64 because
+    it is dyadic.  ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT, which
+    keeps the table at most 262,144 cells.
+    """
+    if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
+        raise ValueError(f"max_attempts must be in 1..{MAX_ATTEMPTS_LIMIT}, got {max_attempts}")
+    cells = np.arange(N_COLUMNS ** (max_attempts + 1))
+    digits = cells[:, None] // N_COLUMNS ** np.arange(max_attempts + 1) % N_COLUMNS
+    success, attempts, collisions = _evaluate(kind, digits[:, 0], digits[:, 1:])
+    outcomes, counts = np.unique(
+        np.column_stack([~success, attempts, collisions]), axis=0, return_counts=True
     )
+    return outcomes, counts / cells.size
+
+
+def _outcome_counts(
+    kind: PolicyKind, n_boards: int, seed: int, max_attempts: int, size: int | None = None
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """(outcomes, n_blocks, blocks per outcome): one multinomial draw, or ``size`` rows."""
+    n_blocks = n_boards * N_ROWS
+    if not 1 <= n_blocks <= _INT64_MAX:
+        raise ValueError(f"n_boards {n_boards} gives {n_blocks} blocks, not in 1..{_INT64_MAX}")
+    outcomes, p = outcome_table(kind, max_attempts)
+    return outcomes, n_blocks, np.random.default_rng(seed).multinomial(n_blocks, p, size=size)
 
 
 def run_batch(
@@ -229,17 +257,19 @@ def run_batch(
 ) -> RunMetrics:
     """Aggregate a policy over ``n_boards`` fresh boards.
 
-    All randomness comes from one generator seeded with ``seed``: first the
-    block columns, then the pre-drawn attempt columns.  Results are
-    bit-reproducible for fixed (kind, n_boards, seed, max_attempts).
+    Blocks are independent, so the blocks per ``outcome_table`` row are one
+    multinomial draw seeded with ``seed`` (fixed arguments give fixed bits),
+    and the metrics are exact integer sums over the counts divided by the
+    block count: the distribution of simulating every block, at a cost that
+    does not grow with ``n_boards``.  A block count above int64 or
+    ``max_attempts`` outside 1..MAX_ATTEMPTS_LIMIT raises ValueError.
     """
-    if n_boards < 1:
-        raise ValueError(f"n_boards must be at least 1, got {n_boards}")
-    rng = np.random.default_rng(seed)
-    n_blocks = n_boards * N_ROWS
-    blocks = rng.integers(0, N_COLUMNS, size=n_blocks)
-    draws = rng.integers(0, N_COLUMNS, size=(n_blocks, max_attempts))
-    return _metrics_from_arrays(*_evaluate(kind, blocks, draws))
+    outcomes, n_blocks, counts = _outcome_counts(kind, n_boards, seed, max_attempts)
+    failed, attempts, collisions = (
+        sum(c * value for c, value in zip(counts.tolist(), column)) / n_blocks
+        for column in outcomes.T.tolist()
+    )
+    return RunMetrics(failed, attempts, collisions, n_blocks)
 
 
 def batch_distribution(
@@ -253,26 +283,13 @@ def batch_distribution(
 
     Columns are (failure_rate, attempts_per_block, collisions_per_block),
     used to place small-sample observations within the sampling distribution.
+    Each batch is one multinomial draw of outcome counts, as in ``run_batch``,
+    so the cost grows with ``n_batches`` but not with ``boards_per_batch``.
     """
-    rng = np.random.default_rng(seed)
-    per_batch = boards_per_batch * N_ROWS
-    total = n_batches * per_batch
-    blocks = rng.integers(0, N_COLUMNS, size=total)
-    draws = rng.integers(0, N_COLUMNS, size=(total, max_attempts))
-    success, attempts, collisions = _evaluate(kind, blocks, draws)
-    shape = (n_batches, per_batch)
-    return np.column_stack(
-        [
-            1.0 - success.reshape(shape).mean(axis=1),
-            attempts.reshape(shape).mean(axis=1),
-            collisions.reshape(shape).mean(axis=1),
-        ]
+    outcomes, per_batch, counts = _outcome_counts(
+        kind, boards_per_batch, seed, max_attempts, size=n_batches
     )
-
-
-def _adjacency(col: int) -> int:
-    """How many of a column's neighbours are on the board (1 at edges, else 2)."""
-    return int(col - 1 >= 0) + int(col + 1 < N_COLUMNS)
+    return counts @ outcomes.astype(np.float64) / per_batch
 
 
 def exact_metrics(
@@ -289,46 +306,26 @@ def exact_metrics(
     if kind is PolicyKind.CONTROL:
         return RunMetrics(0.0, 1.0, 0.0, 0)
 
-    fail_total = Fraction(0)
-    attempts_total = Fraction(0)
-    collisions_total = Fraction(0)
+    fail_total = attempts_total = collisions_total = Fraction(0)
     q = Fraction(1, N_COLUMNS)  # hit probability per draw
 
     for col in range(N_COLUMNS):
-        a = Fraction(_adjacency(col), N_COLUMNS)  # collision probability
-        if kind is PolicyKind.RG:
-            survive = 1 - q  # any non-hit keeps drawing
-            fail = survive**max_attempts
-            attempts = sum(
-                k * q * survive ** (k - 1) for k in range(1, max_attempts + 1)
-            ) + max_attempts * fail
-            collisions = a * sum(survive ** (k - 1) for k in range(1, max_attempts + 1))
-        else:  # RGTR
-            m = 1 - q - a  # miss probability; the first hit/collision stops the search
-            fail = Fraction(0)
-            attempts = Fraction(0)
-            collisions = Fraction(0)
-            for k in range(1, max_attempts + 1):
-                prefix = m ** (k - 1)
-                attempts += prefix * q * k  # direct hit at attempt k
-                collisions += prefix * a
-                if k < max_attempts:  # collision, then a successful regrasp
-                    attempts += prefix * a * (k + 1)
-                else:  # collision with no attempt left for the regrasp
-                    attempts += prefix * a * max_attempts
-                    fail += prefix * a
-            fail += m**max_attempts  # never touched the block
-            attempts += m**max_attempts * max_attempts
-        fail_total += fail
-        attempts_total += attempts
-        collisions_total += collisions
+        n_adj = (col > 0) + (col < N_COLUMNS - 1)  # neighbours on the board
+        a = Fraction(n_adj, N_COLUMNS)  # collision probability
+        # Rg stops drawing only on a hit; RgTr also on a collision, which
+        # costs one more attempt for the regrasp if one is left.
+        sensed = a if kind is PolicyKind.RGTR else Fraction(0)
+        m = 1 - q - sensed  # probability that a draw does not stop the search
+        prefixes = [m**k for k in range(max_attempts)]  # still searching at k + 1
+        fail_total += m**max_attempts + sensed * m ** (max_attempts - 1)
+        attempts_total += max_attempts * m**max_attempts + sum(
+            prefix * (q * k + sensed * min(k + 1, max_attempts))
+            for k, prefix in enumerate(prefixes, 1)
+        )
+        collisions_total += a * sum(prefixes)
 
-    return RunMetrics(
-        failure_rate=float(fail_total / N_COLUMNS),
-        attempts_per_block=float(attempts_total / N_COLUMNS),
-        collisions_per_block=float(collisions_total / N_COLUMNS),
-        n_blocks=0,
-    )
+    totals = (fail_total, attempts_total, collisions_total)
+    return RunMetrics(*(float(total / N_COLUMNS) for total in totals), n_blocks=0)
 
 
 def metrics_to_json_dict(metrics: RunMetrics, policy: PolicyKind, seed: int) -> dict:

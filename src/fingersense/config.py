@@ -17,6 +17,11 @@ from .geometry import CameraIntrinsics, SensorGeometry
 from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD
 
 
+# Largest accepted frame, 4096 x 4096 pixels (about 8 times 1920 x 1080).  It
+# bounds the full-frame arrays that rendering and detection allocate.
+MAX_FRAME_PX = 4096 * 4096
+
+
 class ConfigError(ValueError):
     """A configuration file is malformed or violates an invariant."""
 
@@ -42,6 +47,11 @@ class SessionConfig:
             raise ConfigError(f"min_area_px must be at least 1, got {self.min_area_px}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        width, height = self.intrinsics.width, self.intrinsics.height
+        if width * height > MAX_FRAME_PX:
+            raise ConfigError(
+                f"frame {width}x{height} has more than {MAX_FRAME_PX} pixels (4096x4096)"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -237,12 +237,8 @@ def back_project(
         z = (g.d * alpha2 + k.alpha * math.sqrt(reduced_disc)) / a
         region = Region.TIP
     else:
+        # In (0, d] by construction; on the seam it may round 1 ulp above d.
         z = g.r * k.alpha / math.sqrt(omega)
-        if not 0.0 <= z <= g.d:
-            raise NoIntersectionError(
-                f"ray through ({pixel.u}, {pixel.v}) misses the side "
-                f"(z={z:.6g} outside [0, {g.d}])"
-            )
         region = Region.SIDE
 
     return SurfacePoint(chi / k.alpha * z, gamma / k.alpha * z, z, region)

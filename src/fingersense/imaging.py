@@ -10,6 +10,10 @@ operations, not hidden constants.
 labels only the box that can hold above-threshold pixels, so its cost scales
 with the imprint, not the frame; it falls back to the whole frame only when
 noise crosses the threshold.
+
+SciPy is imported on the first filter or label, not with this module, so
+commands that never detect do not pay for it.  The module is kept as this
+module's ``ndimage`` global, and every call goes through that global.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import (
     CameraIntrinsics,
@@ -58,6 +61,22 @@ HARDWARE_ERRORS_BY_OBJECT: dict[str, tuple[float, float]] = {
     "tube": (3.33, 1.90),
     "slab": (6.27, 8.17),
 }
+
+
+def __getattr__(name: str):
+    if name == "ndimage":
+        return _ndimage()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _ndimage():
+    """``scipy.ndimage``, imported on first use and stored as ``ndimage``."""
+    module = globals().get("ndimage")
+    if module is None:
+        from scipy import ndimage as module
+
+        globals()["ndimage"] = module
+    return module
 
 
 def _frozen_2d(values: np.ndarray, dtype) -> np.ndarray:
@@ -172,7 +191,7 @@ def smooth(d: DiffImage, sigma: float) -> DiffImage:
     if sigma == 0:
         return d
     return DiffImage(
-        ndimage.gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"), d.origin
+        _ndimage().gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"), d.origin
     )
 
 
@@ -186,7 +205,7 @@ def _smoothed(diff: np.ndarray, sigma: float, origin: tuple[int, int]) -> DiffIm
     positive weights is non-negative, so it is wrapped as it is, without
     ``DiffImage``'s private copy and sign scan.
     """
-    out = ndimage.gaussian_filter(diff, sigma, output=np.float64, truncate=3.0, mode="nearest")
+    out = _ndimage().gaussian_filter(diff, sigma, output=np.float64, truncate=3.0, mode="nearest")
     out.flags.writeable = False
     image = object.__new__(DiffImage)  # skips __init__, the copy and the scan
     object.__setattr__(image, "values", out)
@@ -214,7 +233,7 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     """
     _check_threshold(threshold)
     mask = d.values > threshold
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    labels, _ = _ndimage().label(mask, structure=np.ones((3, 3), dtype=bool))
 
     pixels = np.flatnonzero(mask)
     owner = labels.ravel()[pixels]

@@ -1,10 +1,15 @@
 """Tests for the grasping simulation and its exact-expectation oracle."""
 
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
 from fingersense.blocksworld import (
     HARDWARE_TABLE,
+    MAX_ATTEMPTS_LIMIT,
     BlockRecord,
     BoardState,
     GraspOutcome,
@@ -17,6 +22,7 @@ from fingersense.blocksworld import (
     exact_metrics,
     metrics_to_json_dict,
     new_board,
+    outcome_table,
     replay_policy,
     run_batch,
     run_policy,
@@ -176,6 +182,39 @@ def test_run_policy_validates_cap():
 
 
 # ---------------------------------------------------------------------------
+# outcome table
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+@pytest.mark.parametrize("cap", range(1, 6))
+def test_outcome_table_matches_replay_over_every_cell(kind, cap):
+    # Every (block column, draw sequence) cell is equally likely; the scalar
+    # reference rules, not the vectorised evaluator, give the frequencies.
+    cells = Counter()
+    for block, *draws in product(range(4), repeat=cap + 1):
+        r = replay_policy(kind, block, tuple(draws), cap)
+        cells[(int(not r.success), r.attempts, r.collisions)] += 1
+    outcomes, p = outcome_table(kind, cap)
+    assert [tuple(row) for row in outcomes.tolist()] == sorted(cells)
+    assert [Fraction(x) for x in p.tolist()] == [
+        Fraction(cells[key], 4 ** (cap + 1)) for key in sorted(cells)
+    ]
+
+
+def test_outcome_table_sizes():
+    sizes = {kind: len(outcome_table(kind)[0]) for kind in PolicyKind}
+    assert sizes == {PolicyKind.CONTROL: 1, PolicyKind.RG: 21, PolicyKind.RGTR: 11}
+
+
+@pytest.mark.parametrize("cap", [0, MAX_ATTEMPTS_LIMIT + 1])
+def test_batch_rejects_cap_outside_limit(cap):
+    with pytest.raises(ValueError, match=f"max_attempts must be in 1..8, got {cap}"):
+        run_batch(PolicyKind.RG, 10, max_attempts=cap)
+    with pytest.raises(ValueError, match="max_attempts"):
+        batch_distribution(PolicyKind.RG, 10, 5, max_attempts=cap)
+
+
+# ---------------------------------------------------------------------------
 # exact oracle
 
 
@@ -228,6 +267,30 @@ def test_batch_converges_to_rgtr_oracle():
     assert m.collisions_per_block == pytest.approx(RGTR_EXACT[2], abs=0.02)
 
 
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_batch_totals_are_whole_counts(kind):
+    m = run_batch(kind, 2_501, seed=13)
+    n = m.n_blocks
+    for value in (m.failure_rate, m.attempts_per_block, m.collisions_per_block):
+        total = round(value * n)
+        assert total / n == value
+
+
+def test_batch_runs_at_huge_board_counts():
+    m = run_batch(PolicyKind.RGTR, 10**15, seed=2)
+    assert m.n_blocks == 4 * 10**15
+    exact = exact_metrics(PolicyKind.RGTR)
+    assert m.failure_rate == pytest.approx(exact.failure_rate, rel=1e-5)
+    assert m.attempts_per_block == pytest.approx(exact.attempts_per_block, rel=1e-5)
+    assert run_batch(PolicyKind.RG, 2**61 - 1).n_blocks == 2**63 - 4  # the largest accepted
+
+
+@pytest.mark.parametrize("n_boards", [0, 2**61])
+def test_batch_rejects_block_counts_outside_int64(n_boards):
+    with pytest.raises(ValueError, match=f"n_boards {n_boards} gives {4 * n_boards} blocks"):
+        run_batch(PolicyKind.RG, n_boards)
+
+
 def test_batch_control_is_exact():
     m = run_batch(PolicyKind.CONTROL, 500, seed=9)
     assert (m.failure_rate, m.attempts_per_block, m.collisions_per_block) == (0.0, 1.0, 0.0)
@@ -253,6 +316,15 @@ def test_batch_distribution_shape_and_mean():
     assert dist.shape == (2_000, 3)
     # Means over many batches approach the exact expectations.
     np.testing.assert_allclose(dist.mean(axis=0), RG_EXACT, atol=0.02)
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_batch_distribution_mean_approaches_oracle(kind):
+    dist = batch_distribution(kind, 4_000, 5, seed=10)
+    assert dist.shape == (4_000, 3)
+    exact = exact_metrics(kind)
+    want = (exact.failure_rate, exact.attempts_per_block, exact.collisions_per_block)
+    np.testing.assert_allclose(dist.mean(axis=0), want, atol=0.02)
 
 
 def test_hardware_tuples_within_sampling_distribution():

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fingersense
 from fingersense.calibration import Correspondence, save_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
@@ -89,6 +94,15 @@ def test_config_rejects_malformed_json(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_oversized_frame(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"width_px": 4096, "height_px": 4097}')
+    with pytest.raises(ConfigError, match=f"^{path}: frame 4096x4097 has more than"):
+        load_config(path)
+    path.write_text('{"width_px": 4096, "height_px": 4096}')  # the largest frame accepted
+    assert load_config(path).intrinsics.height == 4096
+
+
 def test_config_defaults_embed_sensor():
     data = SessionConfig().to_json_dict()
     assert data["r_mm"] == 10.0
@@ -156,6 +170,19 @@ def test_render_respects_config(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert read_pgm(out / "reference.pgm").shape == (48, 64)
+
+
+def test_render_oversized_frame_fails_with_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"width_px": 10**9, "height_px": 10**9}))
+    out = tmp_path / "out"
+    argv = ["render", "--object", "sphere", "--rotation", "0", "--out", str(out)]
+    assert main([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: frame 1000000000x1000000000 has more than")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bad_config_fails_command(tmp_path, capsys):
@@ -464,3 +491,43 @@ def test_blocksworld_rerun_identical(capsys):
     first = capsys.readouterr().out
     assert main(["blocksworld", "--policy", "rgtr", "-n", "300", "--seed", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_blocksworld_huge_board_count(capsys):
+    assert main(["blocksworld", "--policy", "all", "-n", "1000000000000000"]) == 0
+    metrics = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:3]]
+    assert [m["n_blocks"] for m in metrics] == [4 * 10**15] * 3
+
+
+def test_blocksworld_board_count_beyond_int64_fails_with_one_line(capsys):
+    assert main(["blocksworld", "--policy", "all", "-n", "100000000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n_boards 100000000000000000000 gives 400000000000000000000 blocks, "
+        "not in 1..9223372036854775807\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_commands_without_detection_never_import_scipy(tmp_path):
+    points = [_surface_sample(i) for i in range(8)]
+    csv_path = tmp_path / "cal.csv"
+    save_correspondences(csv_path, [Correspondence(project(p, CameraIntrinsics()), p) for p in points])
+    code = (
+        "import sys\n"
+        "from fingersense.cli import main\n"
+        "codes = [main(['blocksworld', '--policy', 'all', '-n', '100']),\n"
+        f"         main(['calibrate', {str(csv_path)!r}])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    src = str(Path(fingersense.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[0, 0] []\n"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingersense.geometry import (
     CameraIntrinsics,
@@ -198,6 +200,28 @@ def test_back_project_pixels_matches_scalar(intrinsics, geometry):
         p = back_project(PixelCoord(u[i], v[i]), intrinsics, geometry)
         np.testing.assert_allclose(pts[i], [p.x, p.y, p.z], rtol=1e-12, atol=1e-12)
         assert tip[i] == (p.region is Region.TIP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(5.0, 15.0),
+    st.floats(15.0, 45.0),
+    st.floats(200.0, 400.0),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_back_project_seam_pixels_round_trip(r, d, alpha, angle):
+    # A pixel drawn on the seam circle: omega rounds to either side of the
+    # seam and the side depth r alpha / sqrt(omega) may round just above d.
+    k, g = CameraIntrinsics(alpha=alpha), SensorGeometry(r=r, d=d)
+    seam = r * alpha / d
+    pixel = PixelCoord(k.cx + seam * math.cos(angle), k.cy + seam * math.sin(angle))
+    p = back_project(pixel, k, g)
+    pts, tip = back_project_pixels(np.array([pixel.u]), np.array([pixel.v]), k, g)
+    assert (p.x, p.y, p.z) == tuple(pts[0])
+    assert tip[0] == (p.region is Region.TIP)
+    assert surface_residual(p, g) < 1e-9
+    back = project(p, k)
+    assert math.hypot(back.u - pixel.u, back.v - pixel.v) < 1e-6
 
 
 def test_back_project_grid_covers_frame(intrinsics, geometry):
