@@ -174,28 +174,36 @@ def load_correspondences(
     """
     path = Path(path)
     out: list[Correspondence] = []
-    with path.open(newline="") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates, which no header or
+    # number contains, so they fail as the row they sit in, by line number.
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["u", "v", "x", "y", "z"]:
-            raise ValueError(f"{path}: expected CSV header 'u,v,x,y,z', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                u, v, x, y, z = (float(field) for field in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if not all(math.isfinite(value) for value in (u, v, x, y, z)):
-                raise ValueError(f"{path}:{lineno}: non-finite field")
-            region = classify_surface_point((x, y, z), geometry, tol)
-            if region is Region.OFF:
-                raise ValueError(
-                    f"{path}:{lineno}: point ({x}, {y}, {z}) is not on the membrane"
-                )
-            out.append(Correspondence(PixelCoord(u, v), SurfacePoint(x, y, z, region)))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["u", "v", "x", "y", "z"]:
+                raise ValueError(f"{path}: expected CSV header 'u,v,x,y,z', got {header}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 5:
+                    raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+                try:
+                    u, v, x, y, z = (float(field) for field in row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+                if not all(math.isfinite(value) for value in (u, v, x, y, z)):
+                    raise ValueError(f"{path}:{lineno}: non-finite field")
+                region = classify_surface_point((x, y, z), geometry, tol)
+                if region is Region.OFF:
+                    raise ValueError(
+                        f"{path}:{lineno}: point ({x}, {y}, {z}) is not on the membrane"
+                    )
+                try:
+                    out.append(Correspondence(PixelCoord(u, v), SurfacePoint(x, y, z, region)))
+                except ValueError as exc:  # on the membrane's base ring, z <= 0
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except csv.Error as exc:  # e.g. a field longer than the csv module's limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: no correspondences")
     return out

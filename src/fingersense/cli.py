@@ -222,6 +222,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_blocksworld(args: argparse.Namespace) -> int:
+    _session_config(args)  # validates --config; no key affects the simulation
     kinds = (
         [PolicyKind.CONTROL, PolicyKind.RG, PolicyKind.RGTR]
         if args.policy == "all"

@@ -9,7 +9,7 @@ so a typo cannot silently leave a setting at its default.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +74,7 @@ class SessionConfig:
         defaults = cls().to_json_dict()
         unknown = sorted(set(data) - set(defaults))
         if unknown:
-            raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown configuration keys: {', '.join(map(repr, unknown))}")
         merged = {**defaults, **data}
         for key, value in merged.items():
             if key == "out_dir":
@@ -86,7 +86,7 @@ class SessionConfig:
                     raise ConfigError(f"{key} must be an integer, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
-            elif isinstance(value, float) and not math.isfinite(value):
+            elif not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int no float holds
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         try:
             return cls(
@@ -115,7 +115,7 @@ def load_config(path: str | Path) -> SessionConfig:
         payload = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: configuration must be a JSON object")

@@ -33,7 +33,8 @@ side of the sphere behind the visible surface).  Pixels outside the circle
 see the side at z = r * alpha / sqrt(omega).  Because the membrane encloses
 the camera in every forward direction, any pixel of a physically valid
 configuration intersects the membrane; :class:`NoIntersectionError` guards
-degenerate parameter combinations only.
+degenerate parameter combinations only.  This rule is implemented once, in
+:func:`back_project_pixels`; :func:`back_project` is its one-pixel case.
 """
 
 from __future__ import annotations
@@ -194,54 +195,16 @@ def discontinuity_circle_radius_px(
     return geometry.r * intrinsics.alpha / geometry.d
 
 
-def _seam_radius_squared(k: CameraIntrinsics, g: SensorGeometry) -> float:
-    """Squared image radius of the tip/side seam for d > 0.
-
-    Written as ``ratio * ratio``: Python's ``ratio ** 2`` raises OverflowError
-    for a tiny positive d, while the product gives +inf (every ray meets the
-    tip) and equals ``ratio ** 2`` bit for bit whenever that is finite.
-    """
-    ratio = g.r * k.alpha / g.d
-    return ratio * ratio
-
-
 def back_project(
     pixel: PixelCoord, intrinsics: CameraIntrinsics, geometry: SensorGeometry
 ) -> SurfacePoint:
     """Map an image pixel to the 3D point where its viewing ray meets the membrane.
 
-    The branch is chosen geometrically: pixels strictly inside the
-    discontinuity circle intersect the semi-spherical tip (larger quadratic
-    root), all others intersect the cylindrical side.  omega = 0 is the apex
-    (0, 0, d + r), returned exactly.  For d = 0 the whole membrane is tip.
+    The one-pixel case of :func:`back_project_pixels`, which holds the only
+    copy of the tip/side, apex and seam rules.
     """
-    k, g = intrinsics, geometry
-    chi = pixel.u - k.cx
-    gamma = pixel.v - k.cy
-    omega = chi * chi + gamma * gamma
-
-    if omega == 0.0:
-        return SurfacePoint(0.0, 0.0, g.d + g.r, Region.TIP)
-
-    alpha2 = k.alpha * k.alpha
-    tip = g.d == 0 or omega < _seam_radius_squared(k, g)
-    if tip:
-        # z^2 (omega + alpha^2) - 2 d alpha^2 z + (d^2 - r^2) alpha^2 = 0
-        a = omega + alpha2
-        reduced_disc = g.d * g.d * alpha2 - a * (g.d * g.d - g.r * g.r)
-        if reduced_disc < 0:
-            raise NoIntersectionError(
-                f"ray through ({pixel.u}, {pixel.v}) misses the tip "
-                f"(omega={omega:.6g})"
-            )
-        z = (g.d * alpha2 + k.alpha * math.sqrt(reduced_disc)) / a
-        region = Region.TIP
-    else:
-        # In (0, d] by construction; on the seam it may round 1 ulp above d.
-        z = g.r * k.alpha / math.sqrt(omega)
-        region = Region.SIDE
-
-    return SurfacePoint(chi / k.alpha * z, gamma / k.alpha * z, z, region)
+    points, tip = back_project_pixels(pixel.u, pixel.v, intrinsics, geometry)
+    return SurfacePoint(*points.tolist(), Region.TIP if tip else Region.SIDE)
 
 
 def back_project_pixels(
@@ -250,11 +213,15 @@ def back_project_pixels(
     intrinsics: CameraIntrinsics,
     geometry: SensorGeometry,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised back-projection of pixel coordinate arrays.
+    """Back-project pixel coordinates onto the membrane.
 
     Returns (points, tip_mask): ``points`` has shape u.shape + (3,) and
-    ``tip_mask`` is True where the ray meets the semi-spherical tip.  Same
-    branch selection as :func:`back_project`.
+    ``tip_mask`` is True where the ray meets the semi-spherical tip.  Pixels
+    strictly inside the discontinuity circle intersect the tip (larger
+    quadratic root), all others the cylindrical side.  omega = 0 is the apex
+    (0, 0, d + r), returned exactly and always on the tip.  For d = 0 the
+    whole membrane is tip.  Scalar u and v give points of shape (3,):
+    :func:`back_project` is this one-pixel case.
     """
     k, g = intrinsics, geometry
     u = np.asarray(u, dtype=np.float64)
@@ -262,20 +229,29 @@ def back_project_pixels(
     chi = u - k.cx
     gamma = v - k.cy
     omega = chi * chi + gamma * gamma
+    apex = omega == 0.0
 
     alpha2 = k.alpha * k.alpha
     if g.d == 0:
         tip = np.ones(omega.shape, dtype=bool)
     else:
-        tip = omega < _seam_radius_squared(k, g)
+        # ``seam * seam``: Python's ``seam ** 2`` raises OverflowError for a
+        # tiny positive d, while the product gives +inf (every ray meets the
+        # tip) and equals ``seam ** 2`` bit for bit whenever that is finite.
+        # For d >> r the product underflows to 0, so the apex is added by name.
+        seam = discontinuity_circle_radius_px(k, g)
+        tip = (omega < seam * seam) | apex
 
-    a = omega + alpha2
-    reduced_disc = g.d * g.d * alpha2 - a * (g.d * g.d - g.r * g.r)
-    if np.any(reduced_disc[tip] < 0):
-        raise NoIntersectionError("tip quadratic has negative discriminant")
-    z_tip = (g.d * alpha2 + k.alpha * np.sqrt(np.maximum(reduced_disc, 0.0))) / a
-
-    with np.errstate(divide="ignore"):
+    # Every pixel gets both depths and keeps one.  The discarded one may be
+    # +inf (the side depth at omega = 0) or nan (d^2 overflows for d >> r).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # z^2 (omega + alpha^2) - 2 d alpha^2 z + (d^2 - r^2) alpha^2 = 0
+        a = omega + alpha2
+        reduced_disc = g.d * g.d * alpha2 - a * (g.d * g.d - g.r * g.r)
+        if np.any(tip & (reduced_disc < 0)):
+            raise NoIntersectionError("tip quadratic has negative discriminant")
+        z_tip = (g.d * alpha2 + k.alpha * np.sqrt(np.maximum(reduced_disc, 0.0))) / a
+        # In (0, d] by construction; on the seam it may round 1 ulp above d.
         z_side = g.r * k.alpha / np.sqrt(omega)
     z = np.where(tip, z_tip, z_side)
 
@@ -283,8 +259,6 @@ def back_project_pixels(
     points[..., 0] = chi / k.alpha * z
     points[..., 1] = gamma / k.alpha * z
     points[..., 2] = z
-    # Exact apex where the ray is the optical axis.
-    apex = omega == 0.0
     if np.any(apex):
         points[apex] = (0.0, 0.0, g.d + g.r)
     return points, tip

@@ -20,7 +20,10 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM file into a 2D uint8 array (top-left origin)."""
+    """Read a binary PGM file into a read-only 2D uint8 array (top-left origin).
+
+    The array is a view of the file's bytes; copy it before writing to it.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
@@ -59,4 +62,4 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if payload < width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {payload}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).copy()
+    return pixels.reshape(height, width)

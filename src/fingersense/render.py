@@ -391,7 +391,7 @@ def _manifest_entry(item) -> ManifestEntry:
     try:
         pose = ContactPose(PoseKind(item["pose_kind"]), float(item["pose_value"]))
         truth_mm = tuple(float(v) for v in truth)
-    except TypeError as exc:  # float() of a list, object or null
+    except (TypeError, OverflowError) as exc:  # float() of a list, null or huge int
         raise ValueError(f"non-numeric pose_value or truth_mm ({exc})") from None
     if not all(math.isfinite(v) for v in (pose.value, *truth_mm)):
         raise ValueError("pose_value and truth_mm must be finite")
@@ -401,8 +401,10 @@ def _manifest_entry(item) -> ManifestEntry:
 def load_manifest(path: str | Path) -> DatasetManifest:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ValueError(f"cannot read manifest {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise ValueError(f"{path}: expected a JSON list of entries, got {type(payload).__name__}")
     entries = []

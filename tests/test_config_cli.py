@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fingersense
-from fingersense.calibration import Correspondence, save_correspondences
+from fingersense.calibration import Correspondence, load_correspondences, save_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
-from fingersense.geometry import CameraIntrinsics, Region, SurfacePoint, project
+from fingersense.geometry import CameraIntrinsics, Region, SensorGeometry, SurfacePoint, project
 from fingersense.pgm import read_pgm
 from fingersense.render import load_manifest
 
@@ -74,6 +76,7 @@ def test_config_rejects_invalid_values(tmp_path):
         ('{"d_mm": NaN}', "d_mm"),
         ('{"sigma_px": Infinity}', "sigma_px"),
         ('{"alpha_px": -Infinity}', "alpha_px"),
+        pytest.param('{"r_mm": 1' + "0" * 400 + "}", "r_mm", id="int-beyond-float"),
     ],
 )
 def test_config_rejects_non_finite_numbers(tmp_path, text, key):
@@ -203,6 +206,86 @@ def test_bad_config_fails_command(tmp_path, capsys):
     )
     assert code == 1
     assert "gain" in capsys.readouterr().err
+
+
+RENDER = ["render", "--object", "cone", "--rotation", "0", "--out", "unused", "--config"]
+CSV_HEADER = b"u,v,x,y,z\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (RENDER, b"[" * 200_000, ": invalid JSON: maximum recursion depth"),
+        (["localize", "--manifest"], b"[" * 200_000, ": invalid JSON: maximum recursion depth"),
+        (RENDER, b'{"r_mm": 10.0}\xff', ": invalid JSON: 'utf-8' codec can't decode"),
+        (["localize", "--manifest"], b"[]\xff", ": invalid JSON: 'utf-8' codec can't decode"),
+        (["calibrate"], CSV_HEADER + b"1160,540,10,0,15\n1,\xff,3,4,5\n", ":3: non-numeric field"),
+        (["calibrate"], CSV_HEADER + b"1,2,3,4," + b"5" * 140_000 + b"\n", ":2: field larger"),
+        (["calibrate"], CSV_HEADER + b"960,540,10,0,0\n", ":2: correspondence point must have z > 0"),
+    ],
+    ids=["deep-config", "deep-manifest", "utf8-config", "utf8-manifest", "utf8-csv",
+         "long-csv-field", "csv-base-ring"],
+)
+def test_unreadable_input_fails_with_one_line(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}{message}")
+    assert captured.err.count("\n") == 1
+
+
+CONFIG_KEYS = tuple(SessionConfig().to_json_dict())
+GOOD_ENTRY = {
+    "object": "cone",
+    "pose_kind": "rotation",
+    "pose_value": 0.0,
+    "reference": "reference.pgm",
+    "frame": "cone_rotation_0.pgm",
+    "truth_mm": [0.0, 0.0, 40.0],
+}
+short_text = st.text(st.characters() | st.sampled_from('\n\r"\\'), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | short_text,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(short_text, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _dumps(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+loader_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from((b"[", b'{"r_mm":', b"[[1,")), st.integers(1, 3000)).map(
+        lambda p: p[0] * p[1]
+    ),
+    st.dictionaries(st.sampled_from(CONFIG_KEYS) | short_text, json_values).map(_dumps),
+    st.lists(
+        st.fixed_dictionaries(
+            {key: st.just(value) | json_values for key, value in GOOD_ENTRY.items()}
+        ),
+        max_size=2,
+    ).map(_dumps),
+    st.tuples(st.binary(max_size=8), st.text(alphabet='0123456789.,-+eEinfa"\r\n ', max_size=80))
+    .map(lambda p: CSV_HEADER + p[0] + p[1].encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader_inputs)
+def test_loaders_fail_cleanly_on_fuzzed_bytes(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(content)
+    for load in (load_config, load_manifest, lambda p: load_correspondences(p, SensorGeometry())):
+        try:
+            load(path)
+        except (ValueError, OSError) as exc:
+            assert str(exc).startswith(f"{path}:")
+            assert "\n" not in str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +561,15 @@ def test_blocksworld_all_prints_comparison(capsys):
     assert table["rg"][hw_col] == "0.2"
     oracle_col = header.index("oracle_failure_rate")
     assert float(table["rg"][oracle_col]) == pytest.approx(0.2373046875)
+
+
+def test_blocksworld_reads_config(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["blocksworld", "--policy", "rg", "-n", "10", "--config", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read configuration {missing}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_blocksworld_unknown_policy_is_usage_error():

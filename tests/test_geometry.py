@@ -202,24 +202,39 @@ def test_back_project_pixels_matches_scalar(intrinsics, geometry):
         assert tip[i] == (p.region is Region.TIP)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
-    st.floats(5.0, 15.0),
-    st.floats(15.0, 45.0),
-    st.floats(200.0, 400.0),
-    st.floats(0.0, 2 * math.pi),
+    st.floats(1.0, 20.0),
+    st.one_of(st.floats(0.0, 60.0), st.sampled_from((0.0, 1e-300, 1e200))),
+    st.floats(100.0, 500.0),
+    st.sampled_from(("seam", "apex", "frame")),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
 )
-def test_back_project_seam_pixels_round_trip(r, d, alpha, angle):
-    # A pixel drawn on the seam circle: omega rounds to either side of the
-    # seam and the side depth r alpha / sqrt(omega) may round just above d.
+def test_back_project_seam_pixels_round_trip(r, d, alpha, where, s, t):
+    # Seam-circle pixels (omega rounds to either side of the seam and the side
+    # depth r alpha / sqrt(omega) may round just above d), the apex and
+    # in-frame pixels.  d = 0 is the pure hemisphere; at d = 1e-300 the
+    # squared seam radius overflows to +inf, and at d = 1e200 it underflows
+    # to 0, so the apex is the only pixel that meets the tip.
     k, g = CameraIntrinsics(alpha=alpha), SensorGeometry(r=r, d=d)
-    seam = r * alpha / d
-    pixel = PixelCoord(k.cx + seam * math.cos(angle), k.cy + seam * math.sin(angle))
+    seam = r * alpha / d if d > 0 else math.inf
+    if where == "apex":
+        pixel = PixelCoord(k.cx, k.cy)
+    elif where == "seam" and seam < 1e6:
+        angle = 2 * math.pi * s
+        pixel = PixelCoord(k.cx + seam * math.cos(angle), k.cy + seam * math.sin(angle))
+    else:
+        pixel = PixelCoord(s * k.width, t * k.height)
     p = back_project(pixel, k, g)
     pts, tip = back_project_pixels(np.array([pixel.u]), np.array([pixel.v]), k, g)
     assert (p.x, p.y, p.z) == tuple(pts[0])
     assert tip[0] == (p.region is Region.TIP)
-    assert surface_residual(p, g) < 1e-9
+    if pixel == PixelCoord(k.cx, k.cy):
+        assert (p.x, p.y, p.z, p.region) == (0.0, 0.0, d + r, Region.TIP)
+    # Coordinates resolve the membrane only to a float step of d + r.
+    assert surface_residual(p, g) < 1e-9 + 4 * r * math.ulp(d + r)
+    assert p.z > 0
     back = project(p, k)
     assert math.hypot(back.u - pixel.u, back.v - pixel.v) < 1e-6
 
