@@ -30,7 +30,7 @@ from .blocksworld import (
 )
 from .calibration import fit_intrinsics, load_correspondences, solve_alpha
 from .config import SessionConfig, load_config
-from .geometry import ContactPose, SurfacePoint, classify_surface_point, pose_to_contact_point
+from .geometry import ContactPose, pose_to_contact_point
 from .imaging import (
     HARDWARE_ERRORS_BY_OBJECT,
     HARDWARE_ERRORS_BY_POSE,
@@ -38,9 +38,8 @@ from .imaging import (
     GroupStats,
     TactileImage,
     aggregate_errors,
-    detect_contacts,
     localization_error,
-    localize_contact,
+    localize_frame,
 )
 from .pgm import read_pgm, write_pgm
 from .render import (
@@ -152,16 +151,10 @@ def cmd_localize(args: argparse.Namespace) -> int:
                 references[entry.reference] = TactileImage(read_pgm(base / entry.reference))
             reference = references[entry.reference]
             frame = TactileImage(read_pgm(base / entry.frame))
-            blobs = detect_contacts(
-                reference, frame, config.sigma_px, config.threshold, config.min_area_px
-            )
-            if not blobs:
+            estimate = localize_frame(reference, frame, config)
+            if estimate is None:
                 raise ValueError("no contact detected")
-            estimate = localize_contact(blobs[0], config.intrinsics, config.geometry)
-            truth = SurfacePoint(
-                *entry.truth_mm, classify_surface_point(entry.truth_mm, config.geometry)
-            )
-            error = localization_error(estimate, truth)
+            error = localization_error(estimate, entry.truth_mm)
         except (OSError, ValueError) as exc:
             print(f"warning: {entry.frame}: {exc}", file=sys.stderr)
             rows.append(f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)},nan")

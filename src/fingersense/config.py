@@ -9,6 +9,7 @@ so a typo cannot silently leave a setting at its default.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,12 @@ from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD
 # Largest accepted frame, 4096 x 4096 pixels (about 8 times 1920 x 1080).  It
 # bounds the full-frame arrays that rendering and detection allocate.
 MAX_FRAME_PX = 4096 * 4096
+# r_mm and alpha_px lie in [1 / MAX_SCALE, MAX_SCALE] and d_mm in [0, MAX_SCALE]
+# (a kilometre; 3000 times the default alpha), where nothing back-projection,
+# rendering or calibration computes overflows.  MAX_SIGMA_PX bounds the
+# smoothing kernel, which has 6 sigma + 1 taps, and so its cost per pixel.
+MAX_SCALE = 1e6
+MAX_SIGMA_PX = 100.0
 
 
 class ConfigError(ValueError):
@@ -39,14 +46,19 @@ class SessionConfig:
     out_dir: str = "out"  # default output directory
 
     def __post_init__(self) -> None:
-        if self.sigma_px < 0:
-            raise ConfigError(f"sigma_px must be non-negative, got {self.sigma_px}")
+        for key, value, low, high in (
+            ("r_mm", self.geometry.r, 1 / MAX_SCALE, MAX_SCALE),
+            ("d_mm", self.geometry.d, 0, MAX_SCALE),
+            ("alpha_px", self.intrinsics.alpha, 1 / MAX_SCALE, MAX_SCALE),
+            ("sigma_px", self.sigma_px, 0, MAX_SIGMA_PX),
+            ("noise_sigma", self.noise_sigma, 0, math.inf),
+        ):
+            if not low <= value <= high:  # NaN fails too
+                raise ConfigError(f"{key} must be in [{low:g}, {high:g}], got {value}")
         if not self.threshold > 0:
             raise ConfigError(f"threshold must be positive, got {self.threshold}")
         if self.min_area_px < 1:
             raise ConfigError(f"min_area_px must be at least 1, got {self.min_area_px}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         width, height = self.intrinsics.width, self.intrinsics.height
         if width * height > MAX_FRAME_PX:
             raise ConfigError(

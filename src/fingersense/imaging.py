@@ -6,10 +6,10 @@ centroid onto the membrane.  All five tuning values (grayscale averaging,
 absolute differencing, sigma, threshold, minimum area) are parameters of the
 operations, not hidden constants.
 
-``detect_contacts`` runs the first four stages as one call.  It smooths and
-labels only the box that can hold above-threshold pixels, so its cost scales
-with the imprint, not the frame; it falls back to the whole frame only when
-noise crosses the threshold.
+``localize_frame`` is the one call for the whole pipeline.  Its first four
+stages, ``detect_contacts``, smooth and label only the box that can hold
+above-threshold pixels, so their cost scales with the imprint, not the frame;
+``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
 
 SciPy is imported on the first filter or label, not with this module, so
 commands that never detect do not pay for it.  The module is kept as this
@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    ContactPose,
-    PixelCoord,
-    PoseKind,
-    SensorGeometry,
-    SurfacePoint,
-    back_project,
-)
+from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import SessionConfig
 
 # Detection defaults: the simplest pipeline that closes the synthetic loop.
 DEFAULT_SIGMA_PX = 2.0
@@ -112,21 +108,12 @@ class DiffImage:
     """Non-negative per-pixel deviation from the reference frame."""
 
     values: np.ndarray  # (height, width) float64, all >= 0
-    origin: tuple[int, int] = (0, 0)  # frame (row, column) of values[0, 0]
 
     def __post_init__(self) -> None:
         arr = _frozen_2d(self.values, np.float64)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # also refuses NaN
             raise ValueError("difference values must be non-negative")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -169,7 +156,7 @@ def _check_same_size(ref: TactileImage, frame: TactileImage) -> None:
 
 
 def _check_sigma(sigma: float) -> None:
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
 
 
@@ -190,38 +177,22 @@ def smooth(d: DiffImage, sigma: float) -> DiffImage:
     _check_sigma(sigma)
     if sigma == 0:
         return d
-    return DiffImage(
-        _ndimage().gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"), d.origin
-    )
+    return DiffImage(_ndimage().gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"))
 
 
-def _smoothed(diff: np.ndarray, sigma: float, origin: tuple[int, int]) -> DiffImage:
-    """``smooth(DiffImage(diff, origin), sigma)`` of a uint8 ``diff``, in one float64 array.
-
-    The filter converts each line to float64 as it reads it, so filtering the
-    uint8 array gives the same bits as filtering its float64 copy, without
-    the copy (sigma 0 gives the float64 copy itself).  Its output is a fresh
-    array that nothing else holds, and a mean of non-negative values with
-    positive weights is non-negative, so it is wrapped as it is, without
-    ``DiffImage``'s private copy and sign scan.
-    """
-    out = _ndimage().gaussian_filter(diff, sigma, output=np.float64, truncate=3.0, mode="nearest")
-    out.flags.writeable = False
-    image = object.__new__(DiffImage)  # skips __init__, the copy and the scan
-    object.__setattr__(image, "values", out)
-    object.__setattr__(image, "origin", origin)
-    return image
-
-
-def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactBlob]:
-    """Extract connected bright regions of the difference image.
+def detect_blobs(
+    values: np.ndarray, threshold: float, min_area: int, origin: tuple[int, int] = (0, 0)
+) -> list[ContactBlob]:
+    """Extract connected bright regions of a 2D difference array.
 
     Pixels strictly above ``threshold`` are grouped by 8-connectivity;
     components smaller than ``min_area`` pixels are discarded.  Blobs are
     returned sorted by total mass, heaviest first (ties keep scan order), so
     the dominant imprint is always first.  An empty list is a valid outcome:
-    weak imprints may not clear the threshold.  Centroids are in frame
-    coordinates: ``d.origin`` is added to each pixel's row and column.
+    weak imprints may not clear the threshold.  ``values`` is only read, and a
+    negative or NaN value never passes the positive threshold.  ``origin``,
+    the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
+    and column, so centroids are in frame coordinates.
 
     Cost is one labelling pass over the image, a few passes over its
     foreground pixels and a short loop over the kept blobs, so it does not
@@ -232,7 +203,7 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     gives the same mass and centroid bit for bit.
     """
     _check_threshold(threshold)
-    mask = d.values > threshold
+    mask = values > threshold
     labels, _ = _ndimage().label(mask, structure=np.ones((3, 3), dtype=bool))
 
     pixels = np.flatnonzero(mask)
@@ -240,10 +211,10 @@ def detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactB
     pixels = pixels[np.argsort(owner, kind="stable")]
     areas = np.bincount(owner)[1:]  # areas[i] is the size of label i + 1
     stops = np.cumsum(areas)
-    weights = d.values.ravel()[pixels]
-    v, u = np.divmod(pixels, d.width)
-    weighted_u = weights * (u + d.origin[1])
-    weighted_v = weights * (v + d.origin[0])
+    weights = values.ravel()[pixels]
+    v, u = np.divmod(pixels, values.shape[1])
+    weighted_u = weights * (u + origin[1])
+    weighted_v = weights * (v + origin[0])
 
     kept = areas >= min_area
     blobs = []
@@ -271,8 +242,8 @@ def detect_contacts(
     """The detection pipeline: subtract, smooth, then detect blobs.
 
     Returns exactly ``detect_blobs(smooth(subtract_reference(ref, frame),
-    sigma), threshold, min_area)``, every field and the order, but smooths and
-    labels only a box around the pixels that can pass ``threshold``.
+    sigma).values, threshold, min_area)``, every field and the order, but
+    smooths and labels only a box around the pixels that can pass ``threshold``.
 
     The smoothed value is a non-negative weighted mean, normalised to 1, over
     the pixels within ``r = int(3 sigma + 0.5)`` per axis (the radius of
@@ -290,8 +261,9 @@ def detect_contacts(
     ``threshold`` as they do in the whole frame.  Labelling a crop that holds
     every above-threshold pixel gives the same components in the same scan
     order.  With no seeds the result is empty; when noise puts seeds all over
-    the frame the crop is the whole frame.  The crop is filtered straight from
-    the uint8 difference, so the only float64 array is the smoothed one.
+    the frame the crop is the whole frame.  The filter reads the uint8 crop
+    line by line as float64, the same bits as filtering a float64 copy, so the
+    only float64 array is the smoothed one, passed with its corner as ``origin``.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -307,22 +279,35 @@ def detect_contacts(
     margin = 2 * int(3.0 * sigma + 0.5)
     top, bottom = max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, frame.height)
     left, right = max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, frame.width)
-    crop = diff[top:bottom, left:right]
-    return detect_blobs(_smoothed(crop, sigma, (int(top), int(left))), threshold, min_area)
-
-
-def localize_contact(
-    b: ContactBlob, k: CameraIntrinsics, g: SensorGeometry
-) -> ContactEstimate:
-    """Back-project a blob centroid onto the membrane."""
-    return ContactEstimate(b.centroid, back_project(b.centroid, k, g))
-
-
-def localization_error(e: ContactEstimate, truth: SurfacePoint) -> float:
-    """3D Euclidean distance in mm between the estimate and the true contact."""
-    return math.sqrt(
-        (e.point.x - truth.x) ** 2 + (e.point.y - truth.y) ** 2 + (e.point.z - truth.z) ** 2
+    smoothed = _ndimage().gaussian_filter(
+        diff[top:bottom, left:right], sigma, output=np.float64, truncate=3.0, mode="nearest"
     )
+    return detect_blobs(smoothed, threshold, min_area, (int(top), int(left)))
+
+
+def localize_frame(
+    reference: TactileImage, frame: TactileImage, config: SessionConfig
+) -> ContactEstimate | None:
+    """Detect with the config's settings, then back-project the heaviest blob's centroid.
+
+    Returns None when no blob is found.
+    """
+    blobs = detect_contacts(reference, frame, config.sigma_px, config.threshold, config.min_area_px)
+    if not blobs:
+        return None
+    centroid = blobs[0].centroid
+    return ContactEstimate(centroid, back_project(centroid, config.intrinsics, config.geometry))
+
+
+def localization_error(e: ContactEstimate, truth) -> float:
+    """3D Euclidean distance in mm between the estimate and the true contact.
+
+    ``truth`` is a SurfacePoint or an (x, y, z) triple.  Squares are products,
+    which overflow to +inf where ``** 2`` raises and agree with it elsewhere.
+    """
+    x, y, z = _as_xyz(truth)
+    dx, dy, dz = e.point.x - x, e.point.y - y, e.point.z - z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _pose_label(pose: ContactPose) -> str:

@@ -34,12 +34,8 @@ from fingersense.geometry import (
     classify_surface_point,
     project,
 )
-from fingersense.imaging import (
-    TactileImage,
-    detect_contacts,
-    localization_error,
-    localize_contact,
-)
+from fingersense.config import SessionConfig
+from fingersense.imaging import TactileImage, localization_error, localize_frame
 from fingersense.pgm import read_pgm
 
 
@@ -188,18 +184,17 @@ def test_criterion_05_closed_loop(geometry, intrinsics, protocol_dataset):
     out_dir, manifest = protocol_dataset
     start = time.perf_counter()
     reference = TactileImage(read_pgm(out_dir / manifest.entries[0].reference))
+    config = SessionConfig(geometry, intrinsics)  # sigma 2 px, threshold 25, min area 20 px
     errors: dict[str, list[float]] = {}
     detected = 0
     for entry in manifest.entries:
-        frame = TactileImage(read_pgm(out_dir / entry.frame))
-        blobs = detect_contacts(reference, frame, 2.0, 25.0, 20)
-        if not blobs:
+        estimate = localize_frame(reference, TactileImage(read_pgm(out_dir / entry.frame)), config)
+        if estimate is None:
             errors.setdefault(entry.object_label, []).append(float("inf"))
             continue
         detected += 1
-        estimate = localize_contact(blobs[0], intrinsics, geometry)
-        truth = SurfacePoint(*entry.truth_mm, classify_surface_point(entry.truth_mm, geometry))
-        errors.setdefault(entry.object_label, []).append(localization_error(estimate, truth))
+        error = localization_error(estimate, entry.truth_mm)
+        errors.setdefault(entry.object_label, []).append(error)
     elapsed = time.perf_counter() - start
 
     all_errors = [e for errs in errors.values() for e in errs]

@@ -1,17 +1,20 @@
 """Tests for the JSON configuration and the command-line interface."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingersense
@@ -20,7 +23,7 @@ from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
 from fingersense.geometry import CameraIntrinsics, Region, SensorGeometry, SurfacePoint, project
 from fingersense.pgm import read_pgm
-from fingersense.render import load_manifest
+from fingersense.render import OBJECT_ORDER, generate_protocol_dataset, load_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,15 @@ def test_config_rejects_invalid_values(tmp_path):
     path.write_text('{"out_dir": 3}')
     with pytest.raises(ConfigError):
         load_config(path)
+    # Out of scale: overflows in geometry, or a smoothing kernel of 6e8 taps.
+    for text in ('{"r_mm": 1e7}', '{"r_mm": 1e-7}', '{"alpha_px": 1e300, "d_mm": 10.0}',
+                 '{"alpha_px": 5e-324}', '{"d_mm": 1e200}', '{"sigma_px": 1e8}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{path}: (r_mm|d_mm|alpha_px|sigma_px) must be"):
+            load_config(path)
+    for nan_key in ("sigma_px", "noise_sigma"):
+        with pytest.raises(ConfigError, match=nan_key):
+            SessionConfig(**{nan_key: math.nan})
 
 
 @pytest.mark.parametrize(
@@ -449,6 +461,19 @@ def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):
     assert err == "error: translation 5.0 outside [0, 1e-300] mm\n"
 
 
+def test_localize_out_of_scale_radius_fails_with_one_line(tmp_path, capsys, protocol_dataset):
+    # r = 1e200 mm once squared its way to an OverflowError traceback in
+    # localization_error; such a radius is now refused with the config.
+    config = tmp_path / "config.json"
+    config.write_text('{"r_mm": 1e200}')
+    out_dir, _ = protocol_dataset
+    manifest = out_dir / "manifest.json"
+    assert main(["localize", "--config", str(config), "--manifest", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: r_mm must be in [1e-06, 1e+06], got 1e+200\n"
+
+
 # ---------------------------------------------------------------------------
 # calibrate command
 
@@ -599,6 +624,103 @@ def test_blocksworld_board_count_beyond_int64_fails_with_one_line(capsys):
         "error: n_boards 100000000000000000000 gives 400000000000000000000 blocks, "
         "not in 1..9223372036854775807\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# every command: random configs and argv
+
+
+@pytest.fixture(scope="session")
+def small_dataset(tmp_path_factory):
+    """A 64x48 protocol dataset for ``localize`` under random configs."""
+    out_dir = tmp_path_factory.mktemp("small")
+    intrinsics = CameraIntrinsics(alpha=20.0, cx=32.0, cy=24.0, width=64, height=48)
+    generate_protocol_dataset(out_dir, SensorGeometry(), intrinsics, noise_sigma=2.0, seed=0)
+    return out_dir / "manifest.json"
+
+
+extreme_floats = st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.0, 10.0, 25.0, 30.0, 300.0, 1e6, 1e100, 1e200, 1e300]
+) | st.floats()
+
+
+@st.composite
+def small_frame_configs(draw) -> dict:
+    """Any value for any key, on a frame of at most 64x48 pixels.
+
+    Half the frames match ``small_dataset``, so ``localize`` gets to detection.
+    """
+    width, height = draw(st.just((64, 48)) | st.tuples(st.integers(1, 64), st.integers(1, 48)))
+    config = {
+        "width_px": width,
+        "height_px": height,
+        "cx_px": draw(st.floats(0.0, 1.0)) * width,
+        "cy_px": draw(st.floats(0.0, 1.0)) * height,
+    }
+    for key in ("r_mm", "d_mm", "alpha_px", "cx_px", "cy_px", "sigma_px", "threshold",
+                "noise_sigma"):
+        if draw(st.booleans()):
+            config[key] = draw(extreme_floats)
+    if draw(st.booleans()):
+        config["min_area_px"] = draw(st.integers(-1, 30) | st.integers())
+    return config
+
+
+def _membrane_csv(config: dict) -> str:
+    """Eight side and tip points of the config's membrane, projected with its camera."""
+    r, d, alpha = config.get("r_mm", 10.0), config.get("d_mm", 30.0), config.get("alpha_px", 300.0)
+    cx, cy = config.get("cx_px", 960.0), config.get("cy_px", 540.0)
+    i = np.arange(8.0)
+    with np.errstate(all="ignore"):
+        side = np.stack([r * np.cos(i), r * np.sin(i), d * (0.1 + 0.1 * i)], axis=1)
+        tip = np.stack([r * np.sin(0.1 * i) * np.cos(i), r * np.sin(0.1 * i) * np.sin(i),
+                        d + r * np.cos(0.1 * i)], axis=1)
+        points = np.where((i % 2 == 0)[:, None], side, tip)
+        u = alpha * points[:, 0] / points[:, 2] + cx
+        v = alpha * points[:, 1] / points[:, 2] + cy
+    rows = np.column_stack([u, v, points])
+    return "u,v,x,y,z\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+cli_floats = extreme_floats.map(repr)  # argparse reads nan, inf and exponents
+cli_ints = (st.integers(-1, 1000) | st.integers(-1, 2**70)).map(str)
+command_args = st.one_of(
+    st.tuples(st.just("render"), st.sampled_from(OBJECT_ORDER),
+              st.sampled_from(["--rotation", "--translation"]), cli_floats),
+    st.tuples(st.just("dataset"), cli_floats, cli_ints),
+    st.tuples(st.just("localize")),
+    st.tuples(st.just("calibrate")),
+    st.tuples(st.just("blocksworld"), st.sampled_from(["control", "rg", "rgtr", "all"]),
+              cli_ints, cli_ints),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_frame_configs(), command_args)
+@example({"r_mm": 1e100}, ("render", "cone", "--rotation", "0"))
+@example({"r_mm": 1e200}, ("render", "cone", "--rotation", "0"))
+@example({"alpha_px": 1e300, "d_mm": 10.0}, ("render", "cone", "--rotation", "0"))
+def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dataset, config,
+                                                     command):
+    work = tmp_path_factory.mktemp("cli")
+    (work / "config.json").write_text(json.dumps(config))
+    name, *rest = command
+    argv = {  # "--flag=value", so that argparse reads "-1e+16" as a value
+        "render": lambda obj, flag, value: [f"--object={obj}", f"{flag}={value}", f"--out={work}"],
+        "dataset": lambda noise, seed: [f"--out-dir={work}", f"--noise={noise}", f"--seed={seed}"],
+        "localize": lambda: [f"--manifest={small_dataset}"],
+        "calibrate": lambda: [str(work / "cal.csv")],
+        "blocksworld": lambda policy, n, seed: [f"--policy={policy}", f"-n={n}", f"--seed={seed}"],
+    }[name](*rest)
+    (work / "cal.csv").write_text(_membrane_csv(config))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("error")  # any warning escapes main as an exception
+        code = main([name, "--config", str(work / "config.json"), *argv])
+    lines = stderr.getvalue().splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    errors = sum(line.startswith("error: ") for line in lines)
+    assert (code, errors) in ((0, 0), (1, 1)), (code, lines)
 
 
 # ---------------------------------------------------------------------------

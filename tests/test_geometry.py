@@ -122,6 +122,10 @@ def test_back_project_corner_pixel_lands_on_side(intrinsics, geometry):
     assert p.region is Region.SIDE
     z = 3000.0 / math.sqrt(1213200.0)
     np.testing.assert_allclose([p.x, p.y, p.z], [-3.2 * z, -1.8 * z, z], rtol=1e-12)
+    # Even an absurdly remote pixel maps to a point near the base rim.
+    far = back_project(PixelCoord(1e6, 540.0), intrinsics, geometry)
+    assert far.region is Region.SIDE
+    assert 0.0 < far.z < 0.01
 
 
 def test_back_project_round_trip_random_pixels(intrinsics, geometry):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from fingersense import imaging
-from fingersense.geometry import ContactPose, PixelCoord, Region, SurfacePoint
+from fingersense.config import SessionConfig
+from fingersense.geometry import ContactPose, PixelCoord, Region, SurfacePoint, back_project
 from fingersense.imaging import (
     HARDWARE_ERRORS_BY_OBJECT,
     HARDWARE_ERRORS_BY_POSE,
@@ -22,7 +23,7 @@ from fingersense.imaging import (
     detect_blobs,
     detect_contacts,
     localization_error,
-    localize_contact,
+    localize_frame,
     smooth,
     subtract_reference,
 )
@@ -50,6 +51,8 @@ def test_tactile_image_is_immutable():
 def test_diff_image_rejects_negative_values():
     with pytest.raises(ValueError):
         DiffImage(np.full((4, 4), -1.0))
+    with pytest.raises(ValueError):
+        DiffImage(np.full((4, 4), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def test_smooth_rejects_negative_sigma():
 
 
 def test_detect_nothing_in_zero_diff():
-    assert detect_blobs(DiffImage(np.zeros((64, 64))), 25.0, 20) == []
+    assert detect_blobs(np.zeros((64, 64)), 25.0, 20) == []
 
 
 def test_detect_centered_square():
@@ -125,7 +128,7 @@ def test_detect_centered_square():
     # its centre (102, 202) and the area 25.
     values = np.zeros((300, 300))
     values[200:205, 100:105] = 80.0
-    blobs = detect_blobs(DiffImage(values), 25.0, 20)
+    blobs = detect_blobs(values, 25.0, 20)
     assert len(blobs) == 1
     blob = blobs[0]
     assert blob.area == 25
@@ -139,7 +142,7 @@ def test_detect_orders_by_mass():
     values = np.zeros((100, 100))
     values[10:15, 10:15] = 40.0  # mass 1000
     values[60:70, 60:70] = 30.0  # mass 3000
-    blobs = detect_blobs(DiffImage(values), 25.0, 20)
+    blobs = detect_blobs(values, 25.0, 20)
     assert [round(b.total_mass) for b in blobs] == [3000, 1000]
     assert blobs[0].centroid.u == pytest.approx(64.5)
 
@@ -147,16 +150,16 @@ def test_detect_orders_by_mass():
 def test_detect_threshold_is_strict():
     values = np.zeros((50, 50))
     values[10:20, 10:20] = 25.0
-    assert detect_blobs(DiffImage(values), 25.0, 20) == []
+    assert detect_blobs(values, 25.0, 20) == []
     values[10:20, 10:20] = 25.001
-    assert len(detect_blobs(DiffImage(values), 25.0, 20)) == 1
+    assert len(detect_blobs(values, 25.0, 20)) == 1
 
 
 def test_detect_min_area_filters_small_components():
     values = np.zeros((50, 50))
     values[5:10, 5:9] = 100.0  # 20 px: kept
     values[30:34, 30:34] = 100.0  # 16 px: dropped
-    blobs = detect_blobs(DiffImage(values), 25.0, 20)
+    blobs = detect_blobs(values, 25.0, 20)
     assert len(blobs) == 1
     assert blobs[0].area == 20
 
@@ -166,7 +169,7 @@ def test_detect_diagonal_pixels_are_connected():
     values = np.zeros((60, 60))
     values[10:15, 10:15] = 50.0
     values[15:20, 15:20] = 50.0
-    blobs = detect_blobs(DiffImage(values), 25.0, 20)
+    blobs = detect_blobs(values, 25.0, 20)
     assert len(blobs) == 1
     assert blobs[0].area == 50
 
@@ -179,31 +182,31 @@ def test_detect_translation_equivariance():
     shifted = np.zeros((200, 200))
     du, dv = 23, 31
     shifted[40 + dv : 49 + dv, 50 + du : 57 + du] = patch
-    (b0,) = detect_blobs(DiffImage(base), 25.0, 20)
-    (b1,) = detect_blobs(DiffImage(shifted), 25.0, 20)
+    (b0,) = detect_blobs(base, 25.0, 20)
+    (b1,) = detect_blobs(shifted, 25.0, 20)
     assert b1.centroid.u - b0.centroid.u == pytest.approx(du, abs=1e-9)
     assert b1.centroid.v - b0.centroid.v == pytest.approx(dv, abs=1e-9)
 
 
 def test_detect_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
-        detect_blobs(DiffImage(np.zeros((4, 4))), 0.0, 1)
+        detect_blobs(np.zeros((4, 4)), 0.0, 1)
 
 
-def oracle_detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[ContactBlob]:
+def oracle_detect_blobs(values: np.ndarray, threshold: float, min_area: int) -> list[ContactBlob]:
     """Brute force: one full-frame mask per component, summed in scan order."""
-    mask = d.values > threshold
+    mask = values > threshold
     labels, n_labels = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if n_labels == 0:
         return []
-    v, u = np.mgrid[0 : d.height, 0 : d.width]
+    v, u = np.mgrid[0 : values.shape[0], 0 : values.shape[1]]
     blobs = []
     for index in range(1, n_labels + 1):
         member = labels == index
         area = int(np.count_nonzero(member))
         if area < min_area:
             continue
-        weights = d.values[member]
+        weights = values[member]
         mass = float(weights.sum())
         blobs.append(
             ContactBlob(
@@ -223,9 +226,8 @@ def oracle_detect_blobs(d: DiffImage, threshold: float, min_area: int) -> list[C
 def assert_matches_oracle(values: np.ndarray, threshold: float, min_area: int) -> list:
     # Dataclass equality is exact float equality on every field, and list
     # equality checks the order.
-    d = DiffImage(values)
-    blobs = detect_blobs(d, threshold, min_area)
-    assert blobs == oracle_detect_blobs(d, threshold, min_area)
+    blobs = detect_blobs(values, threshold, min_area)
+    assert blobs == oracle_detect_blobs(values, threshold, min_area)
     return blobs
 
 
@@ -300,9 +302,8 @@ def test_detect_many_components_full_frame():
     values[1::8, 0::8] = 30.0
     values[1::8, 1::8] = 40.0
     values[4::8, 4::8] = 50.0
-    d = DiffImage(values)
-    assert ndimage.label(d.values > 5.0, structure=np.ones((3, 3)))[1] == 64_800
-    blobs = detect_blobs(d, 5.0, 4)
+    assert ndimage.label(values > 5.0, structure=np.ones((3, 3)))[1] == 64_800
+    blobs = detect_blobs(values, 5.0, 4)
     assert len(blobs) == 135 * 240
     assert all(b.area == 4 and b.total_mass == 100.0 and b.peak == 40.0 for b in blobs)
     # Equal masses keep scan order; each centroid sits (0.6, 0.7) px from the
@@ -317,7 +318,7 @@ def test_detect_many_components_full_frame():
 
 
 def full_frame_pipeline(ref, frame, sigma, threshold, min_area) -> list[ContactBlob]:
-    return detect_blobs(smooth(subtract_reference(ref, frame), sigma), threshold, min_area)
+    return detect_blobs(smooth(subtract_reference(ref, frame), sigma).values, threshold, min_area)
 
 
 def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area: int) -> list:
@@ -329,15 +330,19 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 
 @pytest.fixture
 def smoothed_shapes(monkeypatch) -> list:
-    """Record the shape of every image ``detect_contacts`` smooths."""
+    """Record the shape of every image ``detect_contacts`` smooths.
+
+    Those are the filter's uint8 inputs; the full-frame ``smooth`` filters float64.
+    """
     shapes = []
-    original = imaging._smoothed
+    original = imaging.ndimage.gaussian_filter
 
-    def recording(diff, sigma, origin):
-        shapes.append(diff.shape)
-        return original(diff, sigma, origin)
+    def recording(values, *args, **kwargs):
+        if values.dtype == np.uint8:
+            shapes.append(values.shape)
+        return original(values, *args, **kwargs)
 
-    monkeypatch.setattr(imaging, "_smoothed", recording)
+    monkeypatch.setattr(imaging.ndimage, "gaussian_filter", recording)
     return shapes
 
 
@@ -465,39 +470,30 @@ def test_detect_contacts_validates_like_the_stages():
 def test_detect_blobs_adds_origin_before_weighting():
     values = np.zeros((5, 6))
     values[1:3, 2:4] = [[10.0, 20.0], [30.0, 40.0]]
-    (at_zero,) = detect_blobs(DiffImage(values), 5.0, 1)
-    (moved,) = detect_blobs(DiffImage(values, (100, 1000)), 5.0, 1)
+    (at_zero,) = detect_blobs(values, 5.0, 1)
+    (moved,) = detect_blobs(values, 5.0, 1, origin=(100, 1000))
     assert moved.centroid == PixelCoord(at_zero.centroid.u + 1000, at_zero.centroid.v + 100)
-    assert smooth(DiffImage(values, (100, 1000)), 1.0).origin == (100, 1000)
 
 
 # ---------------------------------------------------------------------------
 # localisation
 
 
-def blob_at(u: float, v: float) -> ContactBlob:
-    return ContactBlob(PixelCoord(u, v), area=25, peak=90.0, total_mass=2000.0)
-
-
-def test_localize_apex(intrinsics, geometry):
-    est = localize_contact(blob_at(960.0, 540.0), intrinsics, geometry)
-    assert (est.point.x, est.point.y, est.point.z) == (0.0, 0.0, 40.0)
-
-
-def test_localize_side_point(intrinsics, geometry):
-    est = localize_contact(blob_at(1160.0, 540.0), intrinsics, geometry)
+def test_localize_frame_back_projects_the_heaviest_blob():
+    config = SessionConfig()
+    ref = np.full((config.intrinsics.height, config.intrinsics.width), 100, dtype=np.uint8)
+    frame = ref.copy()
+    frame[530:551, 1150:1171] = 200  # heavier, centred on (1160, 540)
+    frame[100:110, 100:110] = 200  # lighter, first in scan order
+    ref, frame = TactileImage(ref), TactileImage(frame)
+    heaviest, _ = detect_contacts(ref, frame, 2.0, 25.0, 20)
+    est = localize_frame(ref, frame, config)
+    assert est.pixel == heaviest.centroid
+    assert est.point == back_project(heaviest.centroid, config.intrinsics, config.geometry)
     np.testing.assert_allclose(
-        [est.point.x, est.point.y, est.point.z], [10.0, 0.0, 15.0], atol=1e-12
+        [est.point.x, est.point.y, est.point.z], [10.0, 0.0, 15.0], atol=1e-9
     )
-    assert est.pixel.u == 1160.0
-
-
-def test_localize_far_pixel_lands_near_base(intrinsics, geometry):
-    # The membrane encloses the camera: even absurdly remote centroids map to
-    # a point near the base rim rather than failing.
-    est = localize_contact(blob_at(1e6, 540.0), intrinsics, geometry)
-    assert est.point.region is Region.SIDE
-    assert 0.0 < est.point.z < 0.01
+    assert localize_frame(ref, ref, config) is None
 
 
 def test_error_examples():
@@ -505,6 +501,9 @@ def test_error_examples():
     assert localization_error(ContactEstimate(PixelCoord(0, 0), apex), apex) == 0.0
     low = SurfacePoint(0.0, 0.0, 37.0, Region.TIP)
     assert localization_error(ContactEstimate(PixelCoord(0, 0), apex), low) == 3.0
+    assert localization_error(ContactEstimate(PixelCoord(0, 0), apex), (0.0, 0.0, 37.0)) == 3.0
+    far = ContactEstimate(PixelCoord(0, 0), SurfacePoint(0.0, 0.0, 1e200, Region.TIP))
+    assert localization_error(far, (0.0, 0.0, -1e200)) == math.inf  # no OverflowError
     a = SurfacePoint(3.0, 4.0, 0.0, Region.SIDE)
     origin = SurfacePoint(0.0, 0.0, 0.0, Region.SIDE)
     assert localization_error(ContactEstimate(PixelCoord(0, 0), a), origin) == 5.0

@@ -22,13 +22,8 @@ from fingersense.geometry import (
     back_project_grid,
     pose_to_contact_point,
 )
-from fingersense.imaging import (
-    TactileImage,
-    detect_contacts,
-    localization_error,
-    localize_contact,
-    subtract_reference,
-)
+from fingersense.config import SessionConfig
+from fingersense.imaging import localization_error, localize_frame, subtract_reference
 from fingersense.pgm import read_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
@@ -227,9 +222,9 @@ def test_slab_blob_lies_on_footprint(geometry, intrinsics):
         Shape.SLAB, ContactPose.translation(15.0), geometry, size=10.0, depth=1.0
     )
     image = render_contact(ind, geometry, intrinsics)
-    blobs = detect_contacts(render_reference(geometry, intrinsics), image, 2.0, 25.0, 20)
-    assert blobs
-    est = localize_contact(blobs[0], intrinsics, geometry)
+    config = SessionConfig(geometry, intrinsics)
+    est = localize_frame(render_reference(geometry, intrinsics), image, config)
+    assert est is not None
     # Within the footprint half-diagonal (5, 2.5) -> 5.59 mm of the contact.
     assert localization_error(est, ind.contact_point) < math.hypot(5.0, 2.5)
 
@@ -268,12 +263,11 @@ def test_cone_closed_loop_every_protocol_pose(geometry, intrinsics):
     # Sharp indenter: the pipeline must recover every protocol pose within
     # 1 mm on noise-free renders.
     ref = render_reference(geometry, intrinsics)
+    config = SessionConfig(geometry, intrinsics)
     for pose in protocol_poses():
         ind = default_indenter("cone", pose, geometry)
-        image = render_contact(ind, geometry, intrinsics)
-        blobs = detect_contacts(ref, image, 2.0, 25.0, 20)
-        assert blobs, f"no blob for pose {pose}"
-        est = localize_contact(blobs[0], intrinsics, geometry)
+        est = localize_frame(ref, render_contact(ind, geometry, intrinsics), config)
+        assert est is not None, f"no blob for pose {pose}"
         assert localization_error(est, ind.contact_point) <= 1.0
 
 
