@@ -10,7 +10,14 @@ from scipy import ndimage
 
 from fingersense import imaging
 from fingersense.config import SessionConfig
-from fingersense.geometry import ContactPose, PixelCoord, Region, SurfacePoint, back_project
+from fingersense.geometry import (
+    CameraIntrinsics,
+    ContactPose,
+    PixelCoord,
+    Region,
+    SurfacePoint,
+    back_project,
+)
 from fingersense.imaging import (
     HARDWARE_ERRORS_BY_OBJECT,
     HARDWARE_ERRORS_BY_POSE,
@@ -494,6 +501,34 @@ def test_localize_frame_back_projects_the_heaviest_blob():
         [est.point.x, est.point.y, est.point.z], [10.0, 0.0, 15.0], atol=1e-9
     )
     assert localize_frame(ref, ref, config) is None
+
+
+def _frame_with_blob(config: SessionConfig, u: int, v: int) -> tuple[TactileImage, TactileImage]:
+    shape = (config.intrinsics.height, config.intrinsics.width)
+    ref = np.full(shape, 100, dtype=np.uint8)
+    frame = ref.copy()
+    frame[v - 10 : v + 11, u - 10 : u + 11] = 200  # square blob centred on (u, v)
+    return TactileImage(ref), TactileImage(frame)
+
+
+def test_localize_apex():
+    config = SessionConfig()
+    est = localize_frame(*_frame_with_blob(config, 960, 540), config)
+    np.testing.assert_allclose([est.pixel.u, est.pixel.v], [960.0, 540.0], atol=1e-9)
+    assert est.point.region is Region.TIP
+    np.testing.assert_allclose(
+        [est.point.x, est.point.y, est.point.z], [0.0, 0.0, 40.0], atol=1e-9
+    )
+
+
+def test_localize_far_pixel_lands_near_base():
+    # The membrane encloses the camera: a centroid far from the principal
+    # point in focal units (here the frame edge at alpha = 0.3 px) maps to a
+    # point near the base rim rather than failing.
+    config = SessionConfig(intrinsics=CameraIntrinsics(alpha=0.3))
+    est = localize_frame(*_frame_with_blob(config, 1900, 540), config)
+    assert est.point.region is Region.SIDE
+    assert 0.0 < est.point.z < 0.01
 
 
 def test_error_examples():
