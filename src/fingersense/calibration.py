@@ -1,14 +1,14 @@
 """Intrinsic calibration from pixel <-> surface correspondences.
 
 Supports the single-point closed form for the focal constant alpha (principal
-point known) and a joint damped least-squares fit of (alpha, cx, cy).
+point known) and a joint linear least-squares fit of (alpha, cx, cy).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,6 @@ class CalibrationError(ValueError):
 
 class RankDeficiencyError(CalibrationError):
     """The correspondences do not constrain all three intrinsics."""
-
-
-class ConvergenceError(CalibrationError):
-    """The iterative fit did not converge within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -85,38 +81,17 @@ def reprojection_residuals(
     return out
 
 
-def _residuals_and_jacobian(
-    theta: np.ndarray, rays: np.ndarray, pixels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (u, v) residuals and their (constant) Jacobian in (alpha, cx, cy)."""
-    alpha, cx, cy = theta
-    n = rays.shape[0]
-    res = np.empty(2 * n)
-    res[0::2] = alpha * rays[:, 0] + cx - pixels[:, 0]
-    res[1::2] = alpha * rays[:, 1] + cy - pixels[:, 1]
-    jac = np.zeros((2 * n, 3))
-    jac[0::2, 0] = rays[:, 0]
-    jac[1::2, 0] = rays[:, 1]
-    jac[0::2, 1] = 1.0
-    jac[1::2, 2] = 1.0
-    return res, jac
+def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> CalibrationResult:
+    """Jointly fit (alpha, cx, cy) by linear least squares.
 
-
-def fit_intrinsics(
-    cs: list[Correspondence],
-    initial: CameraIntrinsics,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> CalibrationResult:
-    """Jointly fit (alpha, cx, cy) by damped iterative least squares.
-
-    Minimises the sum of squared reprojection residuals starting from
-    ``initial``; Levenberg damping keeps each step a descent step.  Stops when
-    the parameter update norm drops below ``tol``; raises
-    :class:`ConvergenceError` after ``max_iter`` iterations and
+    The projection u = alpha x / z + cx, v = alpha y / z + cy is linear in the
+    three intrinsics, so the sum of squared reprojection residuals has one
+    exact minimiser: one solve of the stacked 2n x 3 system with rows
+    (x / z, 1, 0) and (y / z, 0, 1) against the stacked pixels.  ``initial``
+    supplies only the frame size, which is carried over unchanged.  Raises
     :class:`RankDeficiencyError` when fewer than three correspondences are
-    given or all of them look down the same viewing ray.  The frame size is
-    carried over from ``initial`` unchanged.
+    given or when all of them lie on one viewing ray, or numerically close to
+    one.
     """
     if len(cs) < 3:
         raise RankDeficiencyError(
@@ -124,41 +99,19 @@ def fit_intrinsics(
         )
     rays = np.array([[c.point.x / c.point.z, c.point.y / c.point.z] for c in cs])
     pixels = np.array([[c.pixel.u, c.pixel.v] for c in cs])
-
-    theta = np.array([initial.alpha, initial.cx, initial.cy], dtype=np.float64)
-    _, jac = _residuals_and_jacobian(theta, rays, pixels)
-    if np.linalg.matrix_rank(jac) < 3:
+    design = np.zeros((len(cs), 2, 3))  # per point, the u row and the v row
+    design[:, :, 0] = rays
+    design[:, :, 1:] = np.eye(2)
+    # rank counts the singular values above eps * max(2n, 3) times the largest.
+    (alpha, cx, cy), _, rank, _ = np.linalg.lstsq(
+        design.reshape(-1, 3), pixels.ravel(), rcond=None
+    )
+    if rank < 3:
         raise RankDeficiencyError(
-            "correspondences are collinear through the principal point; "
+            "all correspondences lie on one viewing ray, or numerically close to one; "
             "alpha and the principal point cannot be separated"
         )
-
-    jtj = jac.T @ jac
-    lam = 1e-3
-    res, _ = _residuals_and_jacobian(theta, rays, pixels)
-    cost = float(res @ res)
-    for _ in range(max_iter):
-        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -(jac.T @ res))
-        trial = theta + step
-        trial_res, _ = _residuals_and_jacobian(trial, rays, pixels)
-        trial_cost = float(trial_res @ trial_res)
-        if trial_cost <= cost:
-            theta, res, cost = trial, trial_res, trial_cost
-            lam = max(lam * 0.3, 1e-12)
-            if float(np.linalg.norm(step)) < tol:
-                break
-        else:
-            lam *= 10.0
-    else:
-        raise ConvergenceError(f"no convergence after {max_iter} iterations")
-
-    fitted = CameraIntrinsics(
-        alpha=float(theta[0]),
-        cx=float(theta[1]),
-        cy=float(theta[2]),
-        width=initial.width,
-        height=initial.height,
-    )
+    fitted = replace(initial, alpha=float(alpha), cx=float(cx), cy=float(cy))
     per_point = reprojection_residuals(fitted, cs)
     rms = math.sqrt(sum(r * r for r in per_point) / len(per_point))
     return CalibrationResult(fitted, rms, tuple(per_point))

@@ -193,7 +193,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _session_config(args)
     correspondences = load_correspondences(args.csv, config.geometry)
-    alpha_single = solve_alpha(correspondences[0], config.intrinsics.cx, config.intrinsics.cy)
+    # The first row off the optical axis; if every row is on it, solve_alpha says so.
+    single = next((c for c in correspondences if c.point.x or c.point.y), correspondences[0])
+    alpha_single = solve_alpha(single, config.intrinsics.cx, config.intrinsics.cy)
     result = fit_intrinsics(correspondences, config.intrinsics)
     print(
         json.dumps(

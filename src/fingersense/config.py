@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import CameraIntrinsics, SensorGeometry
-from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD
+from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX
 
 
 # Largest accepted frame, 4096 x 4096 pixels (about 8 times 1920 x 1080).  It
@@ -23,10 +23,9 @@ from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD
 MAX_FRAME_PX = 4096 * 4096
 # r_mm and alpha_px lie in [1 / MAX_SCALE, MAX_SCALE] and d_mm in [0, MAX_SCALE]
 # (a kilometre; 3000 times the default alpha), where nothing back-projection,
-# rendering or calibration computes overflows.  MAX_SIGMA_PX bounds the
-# smoothing kernel, which has 6 sigma + 1 taps, and so its cost per pixel.
+# rendering or calibration computes overflows.  sigma_px shares the detection
+# stages' bound, imaging.MAX_SIGMA_PX.
 MAX_SCALE = 1e6
-MAX_SIGMA_PX = 100.0
 
 
 class ConfigError(ValueError):

@@ -31,6 +31,8 @@ if TYPE_CHECKING:  # config imports this module
 
 # Detection defaults: the simplest pipeline that closes the synthetic loop.
 DEFAULT_SIGMA_PX = 2.0
+# The smoothing kernel has 6 sigma + 1 taps, so sigma bounds its cost per pixel.
+MAX_SIGMA_PX = 100.0
 DEFAULT_THRESHOLD = 25.0  # of 255
 DEFAULT_MIN_AREA_PX = 20
 
@@ -156,8 +158,8 @@ def _check_same_size(ref: TactileImage, frame: TactileImage) -> None:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma <= MAX_SIGMA_PX:  # NaN fails too
+        raise ValueError(f"sigma must be in [0, {MAX_SIGMA_PX:g}], got {sigma}")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -203,6 +205,8 @@ def detect_blobs(
     gives the same mass and centroid bit for bit.
     """
     _check_threshold(threshold)
+    if values.ndim != 2:
+        raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
     mask = values > threshold
     labels, _ = _ndimage().label(mask, structure=np.ones((3, 3), dtype=bool))
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingersense.calibration import (
     CalibrationError,
@@ -169,7 +171,7 @@ def test_fit_rejects_two_correspondences(geometry):
         fit_intrinsics(cs, CameraIntrinsics())
 
 
-def test_fit_rejects_single_ray():
+def test_fit_rejects_single_ray(geometry):
     # All points on one viewing ray: alpha cannot be separated from (cx, cy).
     k = CameraIntrinsics()
     pixel = project((5.0, 0.0, 10.0), k)
@@ -177,8 +179,48 @@ def test_fit_rejects_single_ray():
         Correspondence(pixel, SurfacePoint(5.0 * s, 0.0, 10.0 * s, Region.SIDE))
         for s in (1.0, 1.2, 1.5, 2.0)
     ]
-    with pytest.raises(RankDeficiencyError):
+    with pytest.raises(RankDeficiencyError, match="one viewing ray"):
         fit_intrinsics(cs, k)
+    # A side point at z = 1e-300 has a ray (x / z ~ 1e301) that dwarfs every
+    # other, so the rest are numerically on one ray with it.
+    cs = synthesize(10, k, geometry, np.random.default_rng(7))
+    cs.append(Correspondence(pixel, SurfacePoint(geometry.r, 0.0, 1e-300, Region.SIDE)))
+    with pytest.raises(RankDeficiencyError, match="one viewing ray"):
+        fit_intrinsics(cs, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(1.0, 1e4),
+    cx=st.floats(1.0, 1919.0),  # inside the frame by more than any fitted error
+    cy=st.floats(1.0, 1079.0),
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_the_exact_least_squares_solution(alpha, cx, cy, n, seed):
+    geometry = SensorGeometry()
+    truth = CameraIntrinsics(alpha=alpha, cx=cx, cy=cy)
+    rng = np.random.default_rng(seed)
+    clean = fit_intrinsics(synthesize(n, truth, geometry, rng), CameraIntrinsics()).intrinsics
+    assert (clean.alpha, clean.cx, clean.cy) == pytest.approx((alpha, cx, cy), rel=1e-9, abs=1e-9)
+
+    # Noise this small keeps the fitted camera valid: alpha > 0, principal point in the frame.
+    noisy = synthesize(n, truth, geometry, rng, sigma=1e-3)
+    fit = fit_intrinsics(noisy, CameraIntrinsics())
+    # Where the fit starts cannot matter: there is no start, only one solve.
+    assert fit_intrinsics(noisy, CameraIntrinsics(alpha=1.0, cx=0.0, cy=1080.0)) == fit
+    # The normal equations give the same minimiser.
+    design = np.array(
+        [
+            row
+            for c in noisy
+            for row in ((c.point.x / c.point.z, 1.0, 0.0), (c.point.y / c.point.z, 0.0, 1.0))
+        ]
+    )
+    pixels = np.array([value for c in noisy for value in (c.pixel.u, c.pixel.v)])
+    expected = np.linalg.solve(design.T @ design, design.T @ pixels)
+    got = (fit.intrinsics.alpha, fit.intrinsics.cx, fit.intrinsics.cy)
+    assert got == pytest.approx(tuple(expected), rel=1e-9, abs=1e-9)
 
 
 def test_correspondence_requires_positive_depth():

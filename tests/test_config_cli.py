@@ -527,6 +527,22 @@ def test_calibrate_on_axis_only_fails(tmp_path, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+def test_calibrate_apex_first_row_uses_next_row_for_single_point(tmp_path, capsys):
+    # The apex row gives no single-point alpha; the next row off the axis does.
+    points = [_surface_sample(i) for i in range(8)]
+    rows = [Correspondence(project(p, CameraIntrinsics()), p) for p in points]
+    csv_path = tmp_path / "cal.csv"
+    save_correspondences(csv_path, rows)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text(lines[0] + "960,540,0,0,40\n" + "".join(lines[1:]))
+    code = main(["calibrate", str(csv_path)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["alpha_single_point_px"] == pytest.approx(300.0, rel=1e-6)
+    assert report["alpha_px"] == pytest.approx(300.0, rel=1e-6)
+    assert report["n_correspondences"] == 9
+
+
 def test_calibrate_header_only_csv_fails_cleanly(tmp_path, capsys):
     csv_path = tmp_path / "cal.csv"
     csv_path.write_text("u,v,x,y,z\n")

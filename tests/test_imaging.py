@@ -118,8 +118,9 @@ def test_smooth_leaves_uniform_unchanged():
 
 
 def test_smooth_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        smooth(DiffImage(np.zeros((4, 4))), -1.0)
+    for sigma in (-1.0, 1e5, 1e300):
+        with pytest.raises(ValueError, match="sigma"):
+            smooth(DiffImage(np.zeros((4, 4))), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,8 @@ def test_detect_translation_equivariance():
 def test_detect_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         detect_blobs(np.zeros((4, 4)), 0.0, 1)
+    with pytest.raises(ValueError, match=r"2D array, got shape \(5,\)"):
+        detect_blobs(np.zeros(5), 1.0, 1)
 
 
 def oracle_detect_blobs(values: np.ndarray, threshold: float, min_area: int) -> list[ContactBlob]:
@@ -468,8 +471,9 @@ def test_detect_contacts_validates_like_the_stages():
     ref, frame = gray(128), gray(128)
     with pytest.raises(ValueError, match="dimension mismatch"):
         detect_contacts(ref, gray(128, (32, 31)), 2.0, 25.0, 1)
-    with pytest.raises(ValueError, match="sigma"):
-        detect_contacts(ref, frame, -1.0, 25.0, 1)
+    for sigma in (-1.0, 1e5, 1e300):
+        with pytest.raises(ValueError, match="sigma"):
+            detect_contacts(ref, frame, sigma, 25.0, 1)
     with pytest.raises(ValueError, match="threshold"):
         detect_contacts(ref, frame, 2.0, 0.0, 1)
 
