@@ -14,16 +14,21 @@ Policies:
 A collision consumes an attempt, so RgTr can still fail: a collision on the
 final attempt leaves no room for the regrasp.
 
-Batches are drawn as outcome counts: ``outcome_table`` plays a policy once over
-every (block column, draw sequence) cell, and a batch draws how many of its
-independent blocks land on each outcome, at a cost constant in the boards.
+The rules live in one place, ``_play``, which plays one block against a
+scripted draw sequence.  Batches are drawn as outcome counts:
+``outcome_table`` plays a policy once over every (block column, draw sequence)
+cell, and a batch draws how many of its independent blocks land on each
+outcome in one multinomial draw, the only random draw in the module, at a cost
+constant in the boards.  ``exact_metrics`` is an independent closed form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -47,33 +52,6 @@ class PolicyKind(Enum):
     CONTROL = "control"
     RG = "rg"
     RGTR = "rgtr"
-
-
-class OutcomeKind(Enum):
-    HIT = "hit"
-    COLLISION = "collision"
-    MISS = "miss"
-
-
-@dataclass(frozen=True)
-class BoardState:
-    block_col: tuple[int, int, int, int]  # column of the block in each row
-
-    def __post_init__(self) -> None:
-        if len(self.block_col) != N_ROWS or not all(
-            0 <= c < N_COLUMNS for c in self.block_col
-        ):
-            raise ValueError(f"board must hold 4 columns in 0..3, got {self.block_col}")
-
-
-@dataclass(frozen=True)
-class GraspOutcome:
-    kind: OutcomeKind
-    contact_col: int | None = None  # block's column; present iff a collision
-
-    def __post_init__(self) -> None:
-        if (self.kind is OutcomeKind.COLLISION) != (self.contact_col is not None):
-            raise ValueError("contact_col is present exactly for collisions")
 
 
 @dataclass(frozen=True)
@@ -101,24 +79,29 @@ class RunMetrics:
             raise ValueError(f"negative collisions {self.collisions_per_block}")
 
 
-def new_board(seed: int) -> BoardState:
-    """Draw the four block columns independently and uniformly."""
-    rng = np.random.default_rng(seed)
-    return BoardState(tuple(int(c) for c in rng.integers(0, N_COLUMNS, size=N_ROWS)))
+def _play(
+    kind: PolicyKind, block_col: int, draws: tuple[int, ...], max_attempts: int
+) -> tuple[bool, int, int]:
+    """One block's (success, attempts, collisions): the only copy of the policy rules.
 
-
-def attempt_grasp(board: BoardState, row: int, col: int) -> GraspOutcome:
-    """Grasp at (row, col): hit the block, graze it one column off, or miss."""
-    if not 0 <= row < N_ROWS:
-        raise IndexError(f"row {row} outside 0..{N_ROWS - 1}")
-    if not 0 <= col < N_COLUMNS:
-        raise IndexError(f"column {col} outside 0..{N_COLUMNS - 1}")
-    block = board.block_col[row]
-    if col == block:
-        return GraspOutcome(OutcomeKind.HIT)
-    if abs(col - block) == 1:
-        return GraspOutcome(OutcomeKind.COLLISION, contact_col=block)
-    return GraspOutcome(OutcomeKind.MISS)
+    A draw in the block's column hits; a draw one column off collides and
+    reveals the block; any other draw misses.  Control ignores ``draws``.
+    """
+    if kind is PolicyKind.CONTROL:
+        return True, 1, 0
+    played = draws[:max_attempts]
+    collisions = 0
+    for attempts, draw in enumerate(played, 1):
+        if draw == block_col:
+            return True, attempts, collisions
+        if abs(draw - block_col) == 1:
+            collisions += 1
+            if kind is PolicyKind.RGTR:
+                # Regrasp at the sensed column; it needs one more attempt.
+                if attempts < max_attempts:
+                    return True, attempts + 1, collisions
+                return False, attempts, collisions
+    return False, len(played), collisions
 
 
 def replay_policy(
@@ -130,89 +113,14 @@ def replay_policy(
     """Run one block with a scripted draw sequence (reference semantics).
 
     ``draws`` supplies the policy's random column choices in order; Control
-    ignores it.  This scalar version defines the policy rules that the
-    vectorised batch evaluator must reproduce.
+    ignores it.  The rules are ``_play``'s; this checks that the block column
+    and every draw lie in 0..3 and raises ValueError otherwise.
     """
-    if kind is PolicyKind.CONTROL:
-        return BlockRecord(True, 1, 0)
-    board = BoardState((block_col,) * N_ROWS)
-    attempts = 0
-    collisions = 0
-    for draw in draws[:max_attempts]:
-        attempts += 1
-        outcome = attempt_grasp(board, 0, int(draw))
-        if outcome.kind is OutcomeKind.HIT:
-            return BlockRecord(True, attempts, collisions)
-        if outcome.kind is OutcomeKind.COLLISION:
-            collisions += 1
-            if kind is PolicyKind.RGTR:
-                # Regrasp at the sensed column; it needs one more attempt.
-                if attempts < max_attempts:
-                    return BlockRecord(True, attempts + 1, collisions)
-                return BlockRecord(False, attempts, collisions)
-    return BlockRecord(False, attempts, collisions)
-
-
-def _evaluate(
-    kind: PolicyKind, blocks: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised policy outcomes: (success, attempts, collisions) per block.
-
-    ``blocks`` has shape (n,), ``draws`` (n, max_attempts); every row holds
-    all the draws a block may use, so the outcome is a function of the row.
-    """
-    n, cap = draws.shape
-    if kind is PolicyKind.CONTROL:
-        return (
-            np.ones(n, dtype=bool),
-            np.ones(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
+    if not all(0 <= c < N_COLUMNS for c in (block_col, *draws)):
+        raise ValueError(
+            f"columns must lie in 0..{N_COLUMNS - 1}, got block {block_col}, draws {tuple(draws)}"
         )
-
-    hit = draws == blocks[:, None]
-    adjacent = np.abs(draws - blocks[:, None]) == 1
-
-    if kind is PolicyKind.RG:
-        any_hit = hit.any(axis=1)
-        first_hit = np.argmax(hit, axis=1)
-        attempts = np.where(any_hit, first_hit + 1, cap)
-        made = np.arange(cap)[None, :] < attempts[:, None]
-        collisions = (adjacent & made).sum(axis=1)
-        return any_hit, attempts.astype(np.int64), collisions.astype(np.int64)
-
-    # RgTr: play out random draws until the first hit or collision; a
-    # collision reveals the block, and the regrasp costs one more attempt.
-    informative = hit | adjacent
-    any_info = informative.any(axis=1)
-    first = np.argmax(informative, axis=1)
-    rows = np.arange(n)
-    hit_first = any_info & hit[rows, first]
-    coll_first = any_info & adjacent[rows, first]
-    success = hit_first | (coll_first & (first < cap - 1))
-    attempts = np.where(
-        hit_first, first + 1, np.where(coll_first, np.minimum(first + 2, cap), cap)
-    )
-    collisions = coll_first.astype(np.int64)
-    return success, attempts.astype(np.int64), collisions
-
-
-def run_policy(
-    kind: PolicyKind,
-    board: BoardState,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    seed: int = 0,
-) -> list[BlockRecord]:
-    """Run one policy over all four rows of a board."""
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    rng = np.random.default_rng(seed)
-    blocks = np.array(board.block_col)
-    draws = rng.integers(0, N_COLUMNS, size=(N_ROWS, max_attempts))
-    success, attempts, collisions = _evaluate(kind, blocks, draws)
-    return [
-        BlockRecord(bool(s), int(a), int(c))
-        for s, a, c in zip(success, attempts, collisions)
-    ]
+    return BlockRecord(*_play(kind, block_col, draws, max_attempts))
 
 
 def outcome_table(
@@ -220,8 +128,8 @@ def outcome_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct per-block outcome of a policy and its probability.
 
-    ``_evaluate`` runs once over the 4 ** (max_attempts + 1) equally likely
-    cells (block column, draw sequence), which are then grouped by outcome.
+    ``_play`` runs once on each of the 4 ** (max_attempts + 1) equally likely
+    cells (block column, draw sequence), and the cells are counted by outcome.
     Returns (outcomes, p): sorted int64 rows of (failed, attempts,
     collisions) and each row's share of the cells, exact in float64 because
     it is dyadic.  ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT, which
@@ -229,13 +137,13 @@ def outcome_table(
     """
     if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
         raise ValueError(f"max_attempts must be in 1..{MAX_ATTEMPTS_LIMIT}, got {max_attempts}")
-    cells = np.arange(N_COLUMNS ** (max_attempts + 1))
-    digits = cells[:, None] // N_COLUMNS ** np.arange(max_attempts + 1) % N_COLUMNS
-    success, attempts, collisions = _evaluate(kind, digits[:, 0], digits[:, 1:])
-    outcomes, counts = np.unique(
-        np.column_stack([~success, attempts, collisions]), axis=0, return_counts=True
+    cells = product(range(N_COLUMNS), repeat=max_attempts + 1)
+    counts = Counter(_play(kind, cell[0], cell[1:], max_attempts) for cell in cells)
+    rows = sorted(
+        (not ok, attempts, collisions, n) for (ok, attempts, collisions), n in counts.items()
     )
-    return outcomes, counts / cells.size
+    outcomes = np.array([row[:3] for row in rows], dtype=np.int64)
+    return outcomes, np.array([row[3] for row in rows]) / N_COLUMNS ** (max_attempts + 1)
 
 
 def _outcome_counts(

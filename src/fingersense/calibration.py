@@ -91,7 +91,8 @@ def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> Calib
     supplies only the frame size, which is carried over unchanged.  Raises
     :class:`RankDeficiencyError` when fewer than three correspondences are
     given or when all of them lie on one viewing ray, or numerically close to
-    one.
+    one, and :class:`CalibrationError` when the minimiser is not a valid
+    camera (alpha not positive, or the principal point outside the frame).
     """
     if len(cs) < 3:
         raise RankDeficiencyError(
@@ -111,7 +112,10 @@ def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> Calib
             "all correspondences lie on one viewing ray, or numerically close to one; "
             "alpha and the principal point cannot be separated"
         )
-    fitted = replace(initial, alpha=float(alpha), cx=float(cx), cy=float(cy))
+    try:
+        fitted = replace(initial, alpha=float(alpha), cx=float(cx), cy=float(cy))
+    except ValueError as exc:
+        raise CalibrationError(f"fitted camera is invalid: {exc}") from exc
     per_point = reprojection_residuals(fitted, cs)
     rms = math.sqrt(sum(r * r for r in per_point) / len(per_point))
     return CalibrationResult(fitted, rms, tuple(per_point))

@@ -11,21 +11,14 @@ from fingersense.blocksworld import (
     HARDWARE_TABLE,
     MAX_ATTEMPTS_LIMIT,
     BlockRecord,
-    BoardState,
-    GraspOutcome,
-    OutcomeKind,
     PolicyKind,
     RunMetrics,
-    _evaluate,
-    attempt_grasp,
     batch_distribution,
     exact_metrics,
     metrics_to_json_dict,
-    new_board,
     outcome_table,
     replay_policy,
     run_batch,
-    run_policy,
 )
 
 # Closed-form expectations for the default 5-attempt cap, derived by hand:
@@ -49,71 +42,27 @@ RGTR_EXACT = (0.02490234375, 2.201171875, 0.5751953125)
 
 
 # ---------------------------------------------------------------------------
-# boards and grasps
+# grasps
 
 
-def test_new_board_is_deterministic():
-    assert new_board(42) == new_board(42)
-    assert isinstance(new_board(0), BoardState)
+@pytest.mark.parametrize("block", range(4))
+@pytest.mark.parametrize("draw", range(4))
+def test_single_grasp_hits_collides_or_misses(block, draw):
+    # One Rg attempt: a hit in the block's column, a collision one column off,
+    # a miss otherwise.
+    record = replay_policy(PolicyKind.RG, block, (draw,), 1)
+    if draw == block:
+        assert record == BlockRecord(True, 1, 0)
+    elif abs(draw - block) == 1:
+        assert record == BlockRecord(False, 1, 1)
+    else:
+        assert record == BlockRecord(False, 1, 0)
 
 
-def test_new_board_columns_are_uniform():
-    counts = np.zeros(4)
-    n = 20_000  # 80,000 column draws
-    for seed in range(n):
-        for col in new_board(seed).block_col:
-            counts[col] += 1
-    freqs = counts / (4 * n)
-    np.testing.assert_allclose(freqs, 0.25, atol=0.01)
-
-
-def test_new_board_seeds_mostly_differ():
-    pairs = [(new_board(s), new_board(s + 1)) for s in range(0, 400, 2)]
-    differing = sum(a != b for a, b in pairs)
-    assert differing >= 190  # each pair differs with probability 255/256
-
-
-def test_board_validation():
-    with pytest.raises(ValueError):
-        BoardState((0, 1, 2))
-    with pytest.raises(ValueError):
-        BoardState((0, 1, 2, 4))
-
-
-def test_attempt_grasp_outcomes():
-    board = BoardState((2, 2, 0, 0))
-    assert attempt_grasp(board, 0, 2).kind is OutcomeKind.HIT
-    collision = attempt_grasp(board, 1, 1)
-    assert collision.kind is OutcomeKind.COLLISION
-    assert collision.contact_col == 2
-    assert attempt_grasp(board, 2, 3).kind is OutcomeKind.MISS
-
-
-def test_attempt_grasp_range_checks():
-    board = BoardState((0, 0, 0, 0))
-    with pytest.raises(IndexError):
-        attempt_grasp(board, 4, 0)
-    with pytest.raises(IndexError):
-        attempt_grasp(board, 0, -1)
-
-
-def test_collision_is_always_adjacent():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        board = new_board(int(rng.integers(0, 10_000)))
-        row = int(rng.integers(0, 4))
-        col = int(rng.integers(0, 4))
-        outcome = attempt_grasp(board, row, col)
-        if outcome.kind is OutcomeKind.COLLISION:
-            assert outcome.contact_col == board.block_col[row]
-            assert abs(col - outcome.contact_col) == 1
-
-
-def test_grasp_outcome_contact_requires_collision():
-    with pytest.raises(ValueError):
-        GraspOutcome(OutcomeKind.HIT, contact_col=1)
-    with pytest.raises(ValueError):
-        GraspOutcome(OutcomeKind.COLLISION)
+@pytest.mark.parametrize("block, draws", [(4, (0, 1)), (1, (0, -1))])
+def test_replay_rejects_columns_outside_board(block, draws):
+    with pytest.raises(ValueError, match="columns must lie in 0..3"):
+        replay_policy(PolicyKind.RGTR, block, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +102,6 @@ def test_rg_ignores_feedback():
     assert rgtr == BlockRecord(True, 2, 1)
 
 
-@pytest.mark.parametrize("kind", list(PolicyKind))
-def test_vectorised_evaluator_matches_replay(kind):
-    rng = np.random.default_rng(5)
-    blocks = rng.integers(0, 4, size=2000)
-    draws = rng.integers(0, 4, size=(2000, 5))
-    success, attempts, collisions = _evaluate(kind, blocks, draws)
-    for i in range(2000):
-        want = replay_policy(kind, int(blocks[i]), tuple(draws[i]))
-        assert (bool(success[i]), int(attempts[i]), int(collisions[i])) == (
-            want.success,
-            want.attempts,
-            want.collisions,
-        )
-
-
-def test_run_policy_shape_and_control(geometry=None):
-    records = run_policy(PolicyKind.CONTROL, new_board(7))
-    assert records == [BlockRecord(True, 1, 0)] * 4
-    records = run_policy(PolicyKind.RGTR, new_board(7), seed=3)
-    assert len(records) == 4
-    assert all(1 <= r.attempts <= 5 for r in records)
-
-
-def test_run_policy_validates_cap():
-    with pytest.raises(ValueError):
-        run_policy(PolicyKind.RG, new_board(0), max_attempts=0)
-
-
 # ---------------------------------------------------------------------------
 # outcome table
 
@@ -188,8 +109,8 @@ def test_run_policy_validates_cap():
 @pytest.mark.parametrize("kind", list(PolicyKind))
 @pytest.mark.parametrize("cap", range(1, 6))
 def test_outcome_table_matches_replay_over_every_cell(kind, cap):
-    # Every (block column, draw sequence) cell is equally likely; the scalar
-    # reference rules, not the vectorised evaluator, give the frequencies.
+    # Every (block column, draw sequence) cell is equally likely; replaying
+    # each cell through the public call gives the frequencies.
     cells = Counter()
     for block, *draws in product(range(4), repeat=cap + 1):
         r = replay_policy(kind, block, tuple(draws), cap)
@@ -199,6 +120,20 @@ def test_outcome_table_matches_replay_over_every_cell(kind, cap):
     assert [Fraction(x) for x in p.tolist()] == [
         Fraction(cells[key], 4 ** (cap + 1)) for key in sorted(cells)
     ]
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+@pytest.mark.parametrize("cap", range(1, MAX_ATTEMPTS_LIMIT + 1))
+def test_outcome_table_expectation_is_exact_oracle(kind, cap):
+    # The table's exact expectation equals the independent closed form bit for
+    # bit, up to the largest cap the table accepts.
+    outcomes, p = outcome_table(kind, cap)
+    expected = [
+        float(sum(Fraction(share) * value for share, value in zip(p.tolist(), column)))
+        for column in outcomes.T.tolist()
+    ]
+    m = exact_metrics(kind, cap)
+    assert expected == [m.failure_rate, m.attempts_per_block, m.collisions_per_block]
 
 
 def test_outcome_table_sizes():

@@ -189,6 +189,37 @@ def test_fit_rejects_single_ray(geometry):
         fit_intrinsics(cs, k)
 
 
+def side_correspondences(alpha: float, cx: float, cy: float) -> list[Correspondence]:
+    """Three side points imaged by u = alpha x / z + cx, v = alpha y / z + cy.
+
+    Written out by hand because ``CameraIntrinsics`` refuses such a camera.
+    """
+    points = [
+        SurfacePoint(10.0 * math.cos(phi), 10.0 * math.sin(phi), z, Region.SIDE)
+        for phi, z in ((0.3, 5.0), (1.7, 12.0), (4.0, 25.0))
+    ]
+    return [
+        Correspondence(PixelCoord(alpha * p.x / p.z + cx, alpha * p.y / p.z + cy), p)
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize(
+    "alpha, cx, cy, reason",
+    [
+        (1.0, -1e-9, 0.0, "principal point"),
+        (1.0, 0.0, 1080.0 + 1e-6, "principal point"),
+        (-1.0, 5.0, 5.0, "alpha must be positive"),
+    ],
+)
+def test_fit_refuses_an_invalid_fitted_camera(alpha, cx, cy, reason):
+    # Noise-free points of the corner camera (alpha 1, cx = cy = 0) fit a
+    # principal point within rounding of the corner, on either side of it;
+    # these cameras lie outside by more than rounding, so the fit always is.
+    with pytest.raises(CalibrationError, match=f"^fitted camera is invalid: {reason}"):
+        fit_intrinsics(side_correspondences(alpha, cx, cy), CameraIntrinsics())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(1.0, 1e4),

@@ -21,7 +21,14 @@ import fingersense
 from fingersense.calibration import Correspondence, load_correspondences, save_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
-from fingersense.geometry import CameraIntrinsics, Region, SensorGeometry, SurfacePoint, project
+from fingersense.geometry import (
+    CameraIntrinsics,
+    PixelCoord,
+    Region,
+    SensorGeometry,
+    SurfacePoint,
+    project,
+)
 from fingersense.pgm import read_pgm
 from fingersense.render import OBJECT_ORDER, generate_protocol_dataset, load_manifest
 
@@ -541,6 +548,23 @@ def test_calibrate_apex_first_row_uses_next_row_for_single_point(tmp_path, capsy
     assert report["alpha_single_point_px"] == pytest.approx(300.0, rel=1e-6)
     assert report["alpha_px"] == pytest.approx(300.0, rel=1e-6)
     assert report["n_correspondences"] == 9
+
+
+def test_calibrate_invalid_fitted_camera_fails_with_one_line(tmp_path, capsys):
+    # Side points seen by a camera whose principal point sits a hair left of
+    # the frame: the fit lands there too and is refused, naming the fit.
+    points = [
+        SurfacePoint(10.0 * math.cos(phi), 10.0 * math.sin(phi), z, Region.SIDE)
+        for phi, z in ((0.3, 5.0), (1.7, 12.0), (4.0, 25.0))
+    ]
+    rows = [Correspondence(PixelCoord(p.x / p.z - 1e-9, p.y / p.z), p) for p in points]
+    csv_path = tmp_path / "cal.csv"
+    save_correspondences(csv_path, rows)
+    assert main(["calibrate", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fitted camera is invalid: principal point (")
+    assert captured.err.count("\n") == 1
 
 
 def test_calibrate_header_only_csv_fails_cleanly(tmp_path, capsys):
