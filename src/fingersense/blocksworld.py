@@ -104,6 +104,11 @@ def _play(
     return False, len(played), collisions
 
 
+def _check_max_attempts(max_attempts: int) -> None:
+    if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
+        raise ValueError(f"max_attempts must be in 1..{MAX_ATTEMPTS_LIMIT}, got {max_attempts}")
+
+
 def replay_policy(
     kind: PolicyKind,
     block_col: int,
@@ -113,14 +118,24 @@ def replay_policy(
     """Run one block with a scripted draw sequence (reference semantics).
 
     ``draws`` supplies the policy's random column choices in order; Control
-    ignores it.  The rules are ``_play``'s; this checks that the block column
-    and every draw lie in 0..3 and raises ValueError otherwise.
+    ignores it.  The rules are ``_play``'s.  Raises ValueError when
+    ``max_attempts`` is outside 1..MAX_ATTEMPTS_LIMIT, when the block column
+    or a draw lies outside 0..3, and when ``draws`` runs out before the block
+    is settled (a failure that used fewer than ``max_attempts`` attempts).  A
+    sequence may stop at the hit or at the collision that triggers a regrasp.
     """
+    _check_max_attempts(max_attempts)
     if not all(0 <= c < N_COLUMNS for c in (block_col, *draws)):
         raise ValueError(
             f"columns must lie in 0..{N_COLUMNS - 1}, got block {block_col}, draws {tuple(draws)}"
         )
-    return BlockRecord(*_play(kind, block_col, draws, max_attempts))
+    record = BlockRecord(*_play(kind, block_col, draws, max_attempts))
+    if not record.success and record.attempts < max_attempts:
+        raise ValueError(
+            f"draws {tuple(draws)} ran out after {record.attempts} of {max_attempts} attempts "
+            "before the block was settled"
+        )
+    return record
 
 
 def outcome_table(
@@ -135,8 +150,7 @@ def outcome_table(
     it is dyadic.  ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT, which
     keeps the table at most 262,144 cells.
     """
-    if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
-        raise ValueError(f"max_attempts must be in 1..{MAX_ATTEMPTS_LIMIT}, got {max_attempts}")
+    _check_max_attempts(max_attempts)
     cells = product(range(N_COLUMNS), repeat=max_attempts + 1)
     counts = Counter(_play(kind, cell[0], cell[1:], max_attempts) for cell in cells)
     rows = sorted(

@@ -65,6 +65,27 @@ def test_replay_rejects_columns_outside_board(block, draws):
         replay_policy(PolicyKind.RGTR, block, draws)
 
 
+@pytest.mark.parametrize("cap", [0, -1, MAX_ATTEMPTS_LIMIT + 1])
+def test_replay_rejects_cap_outside_limit(cap):
+    # A cap of -1 used to play draws[:-1]: two attempts out of (3, 2, 0).
+    with pytest.raises(ValueError, match=f"max_attempts must be in 1..8, got {cap}"):
+        replay_policy(PolicyKind.RG, 0, (3, 2, 0), cap)
+
+
+@pytest.mark.parametrize(
+    "kind, block, draws",
+    [
+        (PolicyKind.RGTR, 1, ()),  # used to return a record of zero attempts
+        (PolicyKind.RG, 0, (3, 3)),
+        (PolicyKind.RG, 2, (1, 0, 0, 0)),  # a collision, then misses, one draw short
+        (PolicyKind.RGTR, 0, (3, 2, 3)),
+    ],
+)
+def test_replay_rejects_draws_that_run_out(kind, block, draws):
+    with pytest.raises(ValueError, match=rf"ran out after {len(draws)} of 5 attempts"):
+        replay_policy(kind, block, draws)
+
+
 # ---------------------------------------------------------------------------
 # policy traces (scripted draws)
 

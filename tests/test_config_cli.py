@@ -771,11 +771,20 @@ def test_commands_without_detection_never_import_scipy(tmp_path):
     points = [_surface_sample(i) for i in range(8)]
     csv_path = tmp_path / "cal.csv"
     save_correspondences(csv_path, [Correspondence(project(p, CameraIntrinsics()), p) for p in points])
+    config = tmp_path / "small.json"
+    config.write_text(
+        '{"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}'
+    )
+    small = ["--config", str(config)]
     code = (
         "import sys\n"
         "from fingersense.cli import main\n"
         "codes = [main(['blocksworld', '--policy', 'all', '-n', '100']),\n"
-        f"         main(['calibrate', {str(csv_path)!r}])]\n"
+        f"         main(['calibrate', {str(csv_path)!r}]),\n"
+        f"         main(['dataset', '--noise', '2', '--out-dir', {str(tmp_path / 'ds')!r},\n"
+        f"               *{small!r}]),\n"
+        "         main(['render', '--object', 'cone', '--rotation', '0',\n"
+        f"               '--out', {str(tmp_path / 'one')!r}, *{small!r}])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
     )
     src = str(Path(fingersense.__file__).parents[1])
@@ -784,4 +793,4 @@ def test_commands_without_detection_never_import_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "[0, 0] []\n"
+    assert done.stderr == "[0, 0, 0, 0] []\n"

@@ -1,16 +1,19 @@
 """Tests for the synthetic imprint renderer and the protocol dataset."""
 
+import bisect
 import hashlib
 import json
 import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from fingersense import render
 from fingersense.geometry import (
@@ -23,7 +26,7 @@ from fingersense.geometry import (
     pose_to_contact_point,
 )
 from fingersense.config import SessionConfig
-from fingersense.imaging import localization_error, localize_frame, subtract_reference
+from fingersense.imaging import TactileImage, localization_error, localize_frame, subtract_reference
 from fingersense.pgm import read_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
@@ -422,9 +425,9 @@ def test_dataset_noise_is_reproducible(tmp_path, geometry, intrinsics):
     generate_protocol_dataset(a, geometry, intrinsics, noise_sigma=2.0, seed=11)
     generate_protocol_dataset(b, geometry, intrinsics, noise_sigma=2.0, seed=11)
     assert digest_dir(a) == digest_dir(b)
-    # And the noise is actually there.
+    # And the noise is there at its scale: rounding adds 1/12 to the variance.
     ref = read_pgm(a / "reference.pgm")
-    assert ref.std() > 1.0
+    assert abs(ref.std() - 2.0) <= 0.05 * 2.0
 
 
 def test_dataset_rejects_negative_noise(tmp_path, geometry, intrinsics):
@@ -444,19 +447,43 @@ def test_dataset_rejects_non_finite_noise(tmp_path, geometry, intrinsics, sigma)
 ORACLE_CAMERA = CameraIntrinsics(alpha=40.0, cx=47.5, cy=40.0, width=96, height=NOISE_CHUNK_ROWS + 17)
 
 
+def reference_noise(pixels: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """The dataset's noise one pixel at a time, from the law and the stream layout.
+
+    K = rint(N(0, sigma)) capped to [-255, 255] has P(K <= k) = Phi((k + 1/2) / sigma).
+    Each chunk of NOISE_CHUNK_ROWS rows draws one 16-bit bucket b per pixel; K is the
+    inverse CDF at b / 2**16 when no CDF value lies strictly inside the bucket, and
+    otherwise at (b + V) / 2**16 with V a 53-bit uniform drawn, in row-major order,
+    after the chunk's buckets.
+    """
+    cdf = [0.5 * math.erfc(-(k + 0.5) / (sigma * math.sqrt(2.0))) for k in range(-255, 255)]
+    noisy = np.empty_like(pixels)
+    for top in range(0, pixels.shape[0], NOISE_CHUNK_ROWS):
+        chunk = pixels[top : top + NOISE_CHUNK_ROWS]
+        buckets = rng.integers(0, 2**16, chunk.shape, dtype=np.uint16).tolist()
+        for r, (row, row_buckets) in enumerate(zip(chunk.tolist(), buckets)):
+            for c, (p, b) in enumerate(zip(row, row_buckets)):
+                k = bisect.bisect_right(cdf, b / 2**16)
+                if k != bisect.bisect_left(cdf, (b + 1) / 2**16):
+                    k = bisect.bisect_right(cdf, (b + rng.random()) / 2**16)
+                noisy[top + r, c] = min(max(p + k - 255, 0), 255)
+    return noisy
+
+
 def serial_dataset(g, k, sigma: float, seed: int) -> dict[str, np.ndarray]:
-    """The protocol images drawn one after another, each from the whole frame at once."""
+    """The protocol images rendered on full frames and noised by ``reference_noise`` in turn."""
     clean = {"reference.pgm": np.full((k.height, k.width), BACKGROUND_INTENSITY, np.uint8)}
     for label in OBJECT_ORDER:
         for index, pose in enumerate(protocol_poses()):
             name = f"{label}_{pose.kind.value}_{index % 4}.pgm"
             clean[name] = full_frame_oracle(default_indenter(label, pose, g), g, k)
+    if sigma == 0:
+        return clean
     streams = np.random.SeedSequence(seed).spawn(len(clean))
-    images = {}
-    for (name, pixels), stream in zip(clean.items(), streams):
-        noisy = pixels + np.random.default_rng(stream).normal(0.0, sigma, pixels.shape)
-        images[name] = np.rint(np.clip(noisy, 0, 255)).astype(np.uint8)
-    return images
+    return {
+        name: reference_noise(pixels, sigma, np.random.default_rng(stream))
+        for (name, pixels), stream in zip(clean.items(), streams)
+    }
 
 
 @pytest.mark.parametrize(
@@ -512,6 +539,66 @@ def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch,
     assert written == ["cone_rotation_0.pgm", "cone_rotation_1.pgm", "reference.pgm"]
     for name in written:
         np.testing.assert_array_equal(read_pgm(tmp_path / name), expected[name], err_msg=name)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 16.0])
+@pytest.mark.parametrize("p", [0, 128, 255])
+def test_noise_pmf_matches_closed_form(sigma, p):
+    # Chi-square of 2**18 noised pixels against P(v) = Phi((v - p + 1/2) / sigma)
+    # - Phi((v - p - 1/2) / sigma), with the clip edges v = 0 and 255 holding
+    # the whole tails; bins expected to hold fewer than 5 are lumped into the
+    # tail bins.  Seeded, so the verdict is fixed.
+    image = TactileImage(np.full((256, 1024), p, np.uint8))
+    noise = render._NoiseTable.for_sigma(sigma)
+    noisy = render._add_noise(image, noise, np.random.default_rng(1000 + p))
+    observed = np.bincount(noisy.ravel(), minlength=256)
+    below = stats.norm.cdf((np.arange(255) - p + 0.5) / sigma)
+    expected = np.diff(np.concatenate([[0.0], below, [1.0]])) * noisy.size
+    kept = np.flatnonzero(expected >= 5)
+    low, high = kept[0], kept[-1]
+
+    def lumped(counts):
+        return np.concatenate(
+            [[counts[: low + 1].sum()], counts[low + 1 : high], [counts[high:].sum()]]
+        )
+
+    assert stats.chisquare(lumped(observed), lumped(expected)).pvalue > 1e-3
+
+
+def test_noise_reaches_below_a_bare_table():
+    # Every 16-bit draw lands in the lowest bucket, [0, 2**-16).  At sigma 2 it
+    # spans K = -8 and the whole lower tail, so one table entry cannot stand
+    # for it; the 53-bit draws must give the exact inverse CDF inside it.
+    class LowestBucket:
+        def integers(self, low, high, size, dtype):
+            return np.zeros(size, dtype)
+
+        def random(self, n):
+            return (np.arange(n) + 0.5) / n
+
+    n = 4096
+    image = TactileImage(np.full((1, n), 128, np.uint8))
+    noisy = render._add_noise(image, render._NoiseTable.for_sigma(2.0), LowestBucket())
+    k = noisy[0].astype(int) - 128
+    u = (np.arange(n) + 0.5) / n / 2**16
+    assert np.all(stats.norm.cdf((k - 0.5) / 2.0) <= u)
+    assert np.all(u < stats.norm.cdf((k + 0.5) / 2.0))
+    assert set(k.tolist()) >= {-8, -9, -10, -11, -12}
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e300])
+def test_dataset_extreme_noise_sigma(tmp_path, geometry, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_protocol_dataset(tmp_path / "noisy", geometry, ORACLE_CAMERA, sigma, seed=5)
+    clean = serial_dataset(geometry, ORACLE_CAMERA, 0.0, seed=5)
+    for name, pixels in clean.items():
+        noisy = read_pgm(tmp_path / "noisy" / name)
+        if sigma < 1:  # rounds to no noise at all
+            np.testing.assert_array_equal(noisy, pixels, err_msg=name)
+        else:  # K is -255 or 255 with probability 1/2 each
+            assert set(np.unique(noisy).tolist()) <= {0, 255}, name
+            assert abs((noisy == 255).mean() - 0.5) < 0.05, name
 
 
 def test_full_size_render_is_exact_in_bounded_memory(geometry, intrinsics):
