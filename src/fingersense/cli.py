@@ -44,6 +44,7 @@ from .imaging import (
 from .pgm import read_pgm, write_pgm
 from .render import (
     OBJECT_ORDER,
+    _map_in_order,
     default_indenter,
     generate_protocol_dataset,
     load_manifest,
@@ -145,24 +146,47 @@ def cmd_localize(args: argparse.Namespace) -> int:
     references: dict[str, TactileImage] = {}
     records: list[ErrorRecord] = []
     rows = ["object,pose_kind,pose_value,error_mm"]
-    for entry in manifest.entries:
+
+    def with_reference():
+        """Each entry with its reference image, or the error reading it.
+
+        Runs on the calling thread, so the cache has one reader and writer.
+        """
+        for entry in manifest.entries:
+            try:
+                if entry.reference not in references:
+                    references[entry.reference] = TactileImage(read_pgm(base / entry.reference))
+                reference = references[entry.reference]
+            except (OSError, ValueError) as exc:
+                reference = exc
+            yield entry, reference
+
+    def localized(item):
+        """(entry, its error in mm or the exception that stopped it), on a worker thread."""
+        entry, reference = item
+        if isinstance(reference, Exception):
+            return entry, reference
         try:
-            if entry.reference not in references:
-                references[entry.reference] = TactileImage(read_pgm(base / entry.reference))
-            reference = references[entry.reference]
             frame = TactileImage(read_pgm(base / entry.frame))
             estimate = localize_frame(reference, frame, config)
             if estimate is None:
                 raise ValueError("no contact detected")
-            error = localization_error(estimate, entry.truth_mm)
+            return entry, localization_error(estimate, entry.truth_mm)
         except (OSError, ValueError) as exc:
-            print(f"warning: {entry.frame}: {exc}", file=sys.stderr)
-            rows.append(f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)},nan")
-            continue
-        records.append(ErrorRecord(entry.object_label, entry.pose, error))
-        rows.append(
-            f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)},{_fmt(error)}"
-        )
+            return entry, exc
+
+    def record(result) -> None:
+        entry, outcome = result
+        row = f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)}"
+        if isinstance(outcome, Exception):
+            print(f"warning: {entry.frame}: {outcome}", file=sys.stderr)
+            rows.append(f"{row},nan")
+        else:
+            records.append(ErrorRecord(entry.object_label, entry.pose, outcome))
+            rows.append(f"{row},{_fmt(outcome)}")
+
+    # Frames are localised on worker threads; rows and warnings follow the manifest.
+    _map_in_order(localized, with_reference(), record)
 
     (base / "errors.csv").write_text("\n".join(rows) + "\n")
     if not records:

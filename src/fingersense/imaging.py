@@ -8,8 +8,9 @@ operations, not hidden constants.
 
 ``localize_frame`` is the one call for the whole pipeline.  Its first four
 stages, ``detect_contacts``, smooth and label only the box that can hold
-above-threshold pixels, so their cost scales with the imprint, not the frame;
-``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
+above-threshold pixels, so their cost scales with the imprint, not the frame,
+and smooth that box in bands of rows, so no frame-sized float64 array is ever
+held; ``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
 
 SciPy is imported on the first filter or label, not with this module, so
 commands that never detect do not pay for it.  The module is kept as this
@@ -35,6 +36,10 @@ DEFAULT_SIGMA_PX = 2.0
 MAX_SIGMA_PX = 100.0
 DEFAULT_THRESHOLD = 25.0  # of 255
 DEFAULT_MIN_AREA_PX = 20
+# Frame rows that detection reads at once (when smoothing, at least four
+# kernel radii): a band of a 1920-pixel-wide frame and its halo take about
+# 1 MB as float64.
+DETECT_BAND_ROWS = 64
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
 # std), reported alongside synthetic results for comparison.  Hardware
@@ -194,29 +199,44 @@ def detect_blobs(
     weak imprints may not clear the threshold.  ``values`` is only read, and a
     negative or NaN value never passes the positive threshold.  ``origin``,
     the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
-    and column, so centroids are in frame coordinates.
-
-    Cost is one labelling pass over the image, a few passes over its
-    foreground pixels and a short loop over the kept blobs, so it does not
-    grow with the number of components.  A stable sort groups the foreground
-    pixels by label with each blob's pixels still in scan order, and each blob
-    is summed as one contiguous array.  These are the same values in the same
-    order as summing the blob's own masked pixels, so NumPy's pairwise sum
-    gives the same mass and centroid bit for bit.
+    and column, so centroids are in frame coordinates.  The blobs are those of
+    ``_blobs`` on the thresholded mask and the values at its pixels.
     """
     _check_threshold(threshold)
     if values.ndim != 2:
         raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
     mask = values > threshold
-    labels, _ = _ndimage().label(mask, structure=np.ones((3, 3), dtype=bool))
+    return _blobs(mask, values[mask], min_area, origin)
 
+
+def _blobs(
+    mask: np.ndarray, weights: np.ndarray, min_area: int, origin: tuple[int, int]
+) -> list[ContactBlob]:
+    """The blobs of the 8-connected components of a 2D bool ``mask``.
+
+    ``weights`` holds the value at each pixel of ``mask``, in
+    ``np.flatnonzero(mask)`` order.  Cost is one labelling pass over the mask,
+    a few passes over its foreground pixels and a short loop over the kept
+    blobs, so it does not grow with the number of components.  The labels take
+    the smallest unsigned type that can count the foreground pixels, so on a
+    whole frame with fewer than 65,536 of them they take 2 bytes a pixel.  A
+    stable sort groups the foreground pixels by label with each blob's pixels
+    still in scan order, and each blob is summed as one contiguous array.
+    These are the same values in the same order as summing the blob's own
+    masked pixels, so NumPy's pairwise sum gives the same mass and centroid
+    bit for bit.
+    """
+    labels, _ = _ndimage().label(
+        mask, structure=np.ones((3, 3), dtype=bool), output=np.min_scalar_type(weights.size)
+    )
     pixels = np.flatnonzero(mask)
     owner = labels.ravel()[pixels]
-    pixels = pixels[np.argsort(owner, kind="stable")]
+    del labels  # a crop-sized array; only the foreground pixels' labels are needed now
+    order = np.argsort(owner, kind="stable")
+    pixels, weights = pixels[order], weights[order]
     areas = np.bincount(owner)[1:]  # areas[i] is the size of label i + 1
     stops = np.cumsum(areas)
-    weights = values.ravel()[pixels]
-    v, u = np.divmod(pixels, values.shape[1])
+    v, u = np.divmod(pixels, mask.shape[1])
     weighted_u = weights * (u + origin[1])
     weighted_v = weights * (v + origin[0])
 
@@ -240,6 +260,14 @@ def detect_blobs(
     return blobs
 
 
+def _abs_diff(ref: TactileImage, frame: TactileImage, rows: slice, columns: slice) -> np.ndarray:
+    """|frame - ref| over a box of the frame, without leaving uint8."""
+    a, b = ref.pixels[rows, columns], frame.pixels[rows, columns]
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)
+    return diff
+
+
 def detect_contacts(
     ref: TactileImage, frame: TactileImage, sigma: float, threshold: float, min_area: int
 ) -> list[ContactBlob]:
@@ -247,7 +275,8 @@ def detect_contacts(
 
     Returns exactly ``detect_blobs(smooth(subtract_reference(ref, frame),
     sigma).values, threshold, min_area)``, every field and the order, but
-    smooths and labels only a box around the pixels that can pass ``threshold``.
+    smooths and labels only a box around the pixels that can pass
+    ``threshold``, and holds no frame-sized difference array.
 
     The smoothed value is a non-negative weighted mean, normalised to 1, over
     the pixels within ``r = int(3 sigma + 0.5)`` per axis (the radius of
@@ -255,7 +284,9 @@ def detect_contacts(
     at most ``floor(threshold) - 1`` the mean stays below ``threshold`` even
     after rounding, while a plateau at an integer ``threshold`` can round just
     above it.  So every smoothed pixel above ``threshold`` lies within ``r`` of
-    a seed, a pixel whose difference is at least ``floor(threshold)``.
+    a seed, a pixel whose difference is at least ``floor(threshold)``.  One
+    pass over the frame in bands of DETECT_BAND_ROWS rows keeps the largest
+    difference of each row and of each column, which bound the seeds.
 
     The crop that is smoothed and labelled is the seed box grown by ``2 r``,
     clipped to the frame.  Pixels within ``r`` of the seed box see the same
@@ -265,28 +296,54 @@ def detect_contacts(
     ``threshold`` as they do in the whole frame.  Labelling a crop that holds
     every above-threshold pixel gives the same components in the same scan
     order.  With no seeds the result is empty; when noise puts seeds all over
-    the frame the crop is the whole frame.  The filter reads the uint8 crop
-    line by line as float64, the same bits as filtering a float64 copy, so the
-    only float64 array is the smoothed one, passed with its corner as ``origin``.
+    the frame the crop is the whole frame.
+
+    The crop is smoothed in bands of at least DETECT_BAND_ROWS rows (and of
+    4 r, so that the halo costs at most half again), each filtered with up to
+    ``r`` rows of the crop above and below it.  The filter is separable, and a
+    band row sees the same crop rows as in the whole crop, replicated at the
+    same crop edges, so it gets the same bits.  The filter reads the uint8
+    difference line by line as float64, the same bits as filtering a float64
+    copy.  Each band is thresholded into one bool mask of the crop, and its
+    smoothed values are kept at the foreground pixels only, which ``_blobs``
+    then labels and weighs.  On a noisy 1920x1080 frame this holds the
+    2-byte-per-pixel mask and labels and one band, not a float64 frame.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
     _check_threshold(threshold)
-    diff = np.maximum(frame.pixels, ref.pixels)  # |frame - ref| without leaving uint8
-    diff -= np.minimum(frame.pixels, ref.pixels)
+    height, width = frame.height, frame.width
     # No uint8 difference reaches 256, and a NaN threshold passes no pixel.
-    seeds = diff >= (math.floor(threshold) if threshold < 256 else 256)
-    rows = np.flatnonzero(seeds.any(axis=1))
+    seed_level = math.floor(threshold) if threshold < 256 else 256
+    row_max = np.empty(height, dtype=np.uint8)
+    col_max = np.zeros(width, dtype=np.uint8)
+    for start in range(0, height, DETECT_BAND_ROWS):
+        band = slice(start, start + DETECT_BAND_ROWS)
+        diff = _abs_diff(ref, frame, band, slice(None))
+        diff.max(axis=1, out=row_max[band])
+        np.maximum(col_max, diff.max(axis=0), out=col_max)
+    rows = np.flatnonzero(row_max >= seed_level)
     if rows.size == 0:
         return []
-    cols = np.flatnonzero(seeds.any(axis=0))
-    margin = 2 * int(3.0 * sigma + 0.5)
-    top, bottom = max(rows[0] - margin, 0), min(rows[-1] + 1 + margin, frame.height)
-    left, right = max(cols[0] - margin, 0), min(cols[-1] + 1 + margin, frame.width)
-    smoothed = _ndimage().gaussian_filter(
-        diff[top:bottom, left:right], sigma, output=np.float64, truncate=3.0, mode="nearest"
-    )
-    return detect_blobs(smoothed, threshold, min_area, (int(top), int(left)))
+    cols = np.flatnonzero(col_max >= seed_level)
+    radius = int(3.0 * sigma + 0.5)
+    top, bottom = max(rows[0] - 2 * radius, 0), min(rows[-1] + 1 + 2 * radius, height)
+    left, right = max(cols[0] - 2 * radius, 0), min(cols[-1] + 1 + 2 * radius, width)
+    columns = slice(left, right)
+    band_rows = max(DETECT_BAND_ROWS, 4 * radius)
+    mask = np.empty((bottom - top, right - left), dtype=bool)
+    weights = []
+    for start in range(top, bottom, band_rows):
+        stop = min(start + band_rows, bottom)
+        lo, hi = max(start - radius, top), min(stop + radius, bottom)
+        smoothed = _ndimage().gaussian_filter(
+            _abs_diff(ref, frame, slice(lo, hi), columns),
+            sigma, output=np.float64, truncate=3.0, mode="nearest",
+        )[start - lo : stop - lo]
+        band_mask = mask[start - top : stop - top]
+        np.greater(smoothed, threshold, out=band_mask)
+        weights.append(smoothed[band_mask])
+    return _blobs(mask, np.concatenate(weights), min_area, (int(top), int(left)))
 
 
 def localize_frame(

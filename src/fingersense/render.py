@@ -38,7 +38,8 @@ rounded Gaussian K by inverse CDF from a 16-bit table (see ``_NoiseTable``).
 The noise, the one full-frame cost left, runs on worker threads, one per
 usable CPU; a frame's noise depends only on its own stream, so the bytes do
 not depend on scheduling or on the CPU count.  Rendering, writing and the
-manifest stay on the calling thread.
+manifest stay on the calling thread.  ``_map_in_order``, the bounded map in
+order that runs the noise, also runs ``localize`` over a manifest.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import json
 import math
 import os
 from collections import deque
+from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -503,6 +505,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_in_order(fn: Callable, items: Iterable, consume: Callable) -> None:
+    """``consume(fn(item))`` for every item, in order, with ``fn`` on worker threads.
+
+    There is one worker per usable CPU, each with at most one item in flight.
+    ``items`` is iterated and ``consume`` is called on the calling thread, in
+    the order of ``items``, so only ``fn`` needs to be safe to run on several
+    items at once.  If taking the next item raises, the items taken before it
+    are consumed first and then the error is raised.  If ``fn`` or ``consume``
+    raises, nothing more is consumed.  Either way the error is raised once the
+    items in flight have finished, so no worker outlives the call.
+    """
+    workers = _usable_cpus()
+    in_flight: deque[Future] = deque()
+    iterator = iter(items)
+    with ThreadPoolExecutor(workers) as pool:
+        while True:
+            try:
+                item = next(iterator)
+            except StopIteration:
+                break
+            except Exception:
+                while in_flight:
+                    consume(in_flight.popleft().result())
+                raise
+            in_flight.append(pool.submit(fn, item))
+            if len(in_flight) == workers:
+                consume(in_flight.popleft().result())
+        while in_flight:
+            consume(in_flight.popleft().result())
+
+
 def generate_protocol_dataset(
     out_dir: str | Path,
     g: SensorGeometry,
@@ -521,11 +554,11 @@ def generate_protocol_dataset(
     ``_add_noise`` from one ``_NoiseTable`` built per call (about 5 ms; none
     when ``noise_sigma`` is 0, which writes the clean frames).
 
-    Only the noise runs on worker threads, one per usable CPU, each with at
-    most one frame in flight; NumPy's draws and ufuncs release the GIL, so
-    the frames are noised in parallel.  A frame's noise depends only on its
-    own stream, so the bytes do not depend on scheduling or on the number of
-    CPUs.  Rendering, writing, error messages and the manifest stay on the
+    Only the noise runs on worker threads (``_map_in_order``), one per usable
+    CPU, each with at most one frame in flight; NumPy's draws and ufuncs
+    release the GIL, so the frames are noised in parallel.  A frame's noise
+    depends only on its own stream, so the bytes do not depend on scheduling
+    or on the number of CPUs.  Rendering, writing, error messages and the manifest stay on the
     calling thread in protocol order: frames rendered before a failing render
     are written before its error is raised, and nothing is written after a
     failing write.
@@ -562,9 +595,12 @@ def generate_protocol_dataset(
                 )
                 yield frame_name, render_contact(ind, g, k)
 
-    def write_next() -> None:
-        name, noisy = in_flight.popleft()
-        pixels = noisy.result()
+    def noised(item):
+        (name, image), stream = item
+        return name, _add_noise(image, noise, np.random.default_rng(stream))
+
+    def write(result) -> None:
+        name, pixels = result
         path = out_dir / name
         try:
             write_pgm(path, pixels)
@@ -572,23 +608,7 @@ def generate_protocol_dataset(
             raise OSError(f"cannot write image {path}: {exc}") from exc
 
     noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
-    workers = _usable_cpus()
-    in_flight: deque[tuple[str, Future]] = deque()
-    frames = rendered()
-    with ThreadPoolExecutor(workers) as pool:
-        for stream in streams:
-            try:
-                name, image = next(frames)
-            except Exception:
-                while in_flight:  # the frames rendered before the failure
-                    write_next()
-                raise
-            rng = np.random.default_rng(stream)
-            in_flight.append((name, pool.submit(_add_noise, image, noise, rng)))
-            if len(in_flight) == workers:
-                write_next()
-        while in_flight:
-            write_next()
+    _map_in_order(noised, zip(rendered(), streams), write)
 
     manifest = DatasetManifest(tuple(entries))
     save_manifest(out_dir / "manifest.json", manifest)

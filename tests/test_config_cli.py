@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingersense
+from fingersense import cli, render
 from fingersense.calibration import Correspondence, load_correspondences, save_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
@@ -444,6 +445,119 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
     rows = (tmp_path / "errors.csv").read_text().splitlines()
     assert rows[1].endswith(",nan")
     assert json.loads(captured.out)["n_detected"] == 55
+
+
+BROKEN_CAMERA = CameraIntrinsics(alpha=30.0, cx=96.0, cy=54.0, width=192, height=108)
+BROKEN_ENTRIES = {5: ("frame", "missing.pgm"), 20: ("reference", "garbage.pgm"),
+                  21: ("reference", "garbage.pgm")}
+
+
+@pytest.fixture(scope="module")
+def broken_dataset(tmp_path_factory):
+    """A 192x108 protocol dataset whose manifest names a missing frame and an unreadable reference.
+
+    At this scale about half the imprints are too small to detect, so most
+    warnings say that no contact was detected.
+    """
+    out_dir = tmp_path_factory.mktemp("broken")
+    generate_protocol_dataset(out_dir, SensorGeometry(), BROKEN_CAMERA, noise_sigma=4.0, seed=1)
+    payload = json.loads((out_dir / "manifest.json").read_text())
+    for index, (key, name) in BROKEN_ENTRIES.items():
+        payload[index][key] = name
+    (out_dir / "manifest.json").write_text(json.dumps(payload))
+    (out_dir / "garbage.pgm").write_bytes(b"P5\n192 108\n255\n" + bytes(100))  # truncated
+    k = BROKEN_CAMERA
+    (out_dir / "config.json").write_text(json.dumps({
+        "width_px": k.width, "height_px": k.height, "alpha_px": k.alpha,
+        "cx_px": k.cx, "cy_px": k.cy, "min_area_px": 2,
+    }))
+    return out_dir
+
+
+def _fresh_copy(dataset: Path, work: Path) -> list[str]:
+    """Link the dataset into ``work``, without outputs; return the ``localize`` argv."""
+    work.mkdir()
+    for path in dataset.iterdir():
+        if path.suffix in (".pgm", ".json"):
+            (work / path.name).symlink_to(path)
+    return ["localize", "--config", str(work / "config.json"),
+            "--manifest", str(work / "manifest.json")]
+
+
+@pytest.mark.parametrize(
+    "workers, switch_s", [(2, None), (3, None), (3, 1e-6)], ids=["2cpus", "3cpus", "3cpus-switch1us"]
+)
+def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatch, broken_dataset,
+                                                    workers, switch_s):
+    work = tmp_path / "work"  # one directory, since messages hold paths
+    argv = _fresh_copy(broken_dataset, work)
+    outputs = [work / name for name in ("errors.csv", "by_pose.csv", "by_object.csv")]
+
+    def run(cpus: int, interval: float | None) -> tuple:
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        monkeypatch.setattr(render, "_usable_cpus", lambda: cpus)
+        saved = sys.getswitchinterval()
+        try:
+            if interval is not None:
+                sys.setswitchinterval(interval)
+            code = main(argv)
+        finally:
+            sys.setswitchinterval(saved)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, [path.read_bytes() for path in outputs]
+
+    serial = run(1, None)
+    assert run(workers, switch_s) == serial
+    code, out, err, (errors, _, _) = serial
+    assert code == 0 and json.loads(out)["n_entries"] == 56
+    # One warning per nan row, in manifest order, each naming its frame.
+    payload = json.loads((broken_dataset / "manifest.json").read_text())
+    rows = errors.decode().splitlines()[1:]
+    failed = [entry["frame"] for entry, row in zip(payload, rows) if row.endswith(",nan")]
+    lines = err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == failed
+    assert len(failed) > len(BROKEN_ENTRIES)
+    for index, (key, name) in BROKEN_ENTRIES.items():
+        line = next(line for line in lines if line.startswith(f"warning: {payload[index]['frame']}: "))
+        assert name in line, line
+        assert "no contact" not in line
+
+
+def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, broken_dataset):
+    # main catches only ValueError and OSError: any other error in a worker
+    # leaves it as it was raised, once the frames in flight are done, and
+    # nothing is written.
+    argv = _fresh_copy(broken_dataset, tmp_path / "work")
+    calls = []
+    localize_frame = cli.localize_frame
+
+    def failing(reference, frame, config):
+        calls.append(None)
+        if len(calls) == 7:
+            raise RuntimeError("worker broke")
+        return localize_frame(reference, frame, config)
+
+    monkeypatch.setattr(cli, "localize_frame", failing)
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    raised = []
+
+    def run() -> None:
+        try:
+            main(argv)
+        except BaseException as exc:  # kept for the asserts below
+            raised.append(exc)
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(60)
+    assert not runner.is_alive()
+    assert len(raised) == 1 and isinstance(raised[0], RuntimeError), raised
+    assert str(raised[0]) == "worker broke"
+    assert not (tmp_path / "work" / "errors.csv").exists()
+    assert threading.active_count() == threads
 
 
 def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):

@@ -1,6 +1,7 @@
 """Tests for the contact detection and localisation pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fingersense.geometry import (
 from fingersense.imaging import (
     HARDWARE_ERRORS_BY_OBJECT,
     HARDWARE_ERRORS_BY_POSE,
+    MAX_SIGMA_PX,
     ContactBlob,
     ContactEstimate,
     DiffImage,
@@ -34,6 +36,7 @@ from fingersense.imaging import (
     smooth,
     subtract_reference,
 )
+from fingersense.render import default_indenter, render_contact, render_reference
 
 
 def gray(value: int, shape=(32, 32)) -> TactileImage:
@@ -358,12 +361,14 @@ def smoothed_shapes(monkeypatch) -> list:
 
 @st.composite
 def contact_frames(draw):
-    height, width = draw(st.integers(1, 64)), draw(st.integers(1, 96))
+    """Frames down to one row or column, with the band height detection is to use."""
+    height = draw(st.sampled_from([1, 2]) | st.integers(1, 80))
+    width = draw(st.sampled_from([1, 2]) | st.integers(1, 96))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, u = np.mgrid[0:height, 0:width]
     scene = 100.0 + 40.0 * np.sin(v / 7.0) * np.cos(u / 11.0)
-    noise = draw(st.sampled_from([0.0, 1.0, 4.0]))
-    reference = np.rint(scene + rng.normal(0.0, 3.0, scene.shape))
+    noise = draw(st.sampled_from([0.0, 1.0, 4.0, 16.0, 64.0]))  # 16 and 64: seeds everywhere
+    reference = np.rint(scene + rng.normal(0.0, max(noise, 3.0), scene.shape))
     frame = np.rint(scene + rng.normal(0.0, noise, scene.shape))
     # Several imprints, brighter or darker, often on an edge or a corner.
     rows = st.sampled_from([0, height - 1]) | st.integers(0, height - 1)
@@ -376,7 +381,7 @@ def contact_frames(draw):
             amplitude * np.exp(-((v - centre_v) ** 2 + (u - centre_u) ** 2) / (2 * spread**2))
         )
     threshold = draw(
-        st.sampled_from([0.5, 5.5, 25.0, 26.0])
+        st.sampled_from([0.25, 0.5, 0.99, 5.5, 25.0, 26.0, 255.0, 255.5, 256.0, 300.0])
         | st.integers(1, 60).map(float)
         | st.floats(0.01, 80.0)
     )
@@ -386,20 +391,75 @@ def contact_frames(draw):
         size_v, size_u = draw(st.integers(1, 32)), draw(st.integers(1, 32))
         plateau = (slice(top, top + size_v), slice(left, left + size_u))
         frame[plateau] = reference[plateau] + math.floor(threshold)
-    sigma = draw(st.sampled_from([0.0, 0.45, 0.5, 1.45, 2.0, 2.5, float(max(height, width) + 3)]))
+    sigma = draw(
+        st.sampled_from([0.0, 0.45, 0.5, 1.45, 2.0, 2.5, float(max(height, width) + 3), MAX_SIGMA_PX])
+        | st.floats(0.0, MAX_SIGMA_PX)
+    )
     return (
         np.clip(reference, 0, 255).astype(np.uint8),
         np.clip(frame, 0, 255).astype(np.uint8),
         sigma,
         threshold,
         draw(st.integers(1, 20)),
+        draw(st.integers(1, 4) | st.integers(1, 90)),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(contact_frames())
 def test_detect_contacts_matches_full_frame_pipeline(case):
-    assert_pipeline_matches(*case)
+    *pipeline_case, band_rows = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "DETECT_BAND_ROWS", band_rows)
+        assert_pipeline_matches(*pipeline_case)
+
+
+def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, smoothed_shapes):
+    # Every pixel is a seed, so the crop is the whole 40x50 frame.  At sigma 2
+    # the radius is 6, bands are at least 4 radii tall, and each reads up to
+    # one radius of the crop beyond it; at sigma 0 there is no halo.
+    monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
+    rng = np.random.default_rng(14)
+    ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
+    assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)
+    assert smoothed_shapes == [(24 + 6, 50), (6 + 16, 50)]
+    smoothed_shapes.clear()
+    monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 1)
+    frame = ref + rng.integers(0, 60, size=ref.shape, dtype=np.uint8)
+    assert_pipeline_matches(ref, frame, 0.0, 25.0, 1)
+    assert smoothed_shapes == [(1, 50)] * 40
+
+
+def traced_peak(function, *args) -> int:
+    """Bytes ``tracemalloc`` sees at the peak of one call."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detect_contacts_memory_stays_below_a_frame():
+    # Worker threads localise frames side by side, so each must stay small:
+    # a float64 1920x1080 frame alone is 15.8 MiB.  Each case runs once
+    # untraced first, which also imports SciPy outside the measurement.
+    rng = np.random.default_rng(15)
+    shape = (1080, 1920)
+    noisy = [np.clip(np.rint(128.0 + rng.normal(0.0, 16.0, shape)), 0, 255).astype(np.uint8)
+             for _ in range(2)]
+    noisy[1][500:520, 1000:1030] = 230
+    ref, frame = TactileImage(noisy[0]), TactileImage(noisy[1])
+    heaviest = detect_contacts(ref, frame, 2.0, 25.0, 20)[0]
+    assert 1000 < heaviest.centroid.u < 1030 and 500 < heaviest.centroid.v < 520
+    assert traced_peak(detect_contacts, ref, frame, 2.0, 25.0, 20) <= 12 * 2**20
+
+    config = SessionConfig()
+    indenter = default_indenter("cone", ContactPose.rotation(0.0), config.geometry)
+    clean = render_contact(indenter, config.geometry, config.intrinsics)
+    reference = render_reference(config.geometry, config.intrinsics)
+    assert len(detect_contacts(reference, clean, 2.0, 25.0, 20)) == 1
+    assert traced_peak(detect_contacts, reference, clean, 2.0, 25.0, 20) <= 2 * 2**20
 
 
 def test_detect_contacts_integer_plateau_rounds_above_threshold():
