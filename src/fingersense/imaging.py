@@ -12,9 +12,13 @@ above-threshold pixels, so their cost scales with the imprint, not the frame,
 and smooth that box in bands of rows, so no frame-sized float64 array is ever
 held; ``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
 
-SciPy is imported on the first filter or label, not with this module, so
-commands that never detect do not pay for it.  The module is kept as this
-module's ``ndimage`` global, and every call goes through that global.
+A box of at most NUMPY_CROP_PX pixels, such as a clean imprint's, is smoothed
+and labelled in NumPy, with the same bits as SciPy's ``gaussian_filter`` and
+``label``.  A larger box, such as a whole noisy frame, goes to SciPy, whose
+filter costs about half as much per pixel.  SciPy is imported on the first
+such box (or full-frame oracle call), not with this module, so commands that
+never meet one do not pay for it.  The module is kept as this module's
+``ndimage`` global, and every SciPy call goes through that global.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ DEFAULT_MIN_AREA_PX = 20
 # kernel radii): a band of a 1920-pixel-wide frame and its halo take about
 # 1 MB as float64.
 DETECT_BAND_ROWS = 64
+# Detection crops of at most this many pixels are smoothed and labelled in
+# NumPy.  At this size NumPy costs a few ms more than SciPy, which is less
+# than importing SciPy costs; every larger crop goes to SciPy.
+NUMPY_CROP_PX = 1 << 18
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
 # std), reported alongside synthetic results for comparison.  Hardware
@@ -215,23 +223,18 @@ def _blobs(
     """The blobs of the 8-connected components of a 2D bool ``mask``.
 
     ``weights`` holds the value at each pixel of ``mask``, in
-    ``np.flatnonzero(mask)`` order.  Cost is one labelling pass over the mask,
-    a few passes over its foreground pixels and a short loop over the kept
-    blobs, so it does not grow with the number of components.  The labels take
-    the smallest unsigned type that can count the foreground pixels, so on a
-    whole frame with fewer than 65,536 of them they take 2 bytes a pixel.  A
-    stable sort groups the foreground pixels by label with each blob's pixels
+    ``np.flatnonzero(mask)`` order.  Cost is one labelling pass over the mask
+    (``_label_runs`` up to NUMPY_CROP_PX pixels, else ``_label_ndimage``), a
+    few passes over its foreground pixels and a short loop over the kept
+    blobs, so it does not grow with the number of components.  A stable sort
+    groups the foreground pixels by label with each blob's pixels
     still in scan order, and each blob is summed as one contiguous array.
     These are the same values in the same order as summing the blob's own
     masked pixels, so NumPy's pairwise sum gives the same mass and centroid
     bit for bit.
     """
-    labels, _ = _ndimage().label(
-        mask, structure=np.ones((3, 3), dtype=bool), output=np.min_scalar_type(weights.size)
-    )
-    pixels = np.flatnonzero(mask)
-    owner = labels.ravel()[pixels]
-    del labels  # a crop-sized array; only the foreground pixels' labels are needed now
+    label = _label_runs if mask.size <= NUMPY_CROP_PX else _label_ndimage
+    pixels, owner = label(mask, weights.size)
     order = np.argsort(owner, kind="stable")
     pixels, weights = pixels[order], weights[order]
     areas = np.bincount(owner)[1:]  # areas[i] is the size of label i + 1
@@ -258,6 +261,116 @@ def _blobs(
         )
     blobs.sort(key=lambda b: -b.total_mass)
     return blobs
+
+
+def _label_ndimage(mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.flatnonzero(mask)`` and each of those pixels' ``ndimage.label`` label.
+
+    The labels take the smallest unsigned type that can count the ``count``
+    foreground pixels, so on a whole frame with fewer than 65,536 of them they
+    take 2 bytes a pixel, and that crop-sized array is freed on return.
+    """
+    labels, _ = _ndimage().label(
+        mask, structure=np.ones((3, 3), dtype=bool), output=np.min_scalar_type(count)
+    )
+    pixels = np.flatnonzero(mask)
+    return pixels, labels.ravel()[pixels]
+
+
+def _label_runs(mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The same as ``_label_ndimage``, computed on the foreground runs of ``mask``.
+
+    A run is a maximal horizontal segment of foreground pixels.  Runs are
+    placed on a grid one column wider than the mask, so the runs of the row
+    above that touch a run, diagonals included, are exactly those that end
+    at or after its start and begin at or before its end, one grid row up: a
+    contiguous range of runs, found by two ``searchsorted`` calls.  Each run is
+    hooked onto the smallest root among its neighbours' and the trees are
+    flattened by pointer jumping, until no two touching runs have different
+    roots.  A component's root is then its first run in scan order, so
+    numbering the roots in order gives ``ndimage.label``'s numbers.  After
+    the one ``flatnonzero`` pass over the mask, cost is a few passes over the
+    ``count`` foreground pixels and over the runs.
+    """
+    width = mask.shape[1]
+    pixels = np.flatnonzero(mask)
+    starts = np.flatnonzero((np.diff(pixels, prepend=-1) != 1) | (pixels % width == 0))
+    lengths = np.diff(starts, append=count)
+    row, col = np.divmod(pixels[starts], width)
+    begin = row * (width + 1) + col
+    end = begin + lengths  # one past the run's last pixel
+    lo = np.searchsorted(end, begin - (width + 1), side="left")
+    hi = np.searchsorted(begin, end - (width + 1), side="right")
+    # One edge from each run to each run of its range, all of which come earlier.
+    touching = np.maximum(hi - lo, 0)
+    later = np.repeat(np.arange(starts.size), touching)
+    earlier = np.arange(later.size) - np.repeat(np.cumsum(touching) - touching - lo, touching)
+    root = np.arange(starts.size)
+    while True:
+        a, b = root[later], root[earlier]
+        apart = a != b
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    numbers = np.cumsum(root == np.arange(starts.size))[root]
+    return pixels, np.repeat(numbers, lengths)
+
+
+def _smooth_band(diff: np.ndarray, sigma: float, in_numpy: bool) -> np.ndarray:
+    """``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")``.
+
+    ``diff`` is one uint8 band of a detection crop, with its halo.  With
+    ``in_numpy`` the filter is ``_gaussian_numpy``, else SciPy's.
+    """
+    if in_numpy:
+        return _gaussian_numpy(diff, sigma)
+    return _ndimage().gaussian_filter(
+        diff, sigma, output=np.float64, truncate=3.0, mode="nearest"
+    )
+
+
+def _gaussian_numpy(diff: np.ndarray, sigma: float) -> np.ndarray:
+    """SciPy's ``gaussian_filter`` at ``truncate=3``, ``mode="nearest"``, bit for bit.
+
+    The kernel is SciPy's: ``w = exp(-0.5 / sigma**2 * x**2)`` over
+    ``x = -r..r`` with ``r = int(3 sigma + 0.5)``, divided by its sum.  As in
+    SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is filtered
+    before axis 1, each in SciPy's order for a symmetric kernel: the centre
+    tap, then for ``j`` from ``r`` down to 1 the sum of the two taps at
+    ``-j`` and ``+j``, times their weight.
+    """
+    values = diff.astype(np.float64)
+    if sigma <= 1e-15:
+        return values
+    radius = int(3.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for axis in (0, 1):
+        values = _correlate_nearest(values, weights, axis)
+    return values
+
+
+def _correlate_nearest(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """One axis of ``_gaussian_numpy``: a symmetric kernel over replicated edges.
+
+    The edges are replicated by clipping indices, so any radius works, even
+    one longer than the axis.
+    """
+    radius, n = weights.size // 2, values.shape[axis]
+    padded = np.take(values, np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
+    padded = np.moveaxis(padded, axis, 0)
+    out = padded[radius : radius + n] * weights[radius]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n], out=pair)
+        pair *= weights[radius + j]
+        out += pair
+    return np.moveaxis(out, 0, axis)
 
 
 def _abs_diff(ref: TactileImage, frame: TactileImage, rows: slice, columns: slice) -> np.ndarray:
@@ -303,11 +416,15 @@ def detect_contacts(
     ``r`` rows of the crop above and below it.  The filter is separable, and a
     band row sees the same crop rows as in the whole crop, replicated at the
     same crop edges, so it gets the same bits.  The filter reads the uint8
-    difference line by line as float64, the same bits as filtering a float64
-    copy.  Each band is thresholded into one bool mask of the crop, and its
-    smoothed values are kept at the foreground pixels only, which ``_blobs``
-    then labels and weighs.  On a noisy 1920x1080 frame this holds the
+    difference as float64, the same bits as filtering a float64 copy.  Each
+    band is thresholded into one bool mask of the crop, and its smoothed
+    values are kept at the foreground pixels only, which ``_blobs`` then
+    labels and weighs.  On a noisy 1920x1080 frame this holds the
     2-byte-per-pixel mask and labels and one band, not a float64 frame.
+
+    A crop of at most NUMPY_CROP_PX pixels is smoothed by ``_gaussian_numpy``
+    and labelled by ``_label_runs``, a larger one by SciPy; both give the
+    same bits, so only the cost and whether SciPy is imported differ.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -332,13 +449,13 @@ def detect_contacts(
     columns = slice(left, right)
     band_rows = max(DETECT_BAND_ROWS, 4 * radius)
     mask = np.empty((bottom - top, right - left), dtype=bool)
+    in_numpy = mask.size <= NUMPY_CROP_PX
     weights = []
     for start in range(top, bottom, band_rows):
         stop = min(start + band_rows, bottom)
         lo, hi = max(start - radius, top), min(stop + radius, bottom)
-        smoothed = _ndimage().gaussian_filter(
-            _abs_diff(ref, frame, slice(lo, hi), columns),
-            sigma, output=np.float64, truncate=3.0, mode="nearest",
+        smoothed = _smooth_band(
+            _abs_diff(ref, frame, slice(lo, hi), columns), sigma, in_numpy
         )[start - lo : stop - lo]
         band_mask = mask[start - top : stop - top]
         np.greater(smoothed, threshold, out=band_mask)

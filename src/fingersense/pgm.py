@@ -8,15 +8,20 @@ import numpy as np
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
-    """Write a 2D uint8 array as binary PGM, maxval 255, row-major."""
+    """Write a 2D uint8 array as binary PGM, maxval 255, row-major.
+
+    The pixels are written from the array's own buffer when it is C-ordered,
+    so a frame is never copied into one bytes object with the header.
+    """
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2D grayscale image, got shape {image.shape}")
     if image.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got {image.dtype}")
     height, width = image.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(image).data)
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -901,10 +901,42 @@ def test_commands_without_detection_never_import_scipy(tmp_path):
         f"               '--out', {str(tmp_path / 'one')!r}, *{small!r}])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
     )
-    src = str(Path(fingersense.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "[0, 0, 0, 0] []\n"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(fingersense.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_clean_localize_imports_scipy_only_for_a_large_crop(tmp_path):
+    # Every crop of a clean 1920x1080 protocol dataset is below the NumPy
+    # limit, so the paper's loop runs without SciPy; a noisy frame, one
+    # crop of the whole frame, loads it.
+    data = tmp_path / "data"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fingersense.cli import main\n"
+        "from fingersense.imaging import NUMPY_CROP_PX, TactileImage, detect_contacts\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        f"codes = [main(['dataset', '--noise', '2', '--out-dir', {str(data)!r}]),\n"
+        f"         main(['localize', '--manifest', {str(data / 'manifest.json')!r}])]\n"
+        "print(codes, scipy_loaded(), file=sys.stderr)\n"
+        "ref = np.zeros((NUMPY_CROP_PX // 512 + 1, 512), dtype=np.uint8)\n"
+        "blobs = detect_contacts(TactileImage(ref), TactileImage(ref + 30), 2.0, 25.0, 20)\n"
+        "print(len(blobs), scipy_loaded(), file=sys.stderr)\n"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[0, 0] False\n1 True\n"
+    manifest_line, summary = done.stdout.splitlines()
+    assert manifest_line == str(data / "manifest.json")
+    assert json.loads(summary)["n_detected"] == 56

@@ -256,13 +256,21 @@ def detection_cases(draw):
         rng.uniform(0.0, 100.0, size=shape),
     )
     threshold = draw(st.floats(0.0, 100.0, exclude_min=True))
-    return values, threshold, draw(st.integers(1, 30))
+    return values, threshold, draw(st.integers(1, 30)), draw(crop_limits)
+
+
+# The NumPy crop limit: 0 sends every crop to SciPy, the default (far above
+# these frames) every crop to NumPy.
+crop_limits = st.sampled_from([0, imaging.NUMPY_CROP_PX])
 
 
 @settings(max_examples=300, deadline=None)
 @given(detection_cases())
 def test_detect_matches_per_label_oracle(case):
-    assert_matches_oracle(*case)
+    *oracle_case, crop_px = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imaging, "NUMPY_CROP_PX", crop_px)
+        assert_matches_oracle(*oracle_case)
 
 
 def test_detect_oracle_empty_results():
@@ -343,19 +351,15 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 
 @pytest.fixture
 def smoothed_shapes(monkeypatch) -> list:
-    """Record the shape of every image ``detect_contacts`` smooths.
-
-    Those are the filter's uint8 inputs; the full-frame ``smooth`` filters float64.
-    """
+    """Record the shape of every band ``detect_contacts`` smooths, in either backend."""
     shapes = []
-    original = imaging.ndimage.gaussian_filter
+    original = imaging._smooth_band
 
-    def recording(values, *args, **kwargs):
-        if values.dtype == np.uint8:
-            shapes.append(values.shape)
-        return original(values, *args, **kwargs)
+    def recording(diff, *args):
+        shapes.append(diff.shape)
+        return original(diff, *args)
 
-    monkeypatch.setattr(imaging.ndimage, "gaussian_filter", recording)
+    monkeypatch.setattr(imaging, "_smooth_band", recording)
     return shapes
 
 
@@ -402,15 +406,17 @@ def contact_frames(draw):
         threshold,
         draw(st.integers(1, 20)),
         draw(st.integers(1, 4) | st.integers(1, 90)),
+        draw(crop_limits),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(contact_frames())
 def test_detect_contacts_matches_full_frame_pipeline(case):
-    *pipeline_case, band_rows = case
+    *pipeline_case, band_rows, crop_px = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imaging, "DETECT_BAND_ROWS", band_rows)
+        patch.setattr(imaging, "NUMPY_CROP_PX", crop_px)
         assert_pipeline_matches(*pipeline_case)
 
 
@@ -544,6 +550,68 @@ def test_detect_blobs_adds_origin_before_weighting():
     (at_zero,) = detect_blobs(values, 5.0, 1)
     (moved,) = detect_blobs(values, 5.0, 1, origin=(100, 1000))
     assert moved.centroid == PixelCoord(at_zero.centroid.u + 1000, at_zero.centroid.v + 100)
+
+
+# ---------------------------------------------------------------------------
+# the NumPy backend for small crops, against SciPy
+
+
+@st.composite
+def uint8_images(draw, max_side=40):
+    """Images from 1xN to Nx1, often with a side of one or two pixels."""
+    height = draw(st.sampled_from([1, 2]) | st.integers(1, max_side))
+    width = draw(st.sampled_from([1, 2]) | st.integers(1, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    uint8_images(),
+    st.sampled_from([0.0, 1e-15, 1e-14, 0.45, 0.5, 2.0, 7.0, MAX_SIGMA_PX])
+    | st.floats(0.0, MAX_SIGMA_PX),
+)
+def test_numpy_smoothing_matches_scipy_bits(image, sigma):
+    # At sigma >= 7 the radius (22 px or more) can exceed both sides.
+    want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest")
+    got = imaging._gaussian_numpy(image, sigma)
+    assert got.shape == want.shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_labels_match_ndimage(mask: np.ndarray) -> int:
+    pixels, owner = imaging._label_runs(mask, int(np.count_nonzero(mask)))
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    labels.ravel()[pixels] = owner
+    want, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    np.testing.assert_array_equal(pixels, np.flatnonzero(mask))
+    np.testing.assert_array_equal(labels, want)
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(uint8_images(max_side=64), st.integers(0, 256))
+def test_numpy_labels_match_ndimage(image, level):
+    # Pixels below a uniform level: foreground densities from 0 to 1.
+    assert_labels_match_ndimage(image < level)
+
+
+def test_numpy_labels_checkerboard_and_serpentine():
+    board = np.add.outer(np.arange(37), np.arange(41)) % 2 == 0
+    assert assert_labels_match_ndimage(board) == 1
+    assert assert_labels_match_ndimage(~board) == 1
+    # Two paths through 20 rows each, every row joined to the next at
+    # alternate ends, the second one mirrored.
+    snake = np.zeros((39, 61), dtype=bool)
+    snake[::2, :30] = True
+    snake[1::4, 29] = True
+    snake[3::4, 0] = True
+    snake[::2, 31:] = True
+    snake[1::4, 31] = True
+    snake[3::4, 60] = True
+    assert assert_labels_match_ndimage(snake) == 2
+    assert assert_labels_match_ndimage(snake[::-1]) == 2
+    assert assert_labels_match_ndimage(np.zeros((3, 4), dtype=bool)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,17 @@ def test_header_layout(tmp_path):
     assert path.read_bytes() == b"P5\n3 2\n255\n" + b"\x00" * 6
 
 
+def test_write_non_contiguous_and_fortran_arrays(tmp_path):
+    rng = np.random.default_rng(1)
+    base = rng.integers(0, 256, size=(7, 10), dtype=np.uint8)
+    for image in (base[:, ::2], np.asfortranarray(base), base.T, base[::-1, 1:]):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, image)
+        height, width = image.shape
+        assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + image.tobytes()
+        np.testing.assert_array_equal(read_pgm(path), image)
+
+
 def test_read_accepts_header_comments(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + bytes(range(6)))
