@@ -1,7 +1,9 @@
 """Intrinsic calibration from pixel <-> surface correspondences.
 
-Supports the single-point closed form for the focal constant alpha (principal
-point known) and a joint linear least-squares fit of (alpha, cx, cy).
+Correspondences are one (n, 5) float64 array of (u, v, x, y, z) rows: a pixel
+(px) and the membrane point (mm) it observes.  Supports the single-point closed
+form for the focal constant alpha (principal point known) and a joint linear
+least-squares fit of (alpha, cx, cy).
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    PixelCoord,
-    Region,
-    SensorGeometry,
-    SurfacePoint,
-    classify_surface_point,
-    project,
-)
+from .geometry import CameraIntrinsics, Region, SensorGeometry, classify_surface_point
 
 
 class CalibrationError(ValueError):
@@ -33,55 +27,54 @@ class RankDeficiencyError(CalibrationError):
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """An annotated pixel paired with the 3D surface point it observes."""
-
-    pixel: PixelCoord
-    point: SurfacePoint
-
-    def __post_init__(self) -> None:
-        if self.point.z <= 0:
-            raise ValueError(f"correspondence point must have z > 0, got z={self.point.z}")
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     intrinsics: CameraIntrinsics
     rms_residual: float  # px, root-mean-square of per_point_residuals
-    per_point_residuals: tuple[float, ...]  # px, order matches the input list
+    per_point_residuals: tuple[float, ...]  # px, order matches the input rows
 
 
-def solve_alpha(c: Correspondence, cx: float, cy: float) -> float:
-    """Focal constant from a single correspondence, principal point known.
+def _as_points(points) -> np.ndarray:
+    """``points`` as float64, refused unless (n, 5) with every value finite and z > 0."""
+    points = np.asarray(points, dtype=np.float64)
+    shape_ok = points.ndim == 2 and points.shape[1] == 5
+    if not (shape_ok and np.isfinite(points).all() and (points[:, 4] > 0).all()):
+        raise ValueError(
+            "correspondences must be finite (n, 5) u, v, x, y, z rows with z > 0, "
+            f"got shape {points.shape}"
+        )
+    return points
+
+
+def solve_alpha(points, cx: float, cy: float) -> float:
+    """Focal constant from the first row off the optical axis, principal point known.
 
     Least squares over the two component equations chi = alpha x / z and
     gamma = alpha y / z gives alpha = (chi z x + gamma z y) / (x^2 + y^2).
-    Exact when the correspondence is consistent; undefined on the optical
-    axis, where x = y = 0 provides no constraint.
+    Exact when the correspondence is consistent.  Rows on the optical axis,
+    where x = y = 0 gives no constraint, are skipped; all on it is an error.
     """
-    x, y, z = c.point.x, c.point.y, c.point.z
-    if x == 0.0 and y == 0.0:
+    points = _as_points(points)
+    off_axis = np.flatnonzero((points[:, 2] != 0) | (points[:, 3] != 0))
+    if off_axis.size == 0:
         raise CalibrationError(
             "correspondence lies on the optical axis (x = y = 0); "
             "alpha is unobservable there"
         )
-    chi = c.pixel.u - cx
-    gamma = c.pixel.v - cy
+    u, v, x, y, z = points[off_axis[0]].tolist()
+    chi = u - cx
+    gamma = v - cy
     return (chi * z * x + gamma * z * y) / (x * x + y * y)
 
 
-def reprojection_residuals(
-    k: CameraIntrinsics, cs: list[Correspondence]
-) -> list[float]:
+def reprojection_residuals(k: CameraIntrinsics, points) -> list[float]:
     """Euclidean pixel distance between each projected point and its pixel."""
-    out = []
-    for c in cs:
-        p = project(c.point, k)
-        out.append(math.hypot(p.u - c.pixel.u, p.v - c.pixel.v))
-    return out
+    u, v, x, y, z = _as_points(points).T
+    du = k.alpha * x / z + k.cx - u
+    dv = k.alpha * y / z + k.cy - v
+    return list(map(math.hypot, du.tolist(), dv.tolist()))
 
 
-def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> CalibrationResult:
+def fit_intrinsics(points, initial: CameraIntrinsics) -> CalibrationResult:
     """Jointly fit (alpha, cx, cy) by linear least squares.
 
     The projection u = alpha x / z + cx, v = alpha y / z + cy is linear in the
@@ -89,23 +82,23 @@ def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> Calib
     exact minimiser: one solve of the stacked 2n x 3 system with rows
     (x / z, 1, 0) and (y / z, 0, 1) against the stacked pixels.  ``initial``
     supplies only the frame size, which is carried over unchanged.  Raises
+    ``ValueError`` unless ``points`` is (n, 5), finite and has z > 0,
     :class:`RankDeficiencyError` when fewer than three correspondences are
     given or when all of them lie on one viewing ray, or numerically close to
     one, and :class:`CalibrationError` when the minimiser is not a valid
     camera (alpha not positive, or the principal point outside the frame).
     """
-    if len(cs) < 3:
+    points = _as_points(points)
+    if len(points) < 3:
         raise RankDeficiencyError(
-            f"need at least 3 correspondences to fit 3 intrinsics, got {len(cs)}"
+            f"need at least 3 correspondences to fit 3 intrinsics, got {len(points)}"
         )
-    rays = np.array([[c.point.x / c.point.z, c.point.y / c.point.z] for c in cs])
-    pixels = np.array([[c.pixel.u, c.pixel.v] for c in cs])
-    design = np.zeros((len(cs), 2, 3))  # per point, the u row and the v row
-    design[:, :, 0] = rays
+    design = np.zeros((len(points), 2, 3))  # per point, the u row and the v row
+    design[:, :, 0] = points[:, 2:4] / points[:, 4:]
     design[:, :, 1:] = np.eye(2)
     # rank counts the singular values above eps * max(2n, 3) times the largest.
     (alpha, cx, cy), _, rank, _ = np.linalg.lstsq(
-        design.reshape(-1, 3), pixels.ravel(), rcond=None
+        design.reshape(-1, 3), points[:, :2].ravel(), rcond=None
     )
     if rank < 3:
         raise RankDeficiencyError(
@@ -116,21 +109,20 @@ def fit_intrinsics(cs: list[Correspondence], initial: CameraIntrinsics) -> Calib
         fitted = replace(initial, alpha=float(alpha), cx=float(cx), cy=float(cy))
     except ValueError as exc:
         raise CalibrationError(f"fitted camera is invalid: {exc}") from exc
-    per_point = reprojection_residuals(fitted, cs)
+    per_point = reprojection_residuals(fitted, points)
     rms = math.sqrt(sum(r * r for r in per_point) / len(per_point))
     return CalibrationResult(fitted, rms, tuple(per_point))
 
 
-def load_correspondences(
-    path: str | Path, geometry: SensorGeometry, tol: float = 1e-6
-) -> list[Correspondence]:
+def load_correspondences(path: str | Path, geometry: SensorGeometry) -> np.ndarray:
     """Read correspondences from CSV with header ``u,v,x,y,z`` (px, mm).
 
-    Every point must lie on the membrane within ``tol`` mm; offending rows
-    are reported by line number.
+    Returns a read-only (n, 5) array, one row per non-blank line in file order.
+    Every value must be finite and every point on the membrane (within 1e-6
+    mm) with z > 0; the first offending row is reported by line number.
     """
     path = Path(path)
-    out: list[Correspondence] = []
+    values: list[float] = []
     # Bytes that are not UTF-8 decode to lone surrogates, which no header or
     # number contains, so they fail as the row they sit in, by line number.
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -150,24 +142,26 @@ def load_correspondences(
                     raise ValueError(f"{path}:{lineno}: non-numeric field ({exc})") from None
                 if not all(math.isfinite(value) for value in (u, v, x, y, z)):
                     raise ValueError(f"{path}:{lineno}: non-finite field")
-                region = classify_surface_point((x, y, z), geometry, tol)
-                if region is Region.OFF:
+                if classify_surface_point((x, y, z), geometry) is Region.OFF:
                     raise ValueError(
                         f"{path}:{lineno}: point ({x}, {y}, {z}) is not on the membrane"
                     )
-                try:
-                    out.append(Correspondence(PixelCoord(u, v), SurfacePoint(x, y, z, region)))
-                except ValueError as exc:  # on the membrane's base ring, z <= 0
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if z <= 0:  # on the membrane's base ring
+                    raise ValueError(
+                        f"{path}:{lineno}: correspondence point must have z > 0, got z={z}"
+                    )
+                values += (u, v, x, y, z)
         except csv.Error as exc:  # e.g. a field longer than the csv module's limit
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not out:
+    if not values:
         raise ValueError(f"{path}: no correspondences")
-    return out
+    points = np.array(values).reshape(-1, 5)
+    points.flags.writeable = False
+    return points
 
 
-def save_correspondences(path: str | Path, cs: list[Correspondence]) -> None:
-    """Write correspondences as CSV with header ``u,v,x,y,z``.
+def save_correspondences(path: str | Path, points) -> None:
+    """Write an (n, 5) array of (u, v, x, y, z) rows as CSV with header ``u,v,x,y,z``.
 
     Values are written as ``repr(float(x))``, the shortest text that reads
     back to the same double, whatever numeric type the caller stored.
@@ -175,6 +169,5 @@ def save_correspondences(path: str | Path, cs: list[Correspondence]) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v", "x", "y", "z"])
-        for c in cs:
-            values = (c.pixel.u, c.pixel.v, c.point.x, c.point.y, c.point.z)
-            writer.writerow([repr(float(value)) for value in values])
+        for row in np.asarray(points, dtype=np.float64).tolist():
+            writer.writerow([repr(value) for value in row])

@@ -216,11 +216,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _session_config(args)
-    correspondences = load_correspondences(args.csv, config.geometry)
-    # The first row off the optical axis; if every row is on it, solve_alpha says so.
-    single = next((c for c in correspondences if c.point.x or c.point.y), correspondences[0])
-    alpha_single = solve_alpha(single, config.intrinsics.cx, config.intrinsics.cy)
-    result = fit_intrinsics(correspondences, config.intrinsics)
+    points = load_correspondences(args.csv, config.geometry)
+    alpha_single = solve_alpha(points, config.intrinsics.cx, config.intrinsics.cy)
+    result = fit_intrinsics(points, config.intrinsics)
     print(
         json.dumps(
             {
@@ -229,7 +227,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 "cx_px": result.intrinsics.cx,
                 "cy_px": result.intrinsics.cy,
                 "rms_residual_px": result.rms_residual,
-                "n_correspondences": len(correspondences),
+                "n_correspondences": len(points),
             }
         )
     )

@@ -158,7 +158,7 @@ def classify_surface_point(point, geometry: SensorGeometry, tol: float = 1e-6) -
     within ``tol`` of the seam circle (z = d, x^2 + y^2 = r^2) satisfy both
     surface equations and classify as SIDE, which keeps the answer unique.
     """
-    if tol <= 0:
+    if not 0 < tol < math.inf:  # also refuses NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     x, y, z = _as_xyz(point)
     r, d = geometry.r, geometry.d

@@ -30,7 +30,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     The array is a view of the file's bytes; copy it before writing to it.
     """
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
+    # The magic ends at whitespace or a comment: b"P55 4 255" is no P5 header.
+    if not data.startswith(b"P5") or data[2:3] not in b" \t\n\v\f\r#":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
 
     # Header: magic, width, height, maxval as ASCII tokens; '#' starts a

@@ -21,7 +21,7 @@ from fingersense.blocksworld import (
     exact_metrics,
     run_batch,
 )
-from fingersense.calibration import Correspondence, fit_intrinsics
+from fingersense.calibration import fit_intrinsics
 from fingersense.cli import main
 from fingersense.geometry import (
     CameraIntrinsics,
@@ -146,7 +146,8 @@ def _calibration_points() -> list[SurfacePoint]:
 
 def test_criterion_04_calibration_recovery(intrinsics):
     points = _calibration_points()
-    clean = [Correspondence(project(p, intrinsics), p) for p in points]
+    pixels = [project(p, intrinsics) for p in points]
+    clean = np.array([(px.u, px.v, p.x, p.y, p.z) for px, p in zip(pixels, points)])
 
     initial = CameraIntrinsics(alpha=250.0, cx=900.0, cy=500.0)
     fit = fit_intrinsics(clean, initial)
@@ -155,13 +156,8 @@ def test_criterion_04_calibration_recovery(intrinsics):
     rms_values = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        noisy = [
-            Correspondence(
-                PixelCoord(c.pixel.u + rng.normal(0.0, 0.5), c.pixel.v + rng.normal(0.0, 0.5)),
-                c.point,
-            )
-            for c in clean
-        ]
+        noisy = clean.copy()
+        noisy[:, :2] += rng.normal(0.0, 0.5, (len(clean), 2))
         rms_values.append(fit_intrinsics(noisy, intrinsics).rms_residual)
     median_rms = float(np.median(rms_values))
 

@@ -1,6 +1,7 @@
 """Tests for single-point alpha recovery and the joint intrinsics fit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from fingersense.calibration import (
     CalibrationError,
-    Correspondence,
     RankDeficiencyError,
     fit_intrinsics,
     load_correspondences,
@@ -19,7 +19,6 @@ from fingersense.calibration import (
 )
 from fingersense.geometry import (
     CameraIntrinsics,
-    PixelCoord,
     Region,
     SensorGeometry,
     SurfacePoint,
@@ -53,7 +52,7 @@ def sample_surface_points(n: int, geometry: SensorGeometry, rng) -> list[Surface
 
 
 def synthesize(n: int, k: CameraIntrinsics, geometry: SensorGeometry, rng, sigma=0.0):
-    """Correspondences generated with the forward projection as oracle."""
+    """(n, 5) correspondence rows generated with the forward projection as oracle."""
     cs = []
     for p in sample_surface_points(n, geometry, rng):
         px = project(p, k)
@@ -61,8 +60,8 @@ def synthesize(n: int, k: CameraIntrinsics, geometry: SensorGeometry, rng, sigma
         if sigma > 0:
             u += rng.normal(0.0, sigma)
             v += rng.normal(0.0, sigma)
-        cs.append(Correspondence(PixelCoord(u, v), p))
-    return cs
+        cs.append((u, v, p.x, p.y, p.z))
+    return np.array(cs).reshape(-1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +70,18 @@ def synthesize(n: int, k: CameraIntrinsics, geometry: SensorGeometry, rng, sigma
 
 def test_solve_alpha_side_example():
     # chi = 200 = alpha * 10 / 15 -> alpha = 300.
-    c = Correspondence(PixelCoord(1160.0, 540.0), SurfacePoint(10.0, 0.0, 15.0, Region.SIDE))
+    c = np.array([[1160.0, 540.0, 10.0, 0.0, 15.0]])
     assert solve_alpha(c, 960.0, 540.0) == pytest.approx(300.0)
 
 
 def test_solve_alpha_vertical_example():
     # gamma * z / y = 100 * 15 / 5 = 300.
-    c = Correspondence(PixelCoord(960.0, 640.0), SurfacePoint(0.0, 5.0, 15.0, Region.SIDE))
+    c = np.array([[960.0, 640.0, 0.0, 5.0, 15.0]])
     assert solve_alpha(c, 960.0, 540.0) == pytest.approx(300.0)
 
 
 def test_solve_alpha_apex_unobservable():
-    c = Correspondence(PixelCoord(960.0, 540.0), SurfacePoint(0.0, 0.0, 40.0, Region.TIP))
+    c = np.array([[960.0, 540.0, 0.0, 0.0, 40.0]])
     with pytest.raises(CalibrationError):
         solve_alpha(c, 960.0, 540.0)
 
@@ -92,22 +91,17 @@ def test_solve_alpha_recovers_synthesized(geometry):
     for _ in range(100):
         alpha = rng.uniform(50.0, 2000.0)
         k = CameraIntrinsics(alpha=alpha, cx=960.0, cy=540.0)
-        (c,) = synthesize(1, k, geometry, rng)
+        c = synthesize(1, k, geometry, rng)
         assert solve_alpha(c, k.cx, k.cy) == pytest.approx(alpha, rel=1e-9)
 
 
 def test_solve_alpha_ray_scale_invariance(geometry):
     rng = np.random.default_rng(22)
     k = CameraIntrinsics()
-    (c,) = synthesize(1, k, geometry, rng)
+    c = synthesize(1, k, geometry, rng)
     base = solve_alpha(c, k.cx, k.cy)
     for scale in (0.5, 2.0, 17.0):
-        scaled = Correspondence(
-            c.pixel,
-            SurfacePoint(
-                c.point.x * scale, c.point.y * scale, c.point.z * scale, c.point.region
-            ),
-        )
+        scaled = c * [1.0, 1.0, scale, scale, scale]
         assert solve_alpha(scaled, k.cx, k.cy) == pytest.approx(base, rel=1e-12)
 
 
@@ -156,7 +150,7 @@ def test_fit_order_invariance(geometry):
     rng = np.random.default_rng(5)
     cs = synthesize(9, CameraIntrinsics(), geometry, rng, sigma=0.7)
     a = fit_intrinsics(cs, CameraIntrinsics())
-    shuffled = list(cs)
+    shuffled = cs.copy()
     rng.shuffle(shuffled)
     b = fit_intrinsics(shuffled, CameraIntrinsics())
     assert b.intrinsics.alpha == pytest.approx(a.intrinsics.alpha, rel=1e-9)
@@ -175,33 +169,27 @@ def test_fit_rejects_single_ray(geometry):
     # All points on one viewing ray: alpha cannot be separated from (cx, cy).
     k = CameraIntrinsics()
     pixel = project((5.0, 0.0, 10.0), k)
-    cs = [
-        Correspondence(pixel, SurfacePoint(5.0 * s, 0.0, 10.0 * s, Region.SIDE))
-        for s in (1.0, 1.2, 1.5, 2.0)
-    ]
+    cs = np.array([(pixel.u, pixel.v, 5.0 * s, 0.0, 10.0 * s) for s in (1.0, 1.2, 1.5, 2.0)])
     with pytest.raises(RankDeficiencyError, match="one viewing ray"):
         fit_intrinsics(cs, k)
     # A side point at z = 1e-300 has a ray (x / z ~ 1e301) that dwarfs every
     # other, so the rest are numerically on one ray with it.
     cs = synthesize(10, k, geometry, np.random.default_rng(7))
-    cs.append(Correspondence(pixel, SurfacePoint(geometry.r, 0.0, 1e-300, Region.SIDE)))
+    cs = np.vstack([cs, (pixel.u, pixel.v, geometry.r, 0.0, 1e-300)])
     with pytest.raises(RankDeficiencyError, match="one viewing ray"):
         fit_intrinsics(cs, k)
 
 
-def side_correspondences(alpha: float, cx: float, cy: float) -> list[Correspondence]:
+def side_correspondences(alpha: float, cx: float, cy: float) -> np.ndarray:
     """Three side points imaged by u = alpha x / z + cx, v = alpha y / z + cy.
 
     Written out by hand because ``CameraIntrinsics`` refuses such a camera.
     """
-    points = [
-        SurfacePoint(10.0 * math.cos(phi), 10.0 * math.sin(phi), z, Region.SIDE)
-        for phi, z in ((0.3, 5.0), (1.7, 12.0), (4.0, 25.0))
-    ]
-    return [
-        Correspondence(PixelCoord(alpha * p.x / p.z + cx, alpha * p.y / p.z + cy), p)
-        for p in points
-    ]
+    rows = []
+    for phi, z in ((0.3, 5.0), (1.7, 12.0), (4.0, 25.0)):
+        x, y = 10.0 * math.cos(phi), 10.0 * math.sin(phi)
+        rows.append((alpha * x / z + cx, alpha * y / z + cy, x, y, z))
+    return np.array(rows)
 
 
 @pytest.mark.parametrize(
@@ -244,19 +232,42 @@ def test_fit_is_the_exact_least_squares_solution(alpha, cx, cy, n, seed):
     design = np.array(
         [
             row
-            for c in noisy
-            for row in ((c.point.x / c.point.z, 1.0, 0.0), (c.point.y / c.point.z, 0.0, 1.0))
+            for _, _, x, y, z in noisy.tolist()
+            for row in ((x / z, 1.0, 0.0), (y / z, 0.0, 1.0))
         ]
     )
-    pixels = np.array([value for c in noisy for value in (c.pixel.u, c.pixel.v)])
+    pixels = noisy[:, :2].ravel()
     expected = np.linalg.solve(design.T @ design, design.T @ pixels)
     got = (fit.intrinsics.alpha, fit.intrinsics.cx, fit.intrinsics.cy)
     assert got == pytest.approx(tuple(expected), rel=1e-9, abs=1e-9)
 
 
 def test_correspondence_requires_positive_depth():
-    with pytest.raises(ValueError):
-        Correspondence(PixelCoord(0.0, 0.0), SurfacePoint(1.0, 0.0, 0.0, Region.SIDE))
+    cs = side_correspondences(300.0, 960.0, 540.0)
+    cs[1, 4] = 0.0
+    with pytest.raises(ValueError, match="z > 0"):
+        fit_intrinsics(cs, CameraIntrinsics())
+    with pytest.raises(ValueError, match="z > 0"):
+        solve_alpha(cs, 960.0, 540.0)
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        np.array([[960.0, 540.0, 10.0, 0.0, 15.0]] * 3) * [1, 1, 1, 1, -1],
+        np.array([[960.0, 540.0, 10.0, 0.0, 15.0]] * 3) * [1, np.nan, 1, 1, 1],
+        np.array([[960.0, 540.0, 10.0, 0.0, 15.0]] * 3) * [1, 1, np.inf, 1, 1],
+        np.zeros((3, 4)) + 1.0,
+        np.ones(5),
+        np.ones((3, 5, 1)),
+    ],
+    ids=["negative-z", "nan", "inf", "four-columns", "one-dimensional", "three-dimensional"],
+)
+def test_fit_and_solve_alpha_refuse_invalid_arrays(cs):
+    # The one guard that callers bypassing the CSV loader meet, with one message.
+    for call in (lambda: fit_intrinsics(cs, CameraIntrinsics()), lambda: solve_alpha(cs, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^correspondences must be finite \(n, 5\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +283,13 @@ def test_residuals_zero_on_exact_data(geometry):
 
 def test_residual_three_four_five(geometry):
     k = CameraIntrinsics()
-    p = SurfacePoint(10.0, 0.0, 15.0, Region.SIDE)
-    px = project(p, k)
-    c = Correspondence(PixelCoord(px.u + 3.0, px.v + 4.0), p)
+    px = project((10.0, 0.0, 15.0), k)
+    c = (px.u + 3.0, px.v + 4.0, 10.0, 0.0, 15.0)
     assert reprojection_residuals(k, [c]) == pytest.approx([5.0])
 
 
 def test_residuals_empty_list():
-    assert reprojection_residuals(CameraIntrinsics(), []) == []
+    assert reprojection_residuals(CameraIntrinsics(), np.empty((0, 5))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +303,8 @@ def test_csv_round_trip(tmp_path, geometry):
     save_correspondences(path, cs)
     loaded = load_correspondences(path, geometry)
     assert len(loaded) == 6
-    for a, b in zip(cs, loaded):
-        assert (a.pixel.u, a.pixel.v) == (b.pixel.u, b.pixel.v)
-        assert (a.point.x, a.point.y, a.point.z) == (b.point.x, b.point.y, b.point.z)
-        assert a.point.region is b.point.region
+    np.testing.assert_array_equal(loaded, cs)
+    assert loaded.dtype == np.float64 and not loaded.flags.writeable
 
 
 def test_csv_round_trip_numpy_scalars(tmp_path, geometry):
@@ -304,21 +312,14 @@ def test_csv_round_trip_numpy_scalars(tmp_path, geometry):
     # read back to the same doubles.
     rng = np.random.default_rng(10)
     cs = [
-        Correspondence(
-            PixelCoord(np.float64(c.pixel.u), np.float64(c.pixel.v)),
-            SurfacePoint(
-                np.float64(c.point.x), np.float64(c.point.y), np.float64(c.point.z), c.point.region
-            ),
-        )
-        for c in synthesize(5, CameraIntrinsics(), geometry, rng, sigma=0.3)
+        [np.float64(value) for value in row]
+        for row in synthesize(5, CameraIntrinsics(), geometry, rng, sigma=0.3).tolist()
     ]
     path = tmp_path / "corr.csv"
     save_correspondences(path, cs)
     assert "np.float64" not in path.read_text()
     loaded = load_correspondences(path, geometry)
-    for a, b in zip(cs, loaded):
-        assert (a.pixel.u, a.pixel.v) == (b.pixel.u, b.pixel.v)
-        assert (a.point.x, a.point.y, a.point.z) == (b.point.x, b.point.y, b.point.z)
+    np.testing.assert_array_equal(loaded, cs)
 
 
 def test_csv_rejects_header_only_file(tmp_path, geometry):
@@ -354,3 +355,52 @@ def test_csv_rejects_off_surface_point(tmp_path, geometry):
     path.write_text("u,v,x,y,z\n960,540,1,2,3\n")
     with pytest.raises(ValueError, match=":2"):
         load_correspondences(path, geometry)
+
+
+def test_csv_reports_first_bad_line(tmp_path, geometry):
+    # Line 3 is off the membrane and line 5 is not a number: line 3 is reported.
+    path = tmp_path / "bad.csv"
+    path.write_text("u,v,x,y,z\n1160,540,10,0,15\n960,540,1,2,3\n1160,540,10,0,15\n1,x,10,0,15\n")
+    message = f"{path}:3: point (1.0, 2.0, 3.0) is not on the membrane"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_correspondences(path, geometry)
+
+
+def _membrane_point(side: bool, phi: float, t: float) -> tuple[float, float, float]:
+    """A side point at height t * d, or a tip point at polar angle t * pi / 2."""
+    r, d = SensorGeometry().r, SensorGeometry().d
+    if side:
+        return r * math.cos(phi), r * math.sin(phi), d * t
+    theta = t * math.pi / 2
+    rho = r * math.sin(theta)
+    return rho * math.cos(phi), rho * math.sin(phi), d + r * math.cos(theta)
+
+
+csv_fields = st.tuples(
+    st.floats(-1e4, 1e4, allow_nan=False), st.sampled_from(("{!r}", "{:.17e}", " {:.17g} "))
+).map(lambda p: p[1].format(p[0]))
+membrane_points = st.tuples(st.booleans(), st.floats(0.0, 2 * math.pi), st.floats(0.01, 1.0)).map(
+    lambda p: _membrane_point(*p)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(csv_fields, csv_fields, membrane_points, st.integers(0, 2)),
+        min_size=1,
+        max_size=20,
+    ),
+    newline=st.sampled_from(("\n", "\r\n")),
+)
+def test_csv_rows_are_the_fields_in_file_order(tmp_path_factory, rows, newline):
+    lines, expected = ["u,v,x,y,z"], []
+    for u, v, point, blanks in rows:
+        fields = [u, v, *map(repr, point)]
+        lines += [",".join(fields)] + [""] * blanks
+        expected.append([float(field) for field in fields])
+    path = tmp_path_factory.mktemp("csv") / "corr.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    loaded = load_correspondences(path, SensorGeometry())
+    assert loaded.shape == (len(rows), 5)
+    assert loaded.tolist() == expected

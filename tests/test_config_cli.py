@@ -19,12 +19,11 @@ from hypothesis import strategies as st
 
 import fingersense
 from fingersense import cli, render
-from fingersense.calibration import Correspondence, load_correspondences, save_correspondences
+from fingersense.calibration import load_correspondences, save_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config, save_config
 from fingersense.geometry import (
     CameraIntrinsics,
-    PixelCoord,
     Region,
     SensorGeometry,
     SurfacePoint,
@@ -615,11 +614,16 @@ def _surface_sample(index: int) -> SurfacePoint:
     )
 
 
+def _projected(points: list[SurfacePoint]) -> np.ndarray:
+    # (u, v, x, y, z) rows imaged by the default camera.
+    pixels = [project(p, CameraIntrinsics()) for p in points]
+    return np.array([(px.u, px.v, p.x, p.y, p.z) for px, p in zip(pixels, points)])
+
+
 def test_calibrate_recovers_alpha(tmp_path, capsys):
     points = [_surface_sample(i) for i in range(8)]
-    rows = [Correspondence(project(p, CameraIntrinsics()), p) for p in points]
     csv_path = tmp_path / "cal.csv"
-    save_correspondences(csv_path, rows)
+    save_correspondences(csv_path, _projected(points))
     code = main(["calibrate", str(csv_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
@@ -632,9 +636,8 @@ def test_calibrate_recovers_alpha(tmp_path, capsys):
 
 def test_calibrate_two_rows_reports_rank(tmp_path, capsys):
     points = [_surface_sample(i) for i in range(2)]
-    rows = [Correspondence(project(p, CameraIntrinsics()), p) for p in points]
     csv_path = tmp_path / "cal.csv"
-    save_correspondences(csv_path, rows)
+    save_correspondences(csv_path, _projected(points))
     code = main(["calibrate", str(csv_path)])
     assert code == 1
     assert "correspondence" in capsys.readouterr().err.lower()
@@ -651,9 +654,8 @@ def test_calibrate_on_axis_only_fails(tmp_path, capsys):
 def test_calibrate_apex_first_row_uses_next_row_for_single_point(tmp_path, capsys):
     # The apex row gives no single-point alpha; the next row off the axis does.
     points = [_surface_sample(i) for i in range(8)]
-    rows = [Correspondence(project(p, CameraIntrinsics()), p) for p in points]
     csv_path = tmp_path / "cal.csv"
-    save_correspondences(csv_path, rows)
+    save_correspondences(csv_path, _projected(points))
     lines = csv_path.read_text().splitlines(keepends=True)
     csv_path.write_text(lines[0] + "960,540,0,0,40\n" + "".join(lines[1:]))
     code = main(["calibrate", str(csv_path)])
@@ -671,7 +673,7 @@ def test_calibrate_invalid_fitted_camera_fails_with_one_line(tmp_path, capsys):
         SurfacePoint(10.0 * math.cos(phi), 10.0 * math.sin(phi), z, Region.SIDE)
         for phi, z in ((0.3, 5.0), (1.7, 12.0), (4.0, 25.0))
     ]
-    rows = [Correspondence(PixelCoord(p.x / p.z - 1e-9, p.y / p.z), p) for p in points]
+    rows = [(p.x / p.z - 1e-9, p.y / p.z, p.x, p.y, p.z) for p in points]
     csv_path = tmp_path / "cal.csv"
     save_correspondences(csv_path, rows)
     assert main(["calibrate", str(csv_path)]) == 1
@@ -884,7 +886,7 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
 def test_commands_without_detection_never_import_scipy(tmp_path):
     points = [_surface_sample(i) for i in range(8)]
     csv_path = tmp_path / "cal.csv"
-    save_correspondences(csv_path, [Correspondence(project(p, CameraIntrinsics()), p) for p in points])
+    save_correspondences(csv_path, _projected(points))
     config = tmp_path / "small.json"
     config.write_text(
         '{"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}'

@@ -61,8 +61,9 @@ def test_classify_respects_tolerance(geometry):
 
 
 def test_classify_rejects_bad_tolerance(geometry):
-    with pytest.raises(ValueError):
-        classify_surface_point((10.0, 0.0, 15.0), geometry, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            classify_surface_point((10.0, 0.0, 15.0), geometry, tol=tol)
 
 
 # ---------------------------------------------------------------------------

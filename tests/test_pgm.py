@@ -75,6 +75,7 @@ def test_read_rejects_truncated_payload(tmp_path):
         (b"P5\n-1 2\n255\n" + b"\x00" * 4, "header field b'-1'"),
         (b"P5\n+2 2\n255\n" + b"\x00" * 4, "header field b'+2'"),
         (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P55 4 255\n" + bytes(20), "not a binary PGM (P5) file"),
     ],
 )
 def test_read_rejects_bad_header_with_path(tmp_path, content, message):
