@@ -78,11 +78,6 @@ class SensorGeometry:
         if self.d < 0:
             raise ValueError(f"cylinder length must be non-negative, got d={self.d}")
 
-    @property
-    def total_length(self) -> float:
-        """Base-to-apex length d + r."""
-        return self.d + self.r
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

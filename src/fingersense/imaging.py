@@ -12,13 +12,14 @@ above-threshold pixels, so their cost scales with the imprint, not the frame,
 and smooth that box in bands of rows, so no frame-sized float64 array is ever
 held; ``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
 
-A box of at most NUMPY_CROP_PX pixels, such as a clean imprint's, is smoothed
-and labelled in NumPy, with the same bits as SciPy's ``gaussian_filter`` and
-``label``.  A larger box, such as a whole noisy frame, goes to SciPy, whose
-filter costs about half as much per pixel.  SciPy is imported on the first
-such box (or full-frame oracle call), not with this module, so commands that
-never meet one do not pay for it.  The module is kept as this module's
-``ndimage`` global, and every SciPy call goes through that global.
+Every box is labelled in NumPy, with the same labels as SciPy's ``label``.
+A box of at most NUMPY_CROP_PX pixels, such as a clean imprint's, is also
+smoothed in NumPy, with the same bits as SciPy's ``gaussian_filter``; a
+larger box, such as a whole noisy frame, is smoothed by SciPy, whose filter
+costs about half as much per pixel.  SciPy is imported on the first such box
+(or full-frame oracle call), not with this module, so commands that never
+meet one do not pay for it.  The module is kept as this module's ``ndimage``
+global, and every SciPy call goes through that global.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ DEFAULT_MIN_AREA_PX = 20
 # kernel radii): a band of a 1920-pixel-wide frame and its halo take about
 # 1 MB as float64.
 DETECT_BAND_ROWS = 64
-# Detection crops of at most this many pixels are smoothed and labelled in
-# NumPy.  At this size NumPy costs a few ms more than SciPy, which is less
-# than importing SciPy costs; every larger crop goes to SciPy.
+# Detection crops of at most this many pixels are smoothed in NumPy.  At this
+# size NumPy costs a few ms more than SciPy, which is less than importing
+# SciPy costs; every larger crop is smoothed by SciPy.
 NUMPY_CROP_PX = 1 << 18
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
@@ -223,18 +224,16 @@ def _blobs(
     """The blobs of the 8-connected components of a 2D bool ``mask``.
 
     ``weights`` holds the value at each pixel of ``mask``, in
-    ``np.flatnonzero(mask)`` order.  Cost is one labelling pass over the mask
-    (``_label_runs`` up to NUMPY_CROP_PX pixels, else ``_label_ndimage``), a
-    few passes over its foreground pixels and a short loop over the kept
-    blobs, so it does not grow with the number of components.  A stable sort
-    groups the foreground pixels by label with each blob's pixels
-    still in scan order, and each blob is summed as one contiguous array.
+    ``np.flatnonzero(mask)`` order.  Cost is one ``_label_runs`` pass over the
+    mask, a few passes over its foreground pixels and a short loop over the
+    kept blobs, so it does not grow with the number of components.  A stable
+    sort groups the foreground pixels by label with each blob's pixels still
+    in scan order, and each blob is summed as one contiguous array.
     These are the same values in the same order as summing the blob's own
     masked pixels, so NumPy's pairwise sum gives the same mass and centroid
     bit for bit.
     """
-    label = _label_runs if mask.size <= NUMPY_CROP_PX else _label_ndimage
-    pixels, owner = label(mask, weights.size)
+    pixels, owner = _label_runs(mask)
     order = np.argsort(owner, kind="stable")
     pixels, weights = pixels[order], weights[order]
     areas = np.bincount(owner)[1:]  # areas[i] is the size of label i + 1
@@ -263,22 +262,8 @@ def _blobs(
     return blobs
 
 
-def _label_ndimage(mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.flatnonzero(mask)`` and each of those pixels' ``ndimage.label`` label.
-
-    The labels take the smallest unsigned type that can count the ``count``
-    foreground pixels, so on a whole frame with fewer than 65,536 of them they
-    take 2 bytes a pixel, and that crop-sized array is freed on return.
-    """
-    labels, _ = _ndimage().label(
-        mask, structure=np.ones((3, 3), dtype=bool), output=np.min_scalar_type(count)
-    )
-    pixels = np.flatnonzero(mask)
-    return pixels, labels.ravel()[pixels]
-
-
-def _label_runs(mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The same as ``_label_ndimage``, computed on the foreground runs of ``mask``.
+def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.flatnonzero(mask)`` and each of those pixels' 8-connected ``ndimage.label`` label.
 
     A run is a maximal horizontal segment of foreground pixels.  Runs are
     placed on a grid one column wider than the mask, so the runs of the row
@@ -289,13 +274,13 @@ def _label_runs(mask: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     flattened by pointer jumping, until no two touching runs have different
     roots.  A component's root is then its first run in scan order, so
     numbering the roots in order gives ``ndimage.label``'s numbers.  After
-    the one ``flatnonzero`` pass over the mask, cost is a few passes over the
-    ``count`` foreground pixels and over the runs.
+    the one ``flatnonzero`` pass over the mask, cost is a few passes over its
+    foreground pixels and over the runs.
     """
     width = mask.shape[1]
     pixels = np.flatnonzero(mask)
     starts = np.flatnonzero((np.diff(pixels, prepend=-1) != 1) | (pixels % width == 0))
-    lengths = np.diff(starts, append=count)
+    lengths = np.diff(starts, append=pixels.size)
     row, col = np.divmod(pixels[starts], width)
     begin = row * (width + 1) + col
     end = begin + lengths  # one past the run's last pixel
@@ -420,11 +405,12 @@ def detect_contacts(
     band is thresholded into one bool mask of the crop, and its smoothed
     values are kept at the foreground pixels only, which ``_blobs`` then
     labels and weighs.  On a noisy 1920x1080 frame this holds the
-    2-byte-per-pixel mask and labels and one band, not a float64 frame.
+    1-byte-per-pixel mask and one band, not a float64 frame.
 
-    A crop of at most NUMPY_CROP_PX pixels is smoothed by ``_gaussian_numpy``
-    and labelled by ``_label_runs``, a larger one by SciPy; both give the
-    same bits, so only the cost and whether SciPy is imported differ.
+    A crop of at most NUMPY_CROP_PX pixels is smoothed by ``_gaussian_numpy``,
+    a larger one by SciPy; both give the same bits, so only the cost and
+    whether SciPy is imported differ.  Every crop is labelled by
+    ``_label_runs``.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)

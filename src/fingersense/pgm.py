@@ -55,7 +55,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
             field = data[pos:end]
             if not field.isdigit():
                 raise ValueError(f"{path}: PGM header field {field[:20]!r} is not a number")
-            tokens.append(int(field))
+            try:
+                tokens.append(int(field))
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"{path}: PGM header field of {len(field)} digits is too long") from None
             pos = end
     pos += 1  # the single whitespace after maxval
 

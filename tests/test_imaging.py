@@ -256,21 +256,13 @@ def detection_cases(draw):
         rng.uniform(0.0, 100.0, size=shape),
     )
     threshold = draw(st.floats(0.0, 100.0, exclude_min=True))
-    return values, threshold, draw(st.integers(1, 30)), draw(crop_limits)
-
-
-# The NumPy crop limit: 0 sends every crop to SciPy, the default (far above
-# these frames) every crop to NumPy.
-crop_limits = st.sampled_from([0, imaging.NUMPY_CROP_PX])
+    return values, threshold, draw(st.integers(1, 30))
 
 
 @settings(max_examples=300, deadline=None)
 @given(detection_cases())
 def test_detect_matches_per_label_oracle(case):
-    *oracle_case, crop_px = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(imaging, "NUMPY_CROP_PX", crop_px)
-        assert_matches_oracle(*oracle_case)
+    assert_matches_oracle(*case)
 
 
 def test_detect_oracle_empty_results():
@@ -363,6 +355,11 @@ def smoothed_shapes(monkeypatch) -> list:
     return shapes
 
 
+# The NumPy smoothing limit: 0 sends every crop to SciPy, the default (far
+# above these frames) every crop to NumPy.
+crop_limits = st.sampled_from([0, imaging.NUMPY_CROP_PX])
+
+
 @st.composite
 def contact_frames(draw):
     """Frames down to one row or column, with the band height detection is to use."""
@@ -446,14 +443,18 @@ def traced_peak(function, *args) -> int:
         tracemalloc.stop()
 
 
+def noisy_pair(seed: int) -> list[np.ndarray]:
+    """A reference and a frame of 1920x1080 pixels, each with sigma-16 noise around 128."""
+    rng = np.random.default_rng(seed)
+    return [np.clip(np.rint(128.0 + rng.normal(0.0, 16.0, (1080, 1920))), 0, 255).astype(np.uint8)
+            for _ in range(2)]
+
+
 def test_detect_contacts_memory_stays_below_a_frame():
     # Worker threads localise frames side by side, so each must stay small:
     # a float64 1920x1080 frame alone is 15.8 MiB.  Each case runs once
     # untraced first, which also imports SciPy outside the measurement.
-    rng = np.random.default_rng(15)
-    shape = (1080, 1920)
-    noisy = [np.clip(np.rint(128.0 + rng.normal(0.0, 16.0, shape)), 0, 255).astype(np.uint8)
-             for _ in range(2)]
+    noisy = noisy_pair(15)
     noisy[1][500:520, 1000:1030] = 230
     ref, frame = TactileImage(noisy[0]), TactileImage(noisy[1])
     heaviest = detect_contacts(ref, frame, 2.0, 25.0, 20)[0]
@@ -544,6 +545,25 @@ def test_detect_contacts_validates_like_the_stages():
         detect_contacts(ref, frame, 2.0, 0.0, 1)
 
 
+def test_detect_contacts_on_a_whole_noisy_frame_never_calls_ndimage_label(monkeypatch):
+    # The crop is the whole frame, above NUMPY_CROP_PX: SciPy smooths its 17
+    # bands of 64 rows, and the runs labeller labels it.
+    ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
+    want = full_frame_pipeline(ref, frame, 2.0, 25.0, 20)
+    filtered, labelled = [], []
+    gaussian_filter = ndimage.gaussian_filter
+
+    def filtering(diff, *args, **kwargs):
+        filtered.append(diff.shape)
+        return gaussian_filter(diff, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "gaussian_filter", filtering)
+    monkeypatch.setattr(ndimage, "label", lambda *args, **kwargs: labelled.append(args))
+    assert detect_contacts(ref, frame, 2.0, 25.0, 20) == want
+    assert len(filtered) == 17 and sum(rows for rows, _ in filtered) > 1080
+    assert labelled == []
+
+
 def test_detect_blobs_adds_origin_before_weighting():
     values = np.zeros((5, 6))
     values[1:3, 2:4] = [[10.0, 20.0], [30.0, 40.0]]
@@ -553,7 +573,7 @@ def test_detect_blobs_adds_origin_before_weighting():
 
 
 # ---------------------------------------------------------------------------
-# the NumPy backend for small crops, against SciPy
+# the NumPy backend (smoothing small crops, labelling every crop), against SciPy
 
 
 @st.composite
@@ -580,7 +600,7 @@ def test_numpy_smoothing_matches_scipy_bits(image, sigma):
 
 
 def assert_labels_match_ndimage(mask: np.ndarray) -> int:
-    pixels, owner = imaging._label_runs(mask, int(np.count_nonzero(mask)))
+    pixels, owner = imaging._label_runs(mask)
     labels = np.zeros(mask.shape, dtype=np.int64)
     labels.ravel()[pixels] = owner
     want, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
@@ -594,6 +614,18 @@ def assert_labels_match_ndimage(mask: np.ndarray) -> int:
 def test_numpy_labels_match_ndimage(image, level):
     # Pixels below a uniform level: foreground densities from 0 to 1.
     assert_labels_match_ndimage(image < level)
+
+
+@pytest.mark.parametrize("sigma, share", [(2.0, (0.0, 0.01)), (0.0, (0.2, 0.3))])
+def test_numpy_labels_match_ndimage_on_a_whole_noisy_frame(sigma, share):
+    # Thresholded at 25, a sigma-16 difference smoothed at sigma 2 leaves
+    # sparse blobs; unsmoothed, it leaves about a quarter of the pixels in
+    # short runs.  Both masks are larger than NUMPY_CROP_PX.
+    ref, frame = (TactileImage(pixels) for pixels in noisy_pair(17))
+    mask = smooth(subtract_reference(ref, frame), sigma).values > 25.0
+    assert mask.size > imaging.NUMPY_CROP_PX
+    assert share[0] < np.count_nonzero(mask) / mask.size < share[1]
+    assert assert_labels_match_ndimage(mask) > 100
 
 
 def test_numpy_labels_checkerboard_and_serpentine():

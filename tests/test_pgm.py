@@ -76,6 +76,12 @@ def test_read_rejects_truncated_payload(tmp_path):
         (b"P5\n+2 2\n255\n" + b"\x00" * 4, "header field b'+2'"),
         (b"P5\n2 2\n", "truncated PGM header"),
         (b"P55 4 255\n" + bytes(20), "not a binary PGM (P5) file"),
+        # int() refuses more than 4,300 digits with a message of its own.
+        pytest.param(
+            b"P5\n" + b"1" * 5000 + b" 1\n255\n",
+            "PGM header field of 5000 digits is too long",
+            id="5000-digit-field",
+        ),
     ],
 )
 def test_read_rejects_bad_header_with_path(tmp_path, content, message):
