@@ -3,7 +3,8 @@
 Correspondences are one (n, 5) float64 array of (u, v, x, y, z) rows: a pixel
 (px) and the membrane point (mm) it observes.  Supports the single-point closed
 form for the focal constant alpha (principal point known) and a joint linear
-least-squares fit of (alpha, cx, cy).
+least-squares fit of (alpha, cx, cy), whose design rows are the derivatives of
+``geometry.project_points``, the forward model that the residuals reproject by.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Region, SensorGeometry, classify_surface_point
+from .geometry import CameraIntrinsics, Region, SensorGeometry, classify_surface_point, project_points
 
 
 class CalibrationError(ValueError):
@@ -69,9 +70,8 @@ def solve_alpha(points, cx: float, cy: float) -> float:
 def reprojection_residuals(k: CameraIntrinsics, points) -> list[float]:
     """Euclidean pixel distance between each projected point and its pixel."""
     u, v, x, y, z = _as_points(points).T
-    du = k.alpha * x / z + k.cx - u
-    dv = k.alpha * y / z + k.cy - v
-    return list(map(math.hypot, du.tolist(), dv.tolist()))
+    pu, pv = project_points(x, y, z, k)
+    return list(map(math.hypot, (pu - u).tolist(), (pv - v).tolist()))
 
 
 def fit_intrinsics(points, initial: CameraIntrinsics) -> CalibrationResult:
@@ -159,15 +159,3 @@ def load_correspondences(path: str | Path, geometry: SensorGeometry) -> np.ndarr
     points.flags.writeable = False
     return points
 
-
-def save_correspondences(path: str | Path, points) -> None:
-    """Write an (n, 5) array of (u, v, x, y, z) rows as CSV with header ``u,v,x,y,z``.
-
-    Values are written as ``repr(float(x))``, the shortest text that reads
-    back to the same double, whatever numeric type the caller stored.
-    """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "x", "y", "z"])
-        for row in np.asarray(points, dtype=np.float64).tolist():
-            writer.writerow([repr(value) for value in row])

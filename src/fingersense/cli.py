@@ -143,22 +143,22 @@ def cmd_localize(args: argparse.Namespace) -> int:
         raise ValueError(f"manifest {manifest_path} lists no entries")
     base = manifest_path.parent
 
-    references: dict[str, TactileImage] = {}
     records: list[ErrorRecord] = []
     rows = ["object,pose_kind,pose_value,error_mm"]
 
     def with_reference():
         """Each entry with its reference image, or the error reading it.
 
-        Runs on the calling thread, so the cache has one reader and writer.
+        Only the last reference read is kept, however many paths the manifest names.
         """
+        path = reference = None
         for entry in manifest.entries:
-            try:
-                if entry.reference not in references:
-                    references[entry.reference] = TactileImage(read_pgm(base / entry.reference))
-                reference = references[entry.reference]
-            except (OSError, ValueError) as exc:
-                reference = exc
+            if entry.reference != path:
+                path = entry.reference
+                try:
+                    reference = TactileImage(read_pgm(base / path))
+                except (OSError, ValueError) as exc:
+                    reference = exc
             yield entry, reference
 
     def localized(item):

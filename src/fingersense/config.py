@@ -135,7 +135,3 @@ def load_config(path: str | Path) -> SessionConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-
-def save_config(config: SessionConfig, path: str | Path) -> None:
-    """Write a configuration as JSON; load_config(save_config(c)) == c."""
-    Path(path).write_text(json.dumps(config.to_json_dict(), indent=2) + "\n")

@@ -19,8 +19,9 @@ Coordinate conventions:
       chi = u - cx, gamma = v - cy.
 
 A single focal constant ``alpha`` (focal length times pixel pitch, square
-pixels) maps both axes:  u = alpha * x / z + cx,  v = alpha * y / z + cy.
-Extrinsics are fixed to identity: the camera never moves within the sensor.
+pixels) maps both axes:  u = alpha x / z + cx,  v = alpha y / z + cy, written
+once, in :func:`project_points`.  Extrinsics are fixed to identity: the camera
+never moves within the sensor.
 
 Back-projection intersects a pixel's viewing ray with the membrane.  With
 omega = chi^2 + gamma^2, pixels inside the image-space circle of radius
@@ -167,18 +168,24 @@ def classify_surface_point(point, geometry: SensorGeometry, tol: float = 1e-6) -
     return Region.OFF
 
 
-def project(point, intrinsics: CameraIntrinsics) -> PixelCoord:
-    """Project a 3D point in the sensor frame onto the image plane.
+def project_points(x, y, z, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Project 3D points in the sensor frame onto the image plane.
 
-    u = alpha * x / z + cx and v = alpha * y / z + cy; the camera sits at the
-    origin with identity orientation, so no extrinsic transform is applied.
-    Points at or behind the camera plane (z <= 0) are rejected.
+    Returns (u, v) in the broadcast shape of x, y and z.  The camera has the
+    identity pose, and points at or behind its plane (z <= 0) are rejected.
     """
-    x, y, z = _as_xyz(point)
-    if z <= 0:
-        raise ValueError(f"cannot project point with z={z} <= 0 (behind the camera)")
+    x, y, z = (np.asarray(c, dtype=np.float64) for c in (x, y, z))
+    behind = z[z <= 0]
+    if behind.size:
+        raise ValueError(f"cannot project point with z={float(behind.flat[0])} <= 0 (behind the camera)")
     k = intrinsics
-    return PixelCoord(k.alpha * x / z + k.cx, k.alpha * y / z + k.cy)
+    return k.alpha * x / z + k.cx, k.alpha * y / z + k.cy
+
+
+def project(point, intrinsics: CameraIntrinsics) -> PixelCoord:
+    """Project one 3D point: the one-point case of :func:`project_points`."""
+    u, v = project_points(*_as_xyz(point), intrinsics)
+    return PixelCoord(float(u), float(v))
 
 
 def discontinuity_circle_radius_px(
@@ -257,18 +264,6 @@ def back_project_pixels(
     if np.any(apex):
         points[apex] = (0.0, 0.0, g.d + g.r)
     return points, tip
-
-
-def back_project_grid(
-    intrinsics: CameraIntrinsics, geometry: SensorGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Back-project every pixel centre of the frame.
-
-    Returns (points, tip_mask) with shapes (height, width, 3) and
-    (height, width); row index is v, column index is u.
-    """
-    v, u = np.mgrid[0 : intrinsics.height, 0 : intrinsics.width]
-    return back_project_pixels(u, v, intrinsics, geometry)
 
 
 def surface_normal(

@@ -10,16 +10,17 @@ operations, not hidden constants.
 stages, ``detect_contacts``, smooth and label only the box that can hold
 above-threshold pixels, so their cost scales with the imprint, not the frame,
 and smooth that box in bands of rows, so no frame-sized float64 array is ever
-held; ``subtract_reference`` and ``smooth`` are the full-frame oracle for them.
+held.  The tests hold the full-frame pipeline they are compared against.
 
 Every box is labelled in NumPy, with the same labels as SciPy's ``label``.
 A box of at most NUMPY_CROP_PX pixels, such as a clean imprint's, is also
 smoothed in NumPy, with the same bits as SciPy's ``gaussian_filter``; a
 larger box, such as a whole noisy frame, is smoothed by SciPy, whose filter
-costs about half as much per pixel.  SciPy is imported on the first such box
-(or full-frame oracle call), not with this module, so commands that never
-meet one do not pay for it.  The module is kept as this module's ``ndimage``
-global, and every SciPy call goes through that global.
+costs about half as much per pixel.  SciPy is imported on the first such box,
+not with this module, so commands that never meet one do not pay for it.  The
+module is kept as this module's ``ndimage`` global, and every SciPy call goes
+through that global.  No command uses ``DiffImage`` or that global; the
+benchmark's per-layer tracer (``perfbench/traced.py``) wraps both.
 """
 
 from __future__ import annotations
@@ -181,43 +182,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be positive, got {threshold}")
 
 
-def subtract_reference(ref: TactileImage, frame: TactileImage) -> DiffImage:
-    """Per-pixel absolute difference between a frame and its reference."""
-    _check_same_size(ref, frame)
-    diff = np.abs(frame.pixels.astype(np.int16) - ref.pixels.astype(np.int16))
-    return DiffImage(diff.astype(np.float64))
-
-
-def smooth(d: DiffImage, sigma: float) -> DiffImage:
-    """Gaussian blur (truncated at 3 sigma, replicated edges); sigma 0 is identity."""
-    _check_sigma(sigma)
-    if sigma == 0:
-        return d
-    return DiffImage(_ndimage().gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"))
-
-
-def detect_blobs(
-    values: np.ndarray, threshold: float, min_area: int, origin: tuple[int, int] = (0, 0)
-) -> list[ContactBlob]:
-    """Extract connected bright regions of a 2D difference array.
-
-    Pixels strictly above ``threshold`` are grouped by 8-connectivity;
-    components smaller than ``min_area`` pixels are discarded.  Blobs are
-    returned sorted by total mass, heaviest first (ties keep scan order), so
-    the dominant imprint is always first.  An empty list is a valid outcome:
-    weak imprints may not clear the threshold.  ``values`` is only read, and a
-    negative or NaN value never passes the positive threshold.  ``origin``,
-    the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
-    and column, so centroids are in frame coordinates.  The blobs are those of
-    ``_blobs`` on the thresholded mask and the values at its pixels.
-    """
-    _check_threshold(threshold)
-    if values.ndim != 2:
-        raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
-    mask = values > threshold
-    return _blobs(mask, values[mask], min_area, origin)
-
-
 def _blobs(
     mask: np.ndarray, weights: np.ndarray, min_area: int, origin: tuple[int, int]
 ) -> list[ContactBlob]:
@@ -371,10 +335,12 @@ def detect_contacts(
 ) -> list[ContactBlob]:
     """The detection pipeline: subtract, smooth, then detect blobs.
 
-    Returns exactly ``detect_blobs(smooth(subtract_reference(ref, frame),
-    sigma).values, threshold, min_area)``, every field and the order, but
-    smooths and labels only a box around the pixels that can pass
-    ``threshold``, and holds no frame-sized difference array.
+    Returns exactly the blobs of the full-frame pipeline, every field and the
+    order: |frame - ref| as float64, ``gaussian_filter`` at ``truncate=3`` and
+    ``mode="nearest"``, then the 8-connected components of the pixels above
+    ``threshold`` with at least ``min_area`` pixels, heaviest first (ties in
+    scan order).  But it smooths and labels only a box around the pixels that
+    can pass ``threshold``, and holds no frame-sized difference array.
 
     The smoothed value is a non-negative weighted mean, normalised to 1, over
     the pixels within ``r = int(3 sigma + 0.5)`` per axis (the radius of

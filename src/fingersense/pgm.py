@@ -69,6 +69,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
     payload = max(len(data) - pos, 0)
     if payload < width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, got {payload}")
+        try:
+            expected = str(width * height)
+        except ValueError:  # a product of more digits than str() converts
+            expected = f"{width}x{height}"
+        raise ValueError(f"{path}: expected {expected} pixels, got {payload}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pixels.reshape(height, width)

@@ -60,7 +60,6 @@ from .geometry import (
     CameraIntrinsics,
     ContactPose,
     PoseKind,
-    Region,
     SensorGeometry,
     SurfacePoint,
     back_project_pixels,
@@ -235,12 +234,6 @@ def footprint_distance_mm(
     return np.hypot(_planar_footprint_distance(ind, a, b), h)
 
 
-def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> float:
-    """Membrane displacement at a single surface point, in mm."""
-    dist = footprint_distance_mm(ind, p.as_array()[np.newaxis, :], g)[0]
-    return max(0.0, ind.depth - dist * K_FALLOFF)
-
-
 def _footprint_extent_mm(ind: Indenter) -> float:
     """Radius of a ball about the contact point that holds the whole footprint."""
     half = ind.characteristic_size / 2.0
@@ -389,9 +382,13 @@ def _manifest_entry(item) -> ManifestEntry:
     missing = [key for key in keys if key not in item]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
-    for key in ("object", "reference", "frame"):
-        if not isinstance(item[key], str):
-            raise ValueError(f"{key} must be a string, got {item[key]!r}")
+    # The object is a CSV cell and the paths go into one-line warnings.
+    for key, refused in (("object", ',"\r\n'), ("reference", "\r\n"), ("frame", "\r\n")):
+        value = item[key]
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        if any(char in value for char in refused):
+            raise ValueError(f"{key} may not hold any of {refused!r}, got {value!r}")
     truth = item["truth_mm"]
     if not isinstance(truth, list) or len(truth) != 3:
         raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")

@@ -1,0 +1,92 @@
+"""Reference code that the tests compare the package against.
+
+No command runs any of this.  It is the plain whole-frame or one-point form
+of what the package computes faster, plus writers for the files the package
+only reads: the full-frame detection pipeline that ``detect_contacts`` must
+match bit for bit, the one-point indentation depth, and CSV and JSON writers
+for correspondences and configurations.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+
+from fingersense.config import SessionConfig
+from fingersense.geometry import SensorGeometry, SurfacePoint
+from fingersense.imaging import (
+    ContactBlob,
+    DiffImage,
+    TactileImage,
+    _blobs,
+    _check_same_size,
+    _check_sigma,
+    _check_threshold,
+)
+from fingersense.render import K_FALLOFF, Indenter, footprint_distance_mm
+
+
+def subtract_reference(ref: TactileImage, frame: TactileImage) -> DiffImage:
+    """Per-pixel absolute difference between a frame and its reference."""
+    _check_same_size(ref, frame)
+    diff = np.abs(frame.pixels.astype(np.int16) - ref.pixels.astype(np.int16))
+    return DiffImage(diff.astype(np.float64))
+
+
+def smooth(d: DiffImage, sigma: float) -> DiffImage:
+    """Gaussian blur (truncated at 3 sigma, replicated edges); sigma 0 is identity."""
+    from scipy import ndimage
+
+    _check_sigma(sigma)
+    if sigma == 0:
+        return d
+    return DiffImage(ndimage.gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"))
+
+
+def detect_blobs(
+    values: np.ndarray, threshold: float, min_area: int, origin: tuple[int, int] = (0, 0)
+) -> list[ContactBlob]:
+    """Extract connected bright regions of a 2D difference array.
+
+    Pixels strictly above ``threshold`` are grouped by 8-connectivity;
+    components smaller than ``min_area`` pixels are discarded.  Blobs are
+    returned sorted by total mass, heaviest first (ties keep scan order), so
+    the dominant imprint is always first.  An empty list is a valid outcome:
+    weak imprints may not clear the threshold.  ``values`` is only read, and a
+    negative or NaN value never passes the positive threshold.  ``origin``,
+    the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
+    and column, so centroids are in frame coordinates.  The blobs are those of
+    ``imaging._blobs`` on the thresholded mask and the values at its pixels.
+    """
+    _check_threshold(threshold)
+    if values.ndim != 2:
+        raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
+    mask = values > threshold
+    return _blobs(mask, values[mask], min_area, origin)
+
+
+def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> float:
+    """Membrane displacement at a single surface point, in mm."""
+    dist = footprint_distance_mm(ind, p.as_array()[np.newaxis, :], g)[0]
+    return max(0.0, ind.depth - dist * K_FALLOFF)
+
+
+def save_correspondences(path: str | Path, points) -> None:
+    """Write an (n, 5) array of (u, v, x, y, z) rows as CSV with header ``u,v,x,y,z``.
+
+    Values are written as ``repr(float(x))``, the shortest text that reads
+    back to the same double, whatever numeric type the caller stored.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u", "v", "x", "y", "z"])
+        for row in np.asarray(points, dtype=np.float64).tolist():
+            writer.writerow([repr(value) for value in row])
+
+
+def save_config(config: SessionConfig, path: str | Path) -> None:
+    """Write a configuration as JSON; load_config(save_config(c)) == c."""
+    Path(path).write_text(json.dumps(config.to_json_dict(), indent=2) + "\n")

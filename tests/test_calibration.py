@@ -14,7 +14,6 @@ from fingersense.calibration import (
     fit_intrinsics,
     load_correspondences,
     reprojection_residuals,
-    save_correspondences,
     solve_alpha,
 )
 from fingersense.geometry import (
@@ -24,6 +23,7 @@ from fingersense.geometry import (
     SurfacePoint,
     project,
 )
+from oracle import save_correspondences
 
 
 def sample_surface_points(n: int, geometry: SensorGeometry, rng) -> list[SurfacePoint]:

@@ -1,5 +1,6 @@
 """Tests for the JSON configuration and the command-line interface."""
 
+import csv
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 
 import fingersense
 from fingersense import cli, render
-from fingersense.calibration import load_correspondences, save_correspondences
+from fingersense.calibration import load_correspondences
 from fingersense.cli import main
-from fingersense.config import ConfigError, SessionConfig, load_config, save_config
+from fingersense.config import ConfigError, SessionConfig, load_config
 from fingersense.geometry import (
     CameraIntrinsics,
     Region,
@@ -31,6 +33,7 @@ from fingersense.geometry import (
 )
 from fingersense.pgm import read_pgm
 from fingersense.render import OBJECT_ORDER, generate_protocol_dataset, load_manifest
+from oracle import save_config, save_correspondences
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,84 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
     rows = (tmp_path / "errors.csv").read_text().splitlines()
     assert rows[1].endswith(",nan")
     assert json.loads(captured.out)["n_detected"] == 55
+
+
+def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch,
+                                                                   protocol_dataset):
+    # Each spelling of the reference's path once cached its own copy: 20
+    # spellings peaked at 22 frames.  The peak is now the reference plus one
+    # frame's file bytes and its copy, three frames, whatever the spellings.
+    out_dir, _ = protocol_dataset
+    payload = json.loads((out_dir / "manifest.json").read_text())[:20]
+    for spelling, entry in enumerate(payload, start=1):
+        entry["reference"] = str(out_dir) + "/." * spelling + "/reference.pgm"
+        entry["frame"] = str(out_dir / entry["frame"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(payload))
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 1)  # one frame in flight
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = main(["localize", "--manifest", str(manifest)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    frame_bytes = CameraIntrinsics().width * CameraIntrinsics().height
+    assert peak < 3.5 * frame_bytes, peak / frame_bytes
+
+
+SMALL_CAMERA = {"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.none() | st.text(), st.none() | st.text()),
+                min_size=1, max_size=4))
+@example([("cone,evil\nrow", None, None)])
+@example([('say "cone"', None, None)])
+@example([("cone", "a\rb.pgm", None), ("slab", None, None)])
+@example([("cone", None, "ref\n.pgm")])
+@example([("cône\u2028,", None, None)])
+@example([("cone\x00\u2028\x1c\x85", "f\u2028.pgm", None)])
+def test_manifest_labels_never_split_a_csv_row(tmp_path_factory, small_dataset, labels):
+    """Every manifest is refused in one line or gives one errors.csv row per entry.
+
+    ``labels`` holds, per entry, an object label and, where not None, a frame
+    and a reference path in place of the dataset's.
+    """
+    work = tmp_path_factory.mktemp("labels")
+    (work / "config.json").write_text(json.dumps(SMALL_CAMERA))
+    dataset = small_dataset.parent
+    payload = json.loads(small_dataset.read_text())[: len(labels)]
+    for entry, (label, frame, reference) in zip(payload, labels):
+        entry["object"] = label
+        entry["frame"] = str(dataset / entry["frame"]) if frame is None else frame
+        entry["reference"] = str(dataset / entry["reference"]) if reference is None else reference
+    manifest = work / "manifest.json"
+    manifest.write_text(json.dumps(payload))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["localize", "--config", str(work / "config.json"), "--manifest", str(manifest)])
+    err = stderr.getvalue()
+
+    def breaks(value: str, chars: str) -> bool:
+        return any(char in value for char in chars)
+
+    if any(breaks(e["object"], ',"\r\n') or breaks(e["frame"] + e["reference"], "\r\n")
+           for e in payload):
+        assert code == 1
+        assert err.startswith(f"error: {manifest}: entry ") and err.count("\n") == 1, err
+        assert not (work / "errors.csv").exists()
+        return
+    with (work / "errors.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == len(payload) + 1
+    assert all(len(row) == len(rows[0]) for row in rows), rows
+    assert [row[0] for row in rows[1:]] == [e["object"] for e in payload]
+    failed = sum(row[-1] == "nan" for row in rows[1:])
+    # One warning line per failed entry, and one error line when all failed.
+    assert code == (1 if failed == len(payload) else 0)
+    assert err.count("\n") == failed + code, err
 
 
 BROKEN_CAMERA = CameraIntrinsics(alpha=30.0, cx=96.0, cy=54.0, width=192, height=108)

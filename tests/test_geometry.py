@@ -1,6 +1,7 @@
 """Tests for the membrane model and the pixel <-> surface mapping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from fingersense.geometry import (
     Region,
     SensorGeometry,
     back_project,
-    back_project_grid,
     back_project_pixels,
     classify_surface_point,
     discontinuity_circle_radius_px,
     pose_to_contact_point,
     project,
+    project_points,
     surface_normal,
 )
 
@@ -87,6 +88,16 @@ def test_project_rejects_nonpositive_depth(intrinsics):
         project((1.0, 1.0, 0.0), intrinsics)
     with pytest.raises(ValueError):
         project((1.0, 1.0, -5.0), intrinsics)
+
+
+def test_project_points_is_project_on_each_point(intrinsics):
+    x, y, z = np.array([[10.0, 0.0, 15.0], [0.0, 0.0, 40.0], [-3.0, 7.0, 0.5], [1e-3, 2.0, 31.7]]).T
+    u, v = project_points(x, y, z, intrinsics)
+    each = [project(point, intrinsics) for point in zip(x, y, z)]
+    assert list(zip(u.tolist(), v.tolist())) == [(px.u, px.v) for px in each]  # bit for bit
+    # An array is refused as a whole, naming its first point behind the camera.
+    with pytest.raises(ValueError, match=re.escape("z=-5.0 <= 0")):
+        project_points(x, y, np.array([1.0, -5.0, 0.0, 2.0]), intrinsics)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +256,8 @@ def test_back_project_seam_pixels_round_trip(r, d, alpha, where, s, t):
 
 
 def test_back_project_grid_covers_frame(intrinsics, geometry):
-    pts, tip = back_project_grid(intrinsics, geometry)
+    v, u = np.mgrid[0 : intrinsics.height, 0 : intrinsics.width]
+    pts, tip = back_project_pixels(u, v, intrinsics, geometry)
     assert pts.shape == (intrinsics.height, intrinsics.width, 3)
     assert tip.shape == (intrinsics.height, intrinsics.width)
     assert np.all(np.isfinite(pts))
@@ -255,7 +267,6 @@ def test_back_project_grid_covers_frame(intrinsics, geometry):
     np.testing.assert_allclose(pts[540, 1160], [p.x, p.y, p.z], atol=1e-12)
     # The tip region is exactly the in-circle pixel set.
     circle = discontinuity_circle_radius_px(intrinsics, geometry)
-    v, u = np.mgrid[0 : intrinsics.height, 0 : intrinsics.width]
     omega = (u - intrinsics.cx) ** 2 + (v - intrinsics.cy) ** 2
     np.testing.assert_array_equal(tip, omega < circle**2)
 

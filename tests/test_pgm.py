@@ -82,6 +82,12 @@ def test_read_rejects_truncated_payload(tmp_path):
             "PGM header field of 5000 digits is too long",
             id="5000-digit-field",
         ),
+        # Each field converts, but their product has more digits than str() converts.
+        pytest.param(
+            b"P5\n" + b"9" * 4000 + b" " + b"9" * 4000 + b"\n255\n",
+            "expected " + "9" * 4000 + "x" + "9" * 4000 + " pixels, got 0",
+            id="8000-digit-product",
+        ),
     ],
 )
 def test_read_rejects_bad_header_with_path(tmp_path, content, message):

@@ -22,11 +22,11 @@ from fingersense.geometry import (
     Region,
     SensorGeometry,
     SurfacePoint,
-    back_project_grid,
+    back_project_pixels,
     pose_to_contact_point,
 )
 from fingersense.config import SessionConfig
-from fingersense.imaging import TactileImage, localization_error, localize_frame, subtract_reference
+from fingersense.imaging import TactileImage, localization_error, localize_frame
 from fingersense.pgm import read_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
@@ -40,12 +40,12 @@ from fingersense.render import (
     default_indenter,
     footprint_distance_mm,
     generate_protocol_dataset,
-    indentation_depth,
     load_manifest,
     protocol_poses,
     render_contact,
     render_reference,
 )
+from oracle import indentation_depth, subtract_reference
 
 
 def indenter_at(shape: Shape, pose: ContactPose, geometry, size=6.0, depth=1.0, orient=0.0):
@@ -282,7 +282,8 @@ SMALL_FRAME = (160, 120)  # width, height
 
 def full_frame_oracle(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> np.ndarray:
     """Shade every pixel of the frame, with no window."""
-    points, _ = back_project_grid(k, g)
+    v, u = np.mgrid[0 : k.height, 0 : k.width]
+    points, _ = back_project_pixels(u, v, k, g)
     depth = np.maximum(0.0, ind.depth - footprint_distance_mm(ind, points, g) * K_FALLOFF)
     intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
     return np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
