@@ -16,19 +16,18 @@ final attempt leaves no room for the regrasp.
 
 The rules live in one place, ``_play``, which plays one block against a
 scripted draw sequence.  Batches are drawn as outcome counts:
-``outcome_table`` plays a policy once over every (block column, draw sequence)
-cell, and a batch draws how many of its independent blocks land on each
+``outcome_table`` plays a policy on each draw prefix that settles a block,
+each standing for every (block column, draw sequence) cell that extends it,
+and a batch draws how many of its independent blocks land on each
 outcome in one multinomial draw, the only random draw in the module, at a cost
 constant in the boards.  ``exact_metrics`` is an independent closed form.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -143,16 +142,29 @@ def outcome_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct per-block outcome of a policy and its probability.
 
-    ``_play`` runs once on each of the 4 ** (max_attempts + 1) equally likely
-    cells (block column, draw sequence), and the cells are counted by outcome.
-    Returns (outcomes, p): sorted int64 rows of (failed, attempts,
-    collisions) and each row's share of the cells, exact in float64 because
-    it is dyadic.  ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT, which
-    keeps the table at most 262,144 cells.
+    The 4 ** (max_attempts + 1) (block column, draw sequence) cells are
+    equally likely.  Per block column, ``_play`` runs on draw prefixes,
+    starting from the empty one: a prefix that succeeds (Control always does)
+    or fails after ``max_attempts`` attempts is settled, and stands for the
+    4 ** (max_attempts - len(prefix)) cells that extend it, whatever their
+    later draws; any other prefix is extended by one draw.  Returns
+    (outcomes, p): sorted int64 rows of (failed, attempts, collisions) and
+    each row's share of the cells, exact in float64 because it is dyadic.
+    ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT.
     """
     _check_max_attempts(max_attempts)
-    cells = product(range(N_COLUMNS), repeat=max_attempts + 1)
-    counts = Counter(_play(kind, cell[0], cell[1:], max_attempts) for cell in cells)
+    counts: dict[tuple[bool, int, int], int] = {}
+    for block_col in range(N_COLUMNS):
+        prefixes: list[tuple[int, ...]] = [()]
+        while prefixes:
+            prefix = prefixes.pop()
+            outcome = _play(kind, block_col, prefix, max_attempts)
+            success, attempts, _ = outcome
+            if success or attempts == max_attempts:
+                cells = N_COLUMNS ** (max_attempts - len(prefix))
+                counts[outcome] = counts.get(outcome, 0) + cells
+            else:
+                prefixes.extend(prefix + (draw,) for draw in range(N_COLUMNS))
     rows = sorted(
         (not ok, attempts, collisions, n) for (ok, attempts, collisions), n in counts.items()
     )

@@ -12,6 +12,11 @@ Every command accepts ``--config FILE`` (JSON, see config.py) and is
 deterministic given its flags: all randomness flows from ``--seed`` (default
 0), never from the clock.  Exit status is 0 exactly when the command
 completed with every validation passing.
+
+Each subcommand imports the modules it runs inside its own function, so a
+command loads only what it uses: ``blocksworld`` loads no rendering, imaging,
+PGM or calibration code, and ``calibrate`` no rendering, imaging or grasp
+simulation.  Importing this module loads only ``config`` and ``geometry``.
 """
 
 from __future__ import annotations
@@ -20,37 +25,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .blocksworld import (
-    HARDWARE_TABLE,
-    PolicyKind,
-    exact_metrics,
-    metrics_to_json_dict,
-    run_batch,
-)
-from .calibration import fit_intrinsics, load_correspondences, solve_alpha
 from .config import SessionConfig, load_config
-from .geometry import ContactPose, pose_to_contact_point
-from .imaging import (
-    HARDWARE_ERRORS_BY_OBJECT,
-    HARDWARE_ERRORS_BY_POSE,
-    ErrorRecord,
-    GroupStats,
-    TactileImage,
-    aggregate_errors,
-    localization_error,
-    localize_frame,
-)
-from .pgm import read_pgm, write_pgm
-from .render import (
-    OBJECT_ORDER,
-    _map_in_order,
-    default_indenter,
-    generate_protocol_dataset,
-    load_manifest,
-    render_contact,
-    render_reference,
-)
+from .geometry import OBJECT_ORDER, ContactPose, pose_to_contact_point
+
+if TYPE_CHECKING:
+    from .imaging import GroupStats
 
 
 def _session_config(args: argparse.Namespace) -> SessionConfig:
@@ -76,6 +57,9 @@ def _fmt(value: float) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .pgm import write_pgm
+    from .render import default_indenter, render_contact, render_reference
+
     config = _session_config(args)
     if args.rotation is not None:
         pose = ContactPose.rotation(args.rotation)
@@ -109,6 +93,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
+    from .render import generate_protocol_dataset
+
     seed = _seed(args)
     config = _session_config(args)
     out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir)
@@ -136,6 +122,18 @@ def _write_group_csv(
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
+    from .imaging import (
+        HARDWARE_ERRORS_BY_OBJECT,
+        HARDWARE_ERRORS_BY_POSE,
+        ErrorRecord,
+        TactileImage,
+        aggregate_errors,
+        localization_error,
+        localize_frame,
+    )
+    from .pgm import read_pgm
+    from .render import _map_in_order, load_manifest
+
     config = _session_config(args)
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
@@ -215,6 +213,8 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .calibration import fit_intrinsics, load_correspondences, solve_alpha
+
     config = _session_config(args)
     points = load_correspondences(args.csv, config.geometry)
     alpha_single = solve_alpha(points, config.intrinsics.cx, config.intrinsics.cy)
@@ -239,6 +239,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_blocksworld(args: argparse.Namespace) -> int:
+    from .blocksworld import (
+        HARDWARE_TABLE,
+        PolicyKind,
+        exact_metrics,
+        metrics_to_json_dict,
+        run_batch,
+    )
+
     _session_config(args)  # validates --config; no key affects the simulation
     kinds = (
         [PolicyKind.CONTROL, PolicyKind.RG, PolicyKind.RGTR]

@@ -15,8 +15,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import CameraIntrinsics, SensorGeometry
-from .imaging import DEFAULT_MIN_AREA_PX, DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX
 
+
+# Detection defaults: the simplest pipeline that closes the synthetic loop.
+# They live here, not in imaging, so that loading a configuration does not
+# load the detection pipeline.
+DEFAULT_SIGMA_PX = 2.0
+# The smoothing kernel has 6 sigma + 1 taps, so sigma bounds its cost per pixel.
+MAX_SIGMA_PX = 100.0
+DEFAULT_THRESHOLD = 25.0  # of 255
+DEFAULT_MIN_AREA_PX = 20
 
 # Largest accepted frame, 4096 x 4096 pixels (about 8 times 1920 x 1080).  It
 # bounds the full-frame arrays that rendering and detection allocate.
@@ -24,7 +32,7 @@ MAX_FRAME_PX = 4096 * 4096
 # r_mm and alpha_px lie in [1 / MAX_SCALE, MAX_SCALE] and d_mm in [0, MAX_SCALE]
 # (a kilometre; 3000 times the default alpha), where nothing back-projection,
 # rendering or calibration computes overflows.  sigma_px shares the detection
-# stages' bound, imaging.MAX_SIGMA_PX.
+# stages' bound, MAX_SIGMA_PX.
 MAX_SCALE = 1e6
 
 

@@ -62,6 +62,22 @@ class PoseKind(Enum):
     TRANSLATION = "translation"
 
 
+class Shape(Enum):
+    """The objects pressed against the finger in the contact protocol."""
+
+    CONE = "cone"
+    SPHERE = "sphere"
+    IRREGULAR = "irregular"
+    CYLINDER = "cylinder"
+    EDGE = "edge"
+    TUBE = "tube"
+    SLAB = "slab"
+
+
+# Canonical object order for the protocol dataset and the report tables.
+OBJECT_ORDER = tuple(shape.value for shape in Shape)
+
+
 class NoIntersectionError(ValueError):
     """A viewing ray does not meet the membrane (degenerate geometry)."""
 

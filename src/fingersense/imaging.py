@@ -27,21 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+# The detection defaults are config's; they are also read from this module.
+from .config import (
+    DEFAULT_MIN_AREA_PX,
+    DEFAULT_SIGMA_PX,
+    DEFAULT_THRESHOLD,
+    MAX_SIGMA_PX,
+    SessionConfig,
+)
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
-if TYPE_CHECKING:  # config imports this module
-    from .config import SessionConfig
-
-# Detection defaults: the simplest pipeline that closes the synthetic loop.
-DEFAULT_SIGMA_PX = 2.0
-# The smoothing kernel has 6 sigma + 1 taps, so sigma bounds its cost per pixel.
-MAX_SIGMA_PX = 100.0
-DEFAULT_THRESHOLD = 25.0  # of 255
-DEFAULT_MIN_AREA_PX = 20
 # Frame rows that detection reads at once (when smoothing, at least four
 # kernel radii): a band of a 1920-pixel-wide frame and its halo take about
 # 1 MB as float64.
@@ -93,7 +91,23 @@ def _ndimage():
 
 
 def _frozen_2d(values: np.ndarray, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C")  # a private copy, converted once
+    """``values`` as a read-only C-ordered 2D array that nothing else can write.
+
+    A read-only view whose memory belongs to an immutable ``bytes`` object,
+    such as ``read_pgm``'s, is kept as it is; anything else is copied once.
+    """
+    arr = np.asarray(values)
+    owner = arr
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    kept = (
+        isinstance(owner, bytes)
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+        and not arr.flags.writeable
+    )
+    if not kept:
+        arr = np.array(values, dtype=dtype, order="C")  # a private copy, converted once
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
     arr.flags.writeable = False

@@ -51,16 +51,17 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
+from .geometry import (  # Shape and OBJECT_ORDER are also read from this module
+    OBJECT_ORDER,
     CameraIntrinsics,
     ContactPose,
     PoseKind,
     SensorGeometry,
+    Shape,
     SurfacePoint,
     back_project_pixels,
     pose_to_contact_point,
@@ -87,20 +88,6 @@ IRREGULAR_LOBES = ((0.0, 0.0, 2.5), (2.5, 1.5, 1.5), (-1.0, -2.5, 1.2))
 # four side translations, eight contacts in total.
 PROTOCOL_ROTATIONS_RAD = (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
 PROTOCOL_TRANSLATIONS_MM = (0.0, 5.0, 10.0, 15.0)
-
-
-class Shape(Enum):
-    CONE = "cone"
-    SPHERE = "sphere"
-    IRREGULAR = "irregular"
-    CYLINDER = "cylinder"
-    EDGE = "edge"
-    TUBE = "tube"
-    SLAB = "slab"
-
-
-# Canonical object order for the protocol dataset and the report tables.
-OBJECT_ORDER = tuple(shape.value for shape in Shape)
 
 
 @dataclass(frozen=True)
@@ -389,6 +376,9 @@ def _manifest_entry(item) -> ManifestEntry:
             raise ValueError(f"{key} must be a string, got {value!r}")
         if any(char in value for char in refused):
             raise ValueError(f"{key} may not hold any of {refused!r}, got {value!r}")
+        # Images resolve against the manifest's directory and may not leave it.
+        if key != "object" and (value.startswith("/") or ".." in value.split("/")):
+            raise ValueError(f"{key} must be a relative path without '..', got {value!r}")
     truth = item["truth_mm"]
     if not isinstance(truth, list) or len(truth) != 3:
         raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")

@@ -13,6 +13,7 @@ from fingersense.blocksworld import (
     BlockRecord,
     PolicyKind,
     RunMetrics,
+    _play,
     batch_distribution,
     exact_metrics,
     metrics_to_json_dict,
@@ -155,6 +156,21 @@ def test_outcome_table_expectation_is_exact_oracle(kind, cap):
     ]
     m = exact_metrics(kind, cap)
     assert expected == [m.failure_rate, m.attempts_per_block, m.collisions_per_block]
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_outcome_table_matches_every_cell_up_to_the_largest_cap(kind):
+    # Playing every (block column, draw sequence) cell, with no settled-prefix
+    # shortcut, gives the same table bit for bit at every cap.
+    for cap in range(1, MAX_ATTEMPTS_LIMIT + 1):
+        cells = Counter(
+            _play(kind, cell[0], cell[1:], cap) for cell in product(range(4), repeat=cap + 1)
+        )
+        rows = sorted((not ok, attempts, collisions, n) for (ok, attempts, collisions), n in cells.items())
+        outcomes, p = outcome_table(kind, cap)
+        assert outcomes.dtype == np.int64 and p.dtype == np.float64
+        assert outcomes.tobytes() == np.array([row[:3] for row in rows], dtype=np.int64).tobytes()
+        assert p.tobytes() == (np.array([row[3] for row in rows]) / 4 ** (cap + 1)).tobytes()
 
 
 def test_outcome_table_sizes():

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingersense
-from fingersense import cli, render
+from fingersense import imaging, render
 from fingersense.calibration import load_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config
@@ -452,13 +452,15 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
 def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch,
                                                                    protocol_dataset):
     # Each spelling of the reference's path once cached its own copy: 20
-    # spellings peaked at 22 frames.  The peak is now the reference plus one
-    # frame's file bytes and its copy, three frames, whatever the spellings.
+    # spellings peaked at 22 frames.  The peak is now the reference, one
+    # frame's file bytes (its image shares them) and detection's temporaries,
+    # about three frames, whatever the spellings.
     out_dir, _ = protocol_dataset
     payload = json.loads((out_dir / "manifest.json").read_text())[:20]
     for spelling, entry in enumerate(payload, start=1):
-        entry["reference"] = str(out_dir) + "/." * spelling + "/reference.pgm"
-        entry["frame"] = str(out_dir / entry["frame"])
+        entry["reference"] = "./" * spelling + "reference.pgm"
+    for image in out_dir.glob("*.pgm"):
+        (tmp_path / image.name).symlink_to(image)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(payload))
     monkeypatch.setattr(render, "_usable_cpus", lambda: 1)  # one frame in flight
@@ -477,29 +479,57 @@ def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monk
 SMALL_CAMERA = {"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}
 
 
+# A dataset image spelled with a prefix that stays in the manifest's directory
+# ("", "./", "././"), or leaves it: absolute, or through "..".  The test fills
+# in {dataset}, the dataset's absolute path, and {work}, the manifest's directory.
+PATH_PREFIXES = ("", "./", "././", "x/../", "/", "//", "{dataset}/", "../", "./../{work}/")
+spelled_images = st.tuples(
+    st.sampled_from(PATH_PREFIXES),
+    st.sampled_from(["reference.pgm", "cone_rotation_0.pgm", "slab_translation_3.pgm"]),
+)
+manifest_paths = st.none() | st.text() | spelled_images
+
+
+def _escapes(path: str) -> bool:
+    return path.startswith("/") or ".." in path.split("/")
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.text(), st.none() | st.text(), st.none() | st.text()),
-                min_size=1, max_size=4))
+@given(st.lists(st.tuples(st.text(), manifest_paths, manifest_paths), min_size=1, max_size=4))
 @example([("cone,evil\nrow", None, None)])
 @example([('say "cone"', None, None)])
 @example([("cone", "a\rb.pgm", None), ("slab", None, None)])
 @example([("cone", None, "ref\n.pgm")])
 @example([("cône\u2028,", None, None)])
 @example([("cone\x00\u2028\x1c\x85", "f\u2028.pgm", None)])
+@example([("cone", ("{dataset}/", "cone_rotation_0.pgm"), None)])
+@example([("cone", None, None), ("slab", None, ("./../{work}/", "reference.pgm"))])
+@example([("cone", ("./", "slab_translation_3.pgm"), ("././", "reference.pgm")),
+          ("slab", ("", "slab_translation_3.pgm"), ("./", "reference.pgm"))])
 def test_manifest_labels_never_split_a_csv_row(tmp_path_factory, small_dataset, labels):
     """Every manifest is refused in one line or gives one errors.csv row per entry.
 
     ``labels`` holds, per entry, an object label and, where not None, a frame
-    and a reference path in place of the dataset's.
+    and a reference path in place of the dataset's: free text, or a
+    (prefix, image name) pair from ``PATH_PREFIXES``.
     """
     work = tmp_path_factory.mktemp("labels")
     (work / "config.json").write_text(json.dumps(SMALL_CAMERA))
     dataset = small_dataset.parent
+    for image in dataset.glob("*.pgm"):
+        (work / image.name).symlink_to(image)
+
+    def path(spelling, default: str) -> str:
+        if isinstance(spelling, tuple):
+            prefix, name = spelling
+            return prefix.format(dataset=dataset, work=work.name) + name
+        return default if spelling is None else spelling
+
     payload = json.loads(small_dataset.read_text())[: len(labels)]
     for entry, (label, frame, reference) in zip(payload, labels):
         entry["object"] = label
-        entry["frame"] = str(dataset / entry["frame"]) if frame is None else frame
-        entry["reference"] = str(dataset / entry["reference"]) if reference is None else reference
+        entry["frame"] = path(frame, entry["frame"])
+        entry["reference"] = path(reference, entry["reference"])
     manifest = work / "manifest.json"
     manifest.write_text(json.dumps(payload))
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -511,7 +541,7 @@ def test_manifest_labels_never_split_a_csv_row(tmp_path_factory, small_dataset, 
         return any(char in value for char in chars)
 
     if any(breaks(e["object"], ',"\r\n') or breaks(e["frame"] + e["reference"], "\r\n")
-           for e in payload):
+           or _escapes(e["frame"]) or _escapes(e["reference"]) for e in payload):
         assert code == 1
         assert err.startswith(f"error: {manifest}: entry ") and err.count("\n") == 1, err
         assert not (work / "errors.csv").exists()
@@ -610,7 +640,7 @@ def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, broken_da
     # nothing is written.
     argv = _fresh_copy(broken_dataset, tmp_path / "work")
     calls = []
-    localize_frame = cli.localize_frame
+    localize_frame = imaging.localize_frame  # cmd_localize imports it when it runs
 
     def failing(reference, frame, config):
         calls.append(None)
@@ -618,7 +648,7 @@ def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, broken_da
             raise RuntimeError("worker broke")
         return localize_frame(reference, frame, config)
 
-    monkeypatch.setattr(cli, "localize_frame", failing)
+    monkeypatch.setattr(imaging, "localize_frame", failing)
     monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
     raised = []
@@ -964,29 +994,52 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
 # start-up
 
 
-def test_commands_without_detection_never_import_scipy(tmp_path):
+# Per command, the fingersense modules it loads besides cli, config and
+# geometry, and which of four other packages that only some commands need it
+# loads.  None loads SciPy: no detection box here is large enough to need it.
+_DETECTION = {"render", "imaging", "pgm"}
+COMMAND_MODULES = {
+    "import": (set(), set()),
+    "blocksworld": ({"blocksworld"}, {"fractions"}),
+    "calibrate": ({"calibration"}, {"csv"}),
+    "render": (_DETECTION, {"concurrent.futures"}),
+    "dataset": (_DETECTION, {"concurrent.futures"}),
+    "localize": (_DETECTION, {"concurrent.futures"}),
+}
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
     points = [_surface_sample(i) for i in range(8)]
-    csv_path = tmp_path / "cal.csv"
-    save_correspondences(csv_path, _projected(points))
-    config = tmp_path / "small.json"
-    config.write_text(
-        '{"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}'
-    )
-    small = ["--config", str(config)]
-    code = (
-        "import sys\n"
-        "from fingersense.cli import main\n"
-        "codes = [main(['blocksworld', '--policy', 'all', '-n', '100']),\n"
-        f"         main(['calibrate', {str(csv_path)!r}]),\n"
-        f"         main(['dataset', '--noise', '2', '--out-dir', {str(tmp_path / 'ds')!r},\n"
-        f"               *{small!r}]),\n"
-        "         main(['render', '--object', 'cone', '--rotation', '0',\n"
-        f"               '--out', {str(tmp_path / 'one')!r}, *{small!r}])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
-    )
-    done = _run_python(code)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == "[0, 0, 0, 0] []\n"
+    save_correspondences(tmp_path / "cal.csv", _projected(points))
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_CAMERA))
+    small = ["--config", str(tmp_path / "small.json")]
+    argvs = {  # in order: localize reads the dataset
+        "import": None,
+        "blocksworld": ["blocksworld", "--policy", "all", "-n", "100"],
+        "calibrate": ["calibrate", str(tmp_path / "cal.csv")],
+        "render": ["render", "--object", "cone", "--rotation", "0", "--out", str(tmp_path), *small],
+        "dataset": ["dataset", "--noise", "2", "--out-dir", str(tmp_path / "ds"), *small],
+        "localize": ["localize", "--manifest", str(tmp_path / "ds" / "manifest.json"), *small],
+    }
+    loaded = {}
+    for command, argv in argvs.items():
+        run = "code = 0" if argv is None else f"code = main({argv!r})"
+        done = _run_python(
+            "import sys\n"
+            "from fingersense.cli import main\n"
+            f"{run}\n"
+            "names = [m for m in sys.modules if m.startswith('fingersense.')]\n"
+            "names += [m for m in ('csv', 'concurrent.futures', 'fractions', 'scipy') if m in sys.modules]\n"
+            "print(code, *sorted(names), file=sys.stderr)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        code, *names = done.stderr.splitlines()[-1].split()  # after any localize warnings
+        assert code == "0", done.stderr
+        ours = {name.removeprefix("fingersense.") for name in names if name.startswith("fingersense.")}
+        others = {name for name in names if not name.startswith("fingersense.")}
+        assert {"cli", "config", "geometry"} <= ours  # what importing the CLI loads
+        loaded[command] = (ours - {"cli", "config", "geometry"}, others)
+    assert loaded == COMMAND_MODULES
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

@@ -647,6 +647,9 @@ GOOD_ENTRY = {
         ([{**GOOD_ENTRY, "truth_mm": [0.0, math.nan, 40.0]}], "entry 0: .*finite"),
         ([{**GOOD_ENTRY, "frame": 3}], "entry 0: frame must be a string"),
         ([{**GOOD_ENTRY, "pose_value": 10**400}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "frame": "/etc/passwd"}], "entry 0: frame must be a relative path"),
+        ([GOOD_ENTRY, {**GOOD_ENTRY, "reference": "../reference.pgm"}], "entry 1: reference must"),
+        ([{**GOOD_ENTRY, "frame": "a/../../b.pgm"}], "entry 0: frame must be a relative path"),
     ],
 )
 def test_manifest_rejects_malformed_entries(tmp_path, payload, message):
