@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -237,6 +236,8 @@ def exact_metrics(
     arithmetic and averaged over the four columns; n_blocks is 0 to mark an
     expectation rather than a sample.
     """
+    from fractions import Fraction  # here, as the CLI loads this module for every command
+
     if kind is PolicyKind.CONTROL:
         return RunMetrics(0.0, 1.0, 0.0, 0)
 

@@ -9,7 +9,6 @@ least-squares fit of (alpha, cx, cy), whose design rows are the derivatives of
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -121,6 +120,8 @@ def load_correspondences(path: str | Path, geometry: SensorGeometry) -> np.ndarr
     Every value must be finite and every point on the membrane (within 1e-6
     mm) with z > 0; the first offending row is reported by line number.
     """
+    import csv  # here, as the CLI loads this module for every command
+
     path = Path(path)
     values: list[float] = []
     # Bytes that are not UTF-8 decode to lone surrogates, which no header or

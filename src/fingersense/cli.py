@@ -13,10 +13,11 @@ deterministic given its flags: all randomness flows from ``--seed`` (default
 0), never from the clock.  Exit status is 0 exactly when the command
 completed with every validation passing.
 
-Each subcommand imports the modules it runs inside its own function, so a
-command loads only what it uses: ``blocksworld`` loads no rendering, imaging,
-PGM or calibration code, and ``calibrate`` no rendering, imaging or grasp
-simulation.  Importing this module loads only ``config`` and ``geometry``.
+Rendering, imaging and PGM code is imported inside the subcommands that run
+it, so ``blocksworld`` and ``calibrate`` load none of it.  The two NumPy-only
+layers, ``calibration`` and ``blocksworld``, are imported here: the per-layer
+trace of ``perfbench/traced.py`` looks every layer module up right after
+importing this one and ``imaging`` and ``render``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .blocksworld import (
+    HARDWARE_TABLE,
+    PolicyKind,
+    exact_metrics,
+    metrics_to_json_dict,
+    run_batch,
+)
+from .calibration import fit_intrinsics, load_correspondences, solve_alpha
 from .config import SessionConfig, load_config
 from .geometry import OBJECT_ORDER, ContactPose, pose_to_contact_point
 
@@ -213,8 +222,6 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .calibration import fit_intrinsics, load_correspondences, solve_alpha
-
     config = _session_config(args)
     points = load_correspondences(args.csv, config.geometry)
     alpha_single = solve_alpha(points, config.intrinsics.cx, config.intrinsics.cy)
@@ -239,14 +246,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_blocksworld(args: argparse.Namespace) -> int:
-    from .blocksworld import (
-        HARDWARE_TABLE,
-        PolicyKind,
-        exact_metrics,
-        metrics_to_json_dict,
-        run_batch,
-    )
-
     _session_config(args)  # validates --config; no key affects the simulation
     kinds = (
         [PolicyKind.CONTROL, PolicyKind.RG, PolicyKind.RGTR]

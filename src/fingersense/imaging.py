@@ -91,23 +91,7 @@ def _ndimage():
 
 
 def _frozen_2d(values: np.ndarray, dtype) -> np.ndarray:
-    """``values`` as a read-only C-ordered 2D array that nothing else can write.
-
-    A read-only view whose memory belongs to an immutable ``bytes`` object,
-    such as ``read_pgm``'s, is kept as it is; anything else is copied once.
-    """
-    arr = np.asarray(values)
-    owner = arr
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    kept = (
-        isinstance(owner, bytes)
-        and arr.dtype == dtype
-        and arr.flags.c_contiguous
-        and not arr.flags.writeable
-    )
-    if not kept:
-        arr = np.array(values, dtype=dtype, order="C")  # a private copy, converted once
+    arr = np.array(values, dtype=dtype, order="C")  # a private copy, converted once
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
     arr.flags.writeable = False

@@ -376,7 +376,8 @@ def _manifest_entry(item) -> ManifestEntry:
             raise ValueError(f"{key} must be a string, got {value!r}")
         if any(char in value for char in refused):
             raise ValueError(f"{key} may not hold any of {refused!r}, got {value!r}")
-        # Images resolve against the manifest's directory and may not leave it.
+        # A relative path with no '..' part, resolved against the manifest's
+        # directory; the check reads the text, so symbolic links are followed.
         if key != "object" and (value.startswith("/") or ".." in value.split("/")):
             raise ValueError(f"{key} must be a relative path without '..', got {value!r}")
     truth = item["truth_mm"]

@@ -453,8 +453,8 @@ def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monk
                                                                    protocol_dataset):
     # Each spelling of the reference's path once cached its own copy: 20
     # spellings peaked at 22 frames.  The peak is now the reference, one
-    # frame's file bytes (its image shares them) and detection's temporaries,
-    # about three frames, whatever the spellings.
+    # frame and detection's temporaries, about three frames, whatever the
+    # spellings.
     out_dir, _ = protocol_dataset
     payload = json.loads((out_dir / "manifest.json").read_text())[:20]
     for spelling, entry in enumerate(payload, start=1):
@@ -994,14 +994,17 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
 # start-up
 
 
-# Per command, the fingersense modules it loads besides cli, config and
-# geometry, and which of four other packages that only some commands need it
-# loads.  None loads SciPy: no detection box here is large enough to need it.
+# What importing the CLI loads: the two NumPy-only layers are imported with it,
+# so the per-layer trace finds every layer module (see the next test).
+_CLI_MODULES = {"cli", "config", "geometry", "calibration", "blocksworld"}
+# Per command, the fingersense modules it loads besides those, and which of
+# four other packages that only some commands need it loads.  None loads
+# SciPy: no detection box here is large enough to need it.
 _DETECTION = {"render", "imaging", "pgm"}
 COMMAND_MODULES = {
     "import": (set(), set()),
-    "blocksworld": ({"blocksworld"}, {"fractions"}),
-    "calibrate": ({"calibration"}, {"csv"}),
+    "blocksworld": (set(), {"fractions"}),
+    "calibrate": (set(), {"csv"}),
     "render": (_DETECTION, {"concurrent.futures"}),
     "dataset": (_DETECTION, {"concurrent.futures"}),
     "localize": (_DETECTION, {"concurrent.futures"}),
@@ -1025,6 +1028,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     for command, argv in argvs.items():
         run = "code = 0" if argv is None else f"code = main({argv!r})"
         done = _run_python(
+            "-c",
             "import sys\n"
             "from fingersense.cli import main\n"
             f"{run}\n"
@@ -1037,17 +1041,36 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         assert code == "0", done.stderr
         ours = {name.removeprefix("fingersense.") for name in names if name.startswith("fingersense.")}
         others = {name for name in names if not name.startswith("fingersense.")}
-        assert {"cli", "config", "geometry"} <= ours  # what importing the CLI loads
-        loaded[command] = (ours - {"cli", "config", "geometry"}, others)
+        assert _CLI_MODULES <= ours
+        loaded[command] = (ours - _CLI_MODULES, others)
     assert loaded == COMMAND_MODULES
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["blocksworld", "--policy", "all", "-n", "100"], "blocksworld"),
+        (["calibrate", "cal.csv"], "calibration"),
+    ],
+)
+def test_traced_benchmark_runs_the_commands_that_load_no_imaging(tmp_path, argv, layer):
+    # perfbench/traced.py wraps every layer module it finds in sys.modules
+    # after importing fingersense.cli, imaging and render; a layer missing
+    # there stops the traced command with a KeyError.
+    save_correspondences(tmp_path / "cal.csv", _projected([_surface_sample(i) for i in range(8)]))
+    traced = Path(fingersense.__file__).parents[2] / "perfbench" / "traced.py"
+    done = _run_python(str(traced), str(tmp_path / "spans.json"), *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    assert layer in {span[0].partition(".")[0] for span in spans}
+
+
+def _run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run Python on ``args`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(fingersense.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -1070,7 +1093,7 @@ def test_clean_localize_imports_scipy_only_for_a_large_crop(tmp_path):
         "blobs = detect_contacts(TactileImage(ref), TactileImage(ref + 30), 2.0, 25.0, 20)\n"
         "print(len(blobs), scipy_loaded(), file=sys.stderr)\n"
     )
-    done = _run_python(code)
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stderr == "[0, 0] False\n1 True\n"
     manifest_line, summary = done.stdout.splitlines()

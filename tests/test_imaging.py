@@ -33,7 +33,6 @@ from fingersense.imaging import (
     localization_error,
     localize_frame,
 )
-from fingersense.pgm import read_pgm, write_pgm
 from fingersense.render import default_indenter, render_contact, render_reference
 from oracle import detect_blobs, smooth, subtract_reference
 
@@ -55,27 +54,6 @@ def test_tactile_image_is_immutable():
     img = gray(7)
     with pytest.raises((ValueError, RuntimeError)):
         img.pixels[0, 0] = 1
-
-
-def test_tactile_image_keeps_a_pgm_frame_without_copying(tmp_path):
-    path = tmp_path / "frame.pgm"
-    write_pgm(path, np.arange(12, dtype=np.uint8).reshape(3, 4))
-    pixels = read_pgm(path)  # a read-only view of the file's bytes
-    image = TactileImage(pixels)
-    assert np.shares_memory(image.pixels, pixels)
-    assert not image.pixels.flags.writeable
-    # A strided view of the same bytes is not C-ordered, so it is copied.
-    assert not np.shares_memory(TactileImage(pixels[:, ::2]).pixels, pixels)
-
-
-def test_tactile_image_copies_a_read_only_view_of_a_writable_array():
-    base = np.zeros((3, 4), dtype=np.uint8)
-    view = base.view()
-    view.flags.writeable = False
-    image = TactileImage(view)
-    base[0, 0] = 9
-    assert image.pixels[0, 0] == 0
-    assert not np.shares_memory(image.pixels, base)
 
 
 def test_diff_image_rejects_negative_values():
