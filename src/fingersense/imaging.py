@@ -12,15 +12,11 @@ above-threshold pixels, so their cost scales with the imprint, not the frame,
 and smooth that box in bands of rows, so no frame-sized float64 array is ever
 held.  The tests hold the full-frame pipeline they are compared against.
 
-Every box is labelled in NumPy, with the same labels as SciPy's ``label``.
-A box of at most NUMPY_CROP_PX pixels, such as a clean imprint's, is also
-smoothed in NumPy, with the same bits as SciPy's ``gaussian_filter``; a
-larger box, such as a whole noisy frame, is smoothed by SciPy, whose filter
-costs about half as much per pixel.  SciPy is imported on the first such box,
-not with this module, so commands that never meet one do not pay for it.  The
-module is kept as this module's ``ndimage`` global, and every SciPy call goes
-through that global.  No command uses ``DiffImage`` or that global; the
-benchmark's per-layer tracer (``perfbench/traced.py``) wraps both.
+Every box is smoothed and labelled in NumPy, with the same bits as SciPy's
+``gaussian_filter`` and the same labels as its ``label``, so no command
+imports SciPy.  The ``ndimage`` module attribute (SciPy's, imported on first
+read) and ``DiffImage`` are kept only for the benchmark's per-layer tracer
+(``perfbench/traced.py``), which wraps both; no package code uses either.
 """
 
 from __future__ import annotations
@@ -40,14 +36,11 @@ from .config import (
 )
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
-# Frame rows that detection reads at once (when smoothing, at least four
-# kernel radii): a band of a 1920-pixel-wide frame and its halo take about
-# 1 MB as float64.
-DETECT_BAND_ROWS = 64
-# Detection crops of at most this many pixels are smoothed in NumPy.  At this
-# size NumPy costs a few ms more than SciPy, which is less than importing
-# SciPy costs; every larger crop is smoothed by SciPy.
-NUMPY_CROP_PX = 1 << 18
+# Frame rows that detection reads or smooths at once.  Smoothing a band of a
+# 1920-pixel-wide frame holds three float64 arrays of its size, about 1.5 MB,
+# which fit in a 2 MB L2 cache: on a noisy frame 24 to 48 rows cost the same,
+# and 64 rows a quarter more.
+DETECT_BAND_ROWS = 32
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
 # std), reported alongside synthetic results for comparison.  Hardware
@@ -188,25 +181,26 @@ def _blobs(
     ``weights`` holds the value at each pixel of ``mask``, in
     ``np.flatnonzero(mask)`` order.  Cost is one ``_label_runs`` pass over the
     mask, a few passes over its foreground pixels and a short loop over the
-    kept blobs, so it does not grow with the number of components.  A stable
-    sort groups the foreground pixels by label with each blob's pixels still
-    in scan order, and each blob is summed as one contiguous array.
-    These are the same values in the same order as summing the blob's own
-    masked pixels, so NumPy's pairwise sum gives the same mass and centroid
-    bit for bit.
+    kept blobs, so it does not grow with the number of components.  The
+    pixels of components below ``min_area`` are dropped first.  A stable sort
+    groups the rest by label with each blob's pixels still in scan order, and
+    each blob is summed as one contiguous array.  These are the same values
+    in the same order as summing the blob's own masked pixels, so NumPy's
+    pairwise sum gives the same mass and centroid bit for bit.
     """
     pixels, owner = _label_runs(mask)
-    order = np.argsort(owner, kind="stable")
-    pixels, weights = pixels[order], weights[order]
-    areas = np.bincount(owner)[1:]  # areas[i] is the size of label i + 1
-    stops = np.cumsum(areas)
-    v, u = np.divmod(pixels, mask.shape[1])
+    areas = np.bincount(owner, minlength=1)  # areas[i] is the size of label i
+    kept = areas >= min_area
+    kept[0] = False  # label 0 is the background
+    members = np.flatnonzero(kept[owner])
+    order = members[np.argsort(owner[members], kind="stable")]
+    weights = weights[order]
+    v, u = np.divmod(pixels[order], mask.shape[1])
     weighted_u = weights * (u + origin[1])
     weighted_v = weights * (v + origin[0])
-
-    kept = areas >= min_area
+    areas = areas[kept]
     blobs = []
-    for stop, area in zip(stops[kept].tolist(), areas[kept].tolist()):
+    for stop, area in zip(np.cumsum(areas).tolist(), areas.tolist()):
         member = slice(stop - area, stop)
         mass = float(weights[member].sum())
         blobs.append(
@@ -237,22 +231,33 @@ def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     roots.  A component's root is then its first run in scan order, so
     numbering the roots in order gives ``ndimage.label``'s numbers.  After
     the one ``flatnonzero`` pass over the mask, cost is a few passes over its
-    foreground pixels and over the runs.
+    foreground pixels and over the runs.  Every index array is int32
+    (MAX_FRAME_PX fits) and is dropped once used, so a mask of many short
+    runs holds less.
     """
     width = mask.shape[1]
-    pixels = np.flatnonzero(mask)
-    starts = np.flatnonzero((np.diff(pixels, prepend=-1) != 1) | (pixels % width == 0))
-    lengths = np.diff(starts, append=pixels.size)
-    row, col = np.divmod(pixels[starts], width)
-    begin = row * (width + 1) + col
+    pixels = np.flatnonzero(mask).astype(np.int32)
+    starts = np.flatnonzero(
+        (np.diff(pixels, prepend=np.int32(-1)) != 1) | (pixels % width == 0)
+    ).astype(np.int32)
+    lengths = np.diff(starts, append=np.int32(pixels.size))
+    begin = pixels[starts]
+    begin += begin // width  # the run's first pixel on the grid
     end = begin + lengths  # one past the run's last pixel
-    lo = np.searchsorted(end, begin - (width + 1), side="left")
-    hi = np.searchsorted(begin, end - (width + 1), side="right")
+    del starts
+    runs = np.arange(begin.size, dtype=np.int32)
     # One edge from each run to each run of its range, all of which come earlier.
-    touching = np.maximum(hi - lo, 0)
-    later = np.repeat(np.arange(starts.size), touching)
-    earlier = np.arange(later.size) - np.repeat(np.cumsum(touching) - touching - lo, touching)
-    root = np.arange(starts.size)
+    first = np.searchsorted(end, begin - (width + 1), side="left").astype(np.int32)
+    touching = np.searchsorted(begin, end - (width + 1), side="right").astype(np.int32)
+    touching -= first
+    np.maximum(touching, 0, out=touching)
+    del begin, end
+    later = np.repeat(runs, touching)
+    first -= np.cumsum(touching, dtype=np.int32) - touching  # less the run's first edge
+    earlier = np.repeat(first, touching)
+    earlier += np.arange(later.size, dtype=np.int32)
+    del first, touching
+    root = runs.copy()
     while True:
         a, b = root[later], root[earlier]
         apart = a != b
@@ -264,60 +269,57 @@ def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    numbers = np.cumsum(root == np.arange(starts.size))[root]
+    del later, earlier, a, b, apart
+    numbers = np.cumsum(root == runs, dtype=np.int32)[root]
     return pixels, np.repeat(numbers, lengths)
 
 
-def _smooth_band(diff: np.ndarray, sigma: float, in_numpy: bool) -> np.ndarray:
-    """``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")``.
+def _gaussian_numpy(diff: np.ndarray, sigma: float, rows: slice = slice(None)) -> np.ndarray:
+    """``rows`` of ``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")``.
 
-    ``diff`` is one uint8 band of a detection crop, with its halo.  With
-    ``in_numpy`` the filter is ``_gaussian_numpy``, else SciPy's.
-    """
-    if in_numpy:
-        return _gaussian_numpy(diff, sigma)
-    return _ndimage().gaussian_filter(
-        diff, sigma, output=np.float64, truncate=3.0, mode="nearest"
-    )
-
-
-def _gaussian_numpy(diff: np.ndarray, sigma: float) -> np.ndarray:
-    """SciPy's ``gaussian_filter`` at ``truncate=3``, ``mode="nearest"``, bit for bit.
-
-    The kernel is SciPy's: ``w = exp(-0.5 / sigma**2 * x**2)`` over
-    ``x = -r..r`` with ``r = int(3 sigma + 0.5)``, divided by its sum.  As in
-    SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is filtered
-    before axis 1, each in SciPy's order for a symmetric kernel: the centre
-    tap, then for ``j`` from ``r`` down to 1 the sum of the two taps at
+    The bits are SciPy's.  The kernel is SciPy's: ``w = exp(-0.5 / sigma**2 *
+    x**2)`` over ``x = -r..r`` with ``r = int(3 sigma + 0.5)``, divided by its
+    sum.  As in SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is
+    filtered before axis 1, each in SciPy's order for a symmetric kernel: the
+    centre tap, then for ``j`` from ``r`` down to 1 the sum of the two taps at
     ``-j`` and ``+j``, times their weight.
+
+    Only ``rows`` are filtered; the other rows of the uint8 ``diff`` are only
+    read.  The rows and columns in reach are gathered once into a uint8
+    buffer, with the edges replicated by clipping indices, so any radius
+    works, even one longer than an axis.  That buffer and the axis-0 result
+    are filtered as flat arrays, a row of ``width + 2 r`` apart along axis 0
+    and one element apart along axis 1, so every pass is one contiguous
+    ufunc call; the axis-1 values that wrap into a neighbouring row land in
+    the padding and are dropped.  The axis-0 tap pairs are summed in uint16,
+    which is exact.
     """
-    values = diff.astype(np.float64)
+    start, stop, _ = rows.indices(diff.shape[0])
     if sigma <= 1e-15:
-        return values
+        return diff[start:stop].astype(np.float64)
     radius = int(3.0 * sigma + 0.5)
     weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     weights = weights / weights.sum()
-    for axis in (0, 1):
-        values = _correlate_nearest(values, weights, axis)
-    return values
-
-
-def _correlate_nearest(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """One axis of ``_gaussian_numpy``: a symmetric kernel over replicated edges.
-
-    The edges are replicated by clipping indices, so any radius works, even
-    one longer than the axis.
-    """
-    radius, n = weights.size // 2, values.shape[axis]
-    padded = np.take(values, np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
-    padded = np.moveaxis(padded, axis, 0)
-    out = padded[radius : radius + n] * weights[radius]
-    pair = np.empty_like(out)
+    height, width = diff.shape
+    pitch = width + 2 * radius
+    size = (stop - start) * pitch
+    source = diff[np.clip(np.arange(start - radius, stop + radius), 0, height - 1)]
+    source = source[:, np.clip(np.arange(-radius, width + radius), 0, width - 1)].ravel()
+    centre = radius * pitch
+    rows_done = np.multiply(source[centre : centre + size], weights[radius])
+    pair, term = np.empty(size, dtype=np.uint16), np.empty(size)
     for j in range(radius, 0, -1):
-        np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n], out=pair)
-        pair *= weights[radius + j]
-        out += pair
-    return np.moveaxis(out, 0, axis)
+        above, below = centre - j * pitch, centre + j * pitch
+        np.add(source[above : above + size], source[below : below + size], out=pair, dtype=np.uint16)
+        rows_done += np.multiply(pair, weights[radius + j], out=term)
+    out = np.empty(size)
+    inner = slice(radius, size - radius)
+    out_inner, term = out[inner], term[inner]
+    np.multiply(rows_done[inner], weights[radius], out=out_inner)
+    for j in range(radius, 0, -1):
+        np.add(rows_done[radius - j : size - radius - j], rows_done[radius + j : size - radius + j], out=term)
+        out_inner += np.multiply(term, weights[radius + j], out=term)
+    return out.reshape(-1, pitch)[:, radius : radius + width]
 
 
 def _abs_diff(ref: TactileImage, frame: TactileImage, rows: slice, columns: slice) -> np.ndarray:
@@ -360,21 +362,16 @@ def detect_contacts(
     order.  With no seeds the result is empty; when noise puts seeds all over
     the frame the crop is the whole frame.
 
-    The crop is smoothed in bands of at least DETECT_BAND_ROWS rows (and of
-    4 r, so that the halo costs at most half again), each filtered with up to
-    ``r`` rows of the crop above and below it.  The filter is separable, and a
-    band row sees the same crop rows as in the whole crop, replicated at the
-    same crop edges, so it gets the same bits.  The filter reads the uint8
-    difference as float64, the same bits as filtering a float64 copy.  Each
-    band is thresholded into one bool mask of the crop, and its smoothed
-    values are kept at the foreground pixels only, which ``_blobs`` then
-    labels and weighs.  On a noisy 1920x1080 frame this holds the
-    1-byte-per-pixel mask and one band, not a float64 frame.
-
-    A crop of at most NUMPY_CROP_PX pixels is smoothed by ``_gaussian_numpy``,
-    a larger one by SciPy; both give the same bits, so only the cost and
-    whether SciPy is imported differ.  Every crop is labelled by
-    ``_label_runs``.
+    The crop is smoothed in bands of DETECT_BAND_ROWS rows by
+    ``_gaussian_numpy``, each read with up to ``r`` rows of the crop above and
+    below it.  The filter is separable, and a band row sees the same crop rows
+    as in the whole crop, replicated at the same crop edges, so it gets the
+    same bits.  The filter reads the uint8 difference as float64, the same
+    bits as filtering a float64 copy.  Each band is thresholded into one bool
+    mask of the crop, and its smoothed values are kept at the foreground
+    pixels only, which ``_label_runs`` and ``_blobs`` then label and weigh.
+    On a noisy 1920x1080 frame this holds the 1-byte-per-pixel mask and one
+    band, not a float64 frame.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -397,20 +394,18 @@ def detect_contacts(
     top, bottom = max(rows[0] - 2 * radius, 0), min(rows[-1] + 1 + 2 * radius, height)
     left, right = max(cols[0] - 2 * radius, 0), min(cols[-1] + 1 + 2 * radius, width)
     columns = slice(left, right)
-    band_rows = max(DETECT_BAND_ROWS, 4 * radius)
     mask = np.empty((bottom - top, right - left), dtype=bool)
-    in_numpy = mask.size <= NUMPY_CROP_PX
     weights = []
-    for start in range(top, bottom, band_rows):
-        stop = min(start + band_rows, bottom)
+    for start in range(top, bottom, DETECT_BAND_ROWS):
+        stop = min(start + DETECT_BAND_ROWS, bottom)
         lo, hi = max(start - radius, top), min(stop + radius, bottom)
-        smoothed = _smooth_band(
-            _abs_diff(ref, frame, slice(lo, hi), columns), sigma, in_numpy
-        )[start - lo : stop - lo]
+        diff = _abs_diff(ref, frame, slice(lo, hi), columns)
+        smoothed = _gaussian_numpy(diff, sigma, slice(start - lo, stop - lo))
         band_mask = mask[start - top : stop - top]
         np.greater(smoothed, threshold, out=band_mask)
         weights.append(smoothed[band_mask])
-    return _blobs(mask, np.concatenate(weights), min_area, (int(top), int(left)))
+    weights = np.concatenate(weights)  # and drop the bands' pieces
+    return _blobs(mask, weights, min_area, (int(top), int(left)))
 
 
 def localize_frame(

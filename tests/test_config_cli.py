@@ -999,7 +999,7 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
 _CLI_MODULES = {"cli", "config", "geometry", "calibration", "blocksworld"}
 # Per command, the fingersense modules it loads besides those, and which of
 # four other packages that only some commands need it loads.  None loads
-# SciPy: no detection box here is large enough to need it.
+# SciPy: detection smooths and labels in NumPy (see the next test too).
 _DETECTION = {"render", "imaging", "pgm"}
 COMMAND_MODULES = {
     "import": (set(), set()),
@@ -1024,26 +1024,45 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         "dataset": ["dataset", "--noise", "2", "--out-dir", str(tmp_path / "ds"), *small],
         "localize": ["localize", "--manifest", str(tmp_path / "ds" / "manifest.json"), *small],
     }
-    loaded = {}
-    for command, argv in argvs.items():
-        run = "code = 0" if argv is None else f"code = main({argv!r})"
-        done = _run_python(
-            "-c",
-            "import sys\n"
-            "from fingersense.cli import main\n"
-            f"{run}\n"
-            "names = [m for m in sys.modules if m.startswith('fingersense.')]\n"
-            "names += [m for m in ('csv', 'concurrent.futures', 'fractions', 'scipy') if m in sys.modules]\n"
-            "print(code, *sorted(names), file=sys.stderr)\n"
-        )
-        assert done.returncode == 0, done.stderr
-        code, *names = done.stderr.splitlines()[-1].split()  # after any localize warnings
-        assert code == "0", done.stderr
-        ours = {name.removeprefix("fingersense.") for name in names if name.startswith("fingersense.")}
-        others = {name for name in names if not name.startswith("fingersense.")}
-        assert _CLI_MODULES <= ours
-        loaded[command] = (ours - _CLI_MODULES, others)
+    loaded = {command: _modules_loaded_by(argv) for command, argv in argvs.items()}
     assert loaded == COMMAND_MODULES
+
+
+def test_noisy_localize_loads_no_scipy(tmp_path):
+    # Noise 16 puts seeds all over every frame, so each detection crop is the
+    # whole 640x480 frame (307k pixels), far larger than a clean imprint's box.
+    camera = {"width_px": 640, "height_px": 480, "alpha_px": 200.0, "cx_px": 320.0, "cy_px": 240.0}
+    (tmp_path / "vga.json").write_text(json.dumps(camera))
+    vga = ["--config", str(tmp_path / "vga.json")]
+    with redirect_stdout(io.StringIO()):
+        assert main(["dataset", "--noise", "16", "--out-dir", str(tmp_path / "ds"), *vga]) == 0
+    argv = ["localize", "--manifest", str(tmp_path / "ds" / "manifest.json"), *vga]
+    assert _modules_loaded_by(argv) == COMMAND_MODULES["localize"]
+
+
+def _modules_loaded_by(argv: list[str] | None) -> tuple[set[str], set[str]]:
+    """The fingersense modules beyond the CLI's, and the watched packages, that running ``argv`` loads.
+
+    ``argv`` runs through ``main`` in a fresh interpreter; None only imports the CLI.
+    """
+    run = "code = 0" if argv is None else f"code = main({argv!r})"
+    done = _run_python(
+        "-c",
+        "import sys\n"
+        "from fingersense.cli import main\n"
+        f"{run}\n"
+        "names = [m for m in sys.modules if m.startswith('fingersense.')]\n"
+        "names += [m for m in ('csv', 'concurrent.futures', 'fractions') if m in sys.modules]\n"
+        "names += [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "print(code, *sorted(names), file=sys.stderr)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    code, *names = done.stderr.splitlines()[-1].split()  # after any localize warnings
+    assert code == "0", done.stderr
+    ours = {name.removeprefix("fingersense.") for name in names if name.startswith("fingersense.")}
+    others = {name for name in names if not name.startswith("fingersense.")}
+    assert _CLI_MODULES <= ours
+    return ours - _CLI_MODULES, others
 
 
 @pytest.mark.parametrize(
@@ -1072,30 +1091,3 @@ def _run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
-
-
-def test_clean_localize_imports_scipy_only_for_a_large_crop(tmp_path):
-    # Every crop of a clean 1920x1080 protocol dataset is below the NumPy
-    # limit, so the paper's loop runs without SciPy; a noisy frame, one
-    # crop of the whole frame, loads it.
-    data = tmp_path / "data"
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from fingersense.cli import main\n"
-        "from fingersense.imaging import NUMPY_CROP_PX, TactileImage, detect_contacts\n"
-        "def scipy_loaded():\n"
-        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        f"codes = [main(['dataset', '--noise', '2', '--out-dir', {str(data)!r}]),\n"
-        f"         main(['localize', '--manifest', {str(data / 'manifest.json')!r}])]\n"
-        "print(codes, scipy_loaded(), file=sys.stderr)\n"
-        "ref = np.zeros((NUMPY_CROP_PX // 512 + 1, 512), dtype=np.uint8)\n"
-        "blobs = detect_contacts(TactileImage(ref), TactileImage(ref + 30), 2.0, 25.0, 20)\n"
-        "print(len(blobs), scipy_loaded(), file=sys.stderr)\n"
-    )
-    done = _run_python("-c", code)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == "[0, 0] False\n1 True\n"
-    manifest_line, summary = done.stdout.splitlines()
-    assert manifest_line == str(data / "manifest.json")
-    assert json.loads(summary)["n_detected"] == 56

@@ -341,21 +341,17 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 
 @pytest.fixture
 def smoothed_shapes(monkeypatch) -> list:
-    """Record the shape of every band ``detect_contacts`` smooths, in either backend."""
+    """Record, for every band ``detect_contacts`` smooths, the shape it reads and the rows it smooths."""
     shapes = []
-    original = imaging._smooth_band
+    original = imaging._gaussian_numpy
 
     def recording(diff, *args):
-        shapes.append(diff.shape)
-        return original(diff, *args)
+        smoothed = original(diff, *args)
+        shapes.append((diff.shape, smoothed.shape[0]))
+        return smoothed
 
-    monkeypatch.setattr(imaging, "_smooth_band", recording)
+    monkeypatch.setattr(imaging, "_gaussian_numpy", recording)
     return shapes
-
-
-# The NumPy smoothing limit: 0 sends every crop to SciPy, the default (far
-# above these frames) every crop to NumPy.
-crop_limits = st.sampled_from([0, imaging.NUMPY_CROP_PX])
 
 
 @st.composite
@@ -401,34 +397,33 @@ def contact_frames(draw):
         threshold,
         draw(st.integers(1, 20)),
         draw(st.integers(1, 4) | st.integers(1, 90)),
-        draw(crop_limits),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(contact_frames())
 def test_detect_contacts_matches_full_frame_pipeline(case):
-    *pipeline_case, band_rows, crop_px = case
+    *pipeline_case, band_rows = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imaging, "DETECT_BAND_ROWS", band_rows)
-        patch.setattr(imaging, "NUMPY_CROP_PX", crop_px)
         assert_pipeline_matches(*pipeline_case)
 
 
 def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, smoothed_shapes):
     # Every pixel is a seed, so the crop is the whole 40x50 frame.  At sigma 2
-    # the radius is 6, bands are at least 4 radii tall, and each reads up to
-    # one radius of the crop beyond it; at sigma 0 there is no halo.
+    # the radius is 6: each band of 8 rows reads up to one radius of the crop
+    # above and below it and smooths only its own rows; at sigma 0 there is
+    # no halo.
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
     rng = np.random.default_rng(14)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)
-    assert smoothed_shapes == [(24 + 6, 50), (6 + 16, 50)]
+    assert smoothed_shapes == [((8 + 6, 50), 8)] + [((6 + 8 + 6, 50), 8)] * 3 + [((6 + 8, 50), 8)]
     smoothed_shapes.clear()
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 1)
     frame = ref + rng.integers(0, 60, size=ref.shape, dtype=np.uint8)
     assert_pipeline_matches(ref, frame, 0.0, 25.0, 1)
-    assert smoothed_shapes == [(1, 50)] * 40
+    assert smoothed_shapes == [((1, 50), 1)] * 40
 
 
 def traced_peak(function, *args) -> int:
@@ -451,7 +446,7 @@ def noisy_pair(seed: int) -> list[np.ndarray]:
 def test_detect_contacts_memory_stays_below_a_frame():
     # Worker threads localise frames side by side, so each must stay small:
     # a float64 1920x1080 frame alone is 15.8 MiB.  Each case runs once
-    # untraced first, which also imports SciPy outside the measurement.
+    # untraced first, so the measurement sees only the call's own arrays.
     noisy = noisy_pair(15)
     noisy[1][500:520, 1000:1030] = 230
     ref, frame = TactileImage(noisy[0]), TactileImage(noisy[1])
@@ -465,6 +460,15 @@ def test_detect_contacts_memory_stays_below_a_frame():
     reference = render_reference(config.geometry, config.intrinsics)
     assert len(detect_contacts(reference, clean, 2.0, 25.0, 20)) == 1
     assert traced_peak(detect_contacts, reference, clean, 2.0, 25.0, 20) <= 2 * 2**20
+
+
+def test_detect_contacts_memory_stays_bounded_without_smoothing():
+    # Unsmoothed, about a quarter of a sigma-16 frame passes the threshold, in
+    # over 100k components, so labelling must hold int32 indices and drop
+    # each array once used.
+    ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
+    assert len(detect_contacts(ref, frame, 0.0, 25.0, 20)) > 4000
+    assert traced_peak(detect_contacts, ref, frame, 0.0, 25.0, 20) <= 32 * 2**20
 
 
 def test_detect_contacts_integer_plateau_rounds_above_threshold():
@@ -503,19 +507,22 @@ def test_detect_contacts_threshold_below_one_smooths_whole_frame(smoothed_shapes
     rng = np.random.default_rng(13)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)  # every pixel is a seed
-    assert smoothed_shapes == [(40, 50)]
+    # Two bands of at most 32 rows cover all 40 rows, each read with a halo
+    # of 6 rows, the radius at sigma 2.
+    assert smoothed_shapes == [((32 + 6, 50), 32), ((6 + 8, 50), 8)]
 
 
 def test_detect_contacts_smooths_only_the_window(smoothed_shapes):
     # One imprint on a 1080x1920 frame: smoothing and labelling cover the
     # pixels at or above the threshold's integer part, grown by twice the
-    # kernel radius (6 px at sigma 2) on each side.
+    # kernel radius (6 px at sigma 2) on each side.  That crop of 25 + 24
+    # rows is smoothed in two bands, each read with a halo inside the crop.
     ref = np.full((1080, 1920), 128, dtype=np.uint8)
     frame = ref.copy()
     frame[500:520, 1000:1030] = 200
     frame[495:500, 1000:1030] = 153  # exactly 25 above the reference: seeds
     (blob,) = assert_pipeline_matches(ref, frame, 2.0, 25.0, 20)
-    assert smoothed_shapes == [(25 + 24, 30 + 24)]
+    assert smoothed_shapes == [((32 + 6, 30 + 24), 32), ((6 + 17, 30 + 24), 17)]
     assert 1000 < blob.centroid.u < 1030 and 495 < blob.centroid.v < 520
 
 
@@ -543,23 +550,20 @@ def test_detect_contacts_validates_like_the_stages():
         detect_contacts(ref, frame, 2.0, 0.0, 1)
 
 
-def test_detect_contacts_on_a_whole_noisy_frame_never_calls_ndimage_label(monkeypatch):
-    # The crop is the whole frame, above NUMPY_CROP_PX: SciPy smooths its 17
-    # bands of 64 rows, and the runs labeller labels it.
+def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, smoothed_shapes):
+    # Sigma-16 noise puts seeds all over the frame, so the crop is the whole
+    # frame: 34 bands of at most 32 rows, smoothed and labelled in NumPy.
     ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
     want = full_frame_pipeline(ref, frame, 2.0, 25.0, 20)
-    filtered, labelled = [], []
-    gaussian_filter = ndimage.gaussian_filter
 
-    def filtering(diff, *args, **kwargs):
-        filtered.append(diff.shape)
-        return gaussian_filter(diff, *args, **kwargs)
+    def no_scipy():
+        raise AssertionError("detection reached for scipy.ndimage")
 
-    monkeypatch.setattr(ndimage, "gaussian_filter", filtering)
-    monkeypatch.setattr(ndimage, "label", lambda *args, **kwargs: labelled.append(args))
+    monkeypatch.delitem(vars(imaging), "ndimage", raising=False)
+    monkeypatch.setattr(imaging, "_ndimage", no_scipy)
     assert detect_contacts(ref, frame, 2.0, 25.0, 20) == want
-    assert len(filtered) == 17 and sum(rows for rows, _ in filtered) > 1080
-    assert labelled == []
+    assert len(smoothed_shapes) == 34
+    assert sum(rows for _, rows in smoothed_shapes) == 1080
 
 
 def test_detect_blobs_adds_origin_before_weighting():
@@ -571,7 +575,7 @@ def test_detect_blobs_adds_origin_before_weighting():
 
 
 # ---------------------------------------------------------------------------
-# the NumPy backend (smoothing small crops, labelling every crop), against SciPy
+# smoothing and labelling in NumPy, against SciPy
 
 
 @st.composite
@@ -597,6 +601,24 @@ def test_numpy_smoothing_matches_scipy_bits(image, sigma):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@settings(max_examples=300, deadline=None)
+@given(uint8_images(max_side=60), st.data())
+def test_numpy_smoothing_of_a_halo_band_matches_scipy_rows(image, data):
+    # A band of rows read with up to one radius of the image above and below
+    # it, as detect_contacts reads its crop, often at the top or bottom edge;
+    # at sigma >= 20 the radius exceeds every band and image.
+    height = image.shape[0]
+    sigma = data.draw(st.sampled_from([0.45, 2.0, 7.0, 20.0, MAX_SIGMA_PX]) | st.floats(0.0, MAX_SIGMA_PX))
+    start = data.draw(st.sampled_from([0, height - 1]) | st.integers(0, height - 1))
+    stop = data.draw(st.sampled_from([start + 1, height]) | st.integers(start + 1, height))
+    radius = int(3.0 * sigma + 0.5)
+    lo, hi = max(start - radius, 0), min(stop + radius, height)
+    want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest")
+    got = imaging._gaussian_numpy(image[lo:hi], sigma, slice(start - lo, stop - lo))
+    assert got.shape == (stop - start, image.shape[1]) and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want[start:stop].view(np.uint64))
+
+
 def assert_labels_match_ndimage(mask: np.ndarray) -> int:
     pixels, owner = imaging._label_runs(mask)
     labels = np.zeros(mask.shape, dtype=np.int64)
@@ -618,10 +640,9 @@ def test_numpy_labels_match_ndimage(image, level):
 def test_numpy_labels_match_ndimage_on_a_whole_noisy_frame(sigma, share):
     # Thresholded at 25, a sigma-16 difference smoothed at sigma 2 leaves
     # sparse blobs; unsmoothed, it leaves about a quarter of the pixels in
-    # short runs.  Both masks are larger than NUMPY_CROP_PX.
+    # short runs.
     ref, frame = (TactileImage(pixels) for pixels in noisy_pair(17))
     mask = smooth(subtract_reference(ref, frame), sigma).values > 25.0
-    assert mask.size > imaging.NUMPY_CROP_PX
     assert share[0] < np.count_nonzero(mask) / mask.size < share[1]
     assert assert_labels_match_ndimage(mask) > 100
 
