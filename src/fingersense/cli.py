@@ -145,8 +145,8 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
     config = _session_config(args)
     manifest_path = Path(args.manifest)
-    manifest = load_manifest(manifest_path)
-    if not manifest.entries:
+    entries = load_manifest(manifest_path)
+    if not entries:
         raise ValueError(f"manifest {manifest_path} lists no entries")
     base = manifest_path.parent
 
@@ -159,7 +159,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
         Only the last reference read is kept, however many paths the manifest names.
         """
         path = reference = None
-        for entry in manifest.entries:
+        for entry in entries:
             if entry.reference != path:
                 path = entry.reference
                 try:
@@ -208,7 +208,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "n_entries": len(manifest.entries),
+                "n_entries": len(entries),
                 "n_detected": len(records),
                 "mean_error_mm": mean_error,
             }

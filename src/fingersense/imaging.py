@@ -413,13 +413,19 @@ def localize_frame(
 ) -> ContactEstimate | None:
     """Detect with the config's settings, then back-project the heaviest blob's centroid.
 
-    Returns None when no blob is found.
+    Returns None when no blob is found.  Raises ValueError when ``frame`` is
+    not the size of the config's camera, whose model back-projects it.
     """
+    k = config.intrinsics
+    if (frame.width, frame.height) != (k.width, k.height):
+        raise ValueError(
+            f"dimension mismatch: frame {frame.width}x{frame.height}, camera {k.width}x{k.height}"
+        )
     blobs = detect_contacts(reference, frame, config.sigma_px, config.threshold, config.min_area_px)
     if not blobs:
         return None
     centroid = blobs[0].centroid
-    return ContactEstimate(centroid, back_project(centroid, config.intrinsics, config.geometry))
+    return ContactEstimate(centroid, back_project(centroid, k, config.geometry))
 
 
 def localization_error(e: ContactEstimate, truth) -> float:

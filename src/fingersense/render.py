@@ -35,11 +35,12 @@ every pixel is computed on its own, so the bands give the same bytes.
 Protocol dataset: every image adds Gaussian pixel noise from its own random
 stream split off the seed.  Pixels are integers, so the noise is drawn as the
 rounded Gaussian K by inverse CDF from a 16-bit table (see ``_NoiseTable``).
-The noise, the one full-frame cost left, runs on worker threads, one per
-usable CPU; a frame's noise depends only on its own stream, so the bytes do
-not depend on scheduling or on the CPU count.  Rendering, writing and the
-manifest stay on the calling thread.  ``_map_in_order``, the bounded map in
-order that runs the noise, also runs ``localize`` over a manifest.
+Each frame is one job on worker threads, one per usable CPU: a worker renders
+it, builds its manifest entry and adds its noise.  A frame depends only on its
+own pose and stream, so the bytes do not depend on scheduling or on the CPU
+count.  Writing and the manifest stay on the calling thread, in protocol
+order.  ``_map_in_order``, the bounded map in order that runs the frames,
+also runs ``localize`` over a manifest.
 """
 
 from __future__ import annotations
@@ -334,11 +335,6 @@ class ManifestEntry:
     truth_mm: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple[ManifestEntry, ...]
-
-
 def protocol_poses() -> list[ContactPose]:
     """The eight poses of the contact protocol: rotations then translations."""
     return [ContactPose.rotation(t) for t in PROTOCOL_ROTATIONS_RAD] + [
@@ -346,7 +342,7 @@ def protocol_poses() -> list[ContactPose]:
     ]
 
 
-def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
+def save_manifest(path: str | Path, entries: tuple[ManifestEntry, ...]) -> None:
     payload = [
         {
             "object": e.object_label,
@@ -356,7 +352,7 @@ def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
             "frame": e.frame,
             "truth_mm": list(e.truth_mm),
         }
-        for e in manifest.entries
+        for e in entries
     ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -383,17 +379,21 @@ def _manifest_entry(item) -> ManifestEntry:
     truth = item["truth_mm"]
     if not isinstance(truth, list) or len(truth) != 3:
         raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")
+    for value in (item["pose_value"], *truth):
+        # bool is an int subclass; exclude it explicitly.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"non-numeric pose_value or truth_mm item {value!r}")
     try:
         pose = ContactPose(PoseKind(item["pose_kind"]), float(item["pose_value"]))
         truth_mm = tuple(float(v) for v in truth)
-    except (TypeError, OverflowError) as exc:  # float() of a list, null or huge int
+    except OverflowError as exc:  # an int no float holds
         raise ValueError(f"non-numeric pose_value or truth_mm ({exc})") from None
     if not all(math.isfinite(v) for v in (pose.value, *truth_mm)):
         raise ValueError("pose_value and truth_mm must be finite")
     return ManifestEntry(item["object"], pose, item["reference"], item["frame"], truth_mm)
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
+def load_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -408,7 +408,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             entries.append(_manifest_entry(item))
         except ValueError as exc:
             raise ValueError(f"{path}: entry {index}: {exc}") from None
-    return DatasetManifest(tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -499,24 +499,16 @@ def _map_in_order(fn: Callable, items: Iterable, consume: Callable) -> None:
     There is one worker per usable CPU, each with at most one item in flight.
     ``items`` is iterated and ``consume`` is called on the calling thread, in
     the order of ``items``, so only ``fn`` needs to be safe to run on several
-    items at once.  If taking the next item raises, the items taken before it
-    are consumed first and then the error is raised.  If ``fn`` or ``consume``
-    raises, nothing more is consumed.  Either way the error is raised once the
-    items in flight have finished, so no worker outlives the call.
+    items at once.  Iterating ``items`` must not raise: a caller turns its
+    errors into values, as ``localize`` does with reference reads.  If ``fn``
+    or ``consume`` raises, nothing more is consumed, and the error is raised
+    once the items in flight have finished, so no worker outlives the call;
+    that is the one error path.
     """
     workers = _usable_cpus()
     in_flight: deque[Future] = deque()
-    iterator = iter(items)
     with ThreadPoolExecutor(workers) as pool:
-        while True:
-            try:
-                item = next(iterator)
-            except StopIteration:
-                break
-            except Exception:
-                while in_flight:
-                    consume(in_flight.popleft().result())
-                raise
+        for item in items:
             in_flight.append(pool.submit(fn, item))
             if len(in_flight) == workers:
                 consume(in_flight.popleft().result())
@@ -530,26 +522,27 @@ def generate_protocol_dataset(
     k: CameraIntrinsics,
     noise_sigma: float = 0.0,
     seed: int = 0,
-) -> DatasetManifest:
+) -> tuple[ManifestEntry, ...]:
     """Render the full 56-image protocol plus one reference frame.
 
-    Writes PGM images and ``manifest.json`` into ``out_dir``.  Gaussian pixel
-    noise of standard deviation ``noise_sigma`` is added independently to
-    every written frame (reference included), with one RNG stream split off
-    the master seed per image, so outputs are reproducible for a fixed
-    (seed, noise_sigma) and unchanged by rendering order.  Every pixel gets
-    clip(p + K, 0, 255) with K = rint(N(0, noise_sigma)), drawn by
-    ``_add_noise`` from one ``_NoiseTable`` built per call (about 5 ms; none
-    when ``noise_sigma`` is 0, which writes the clean frames).
+    Writes PGM images and ``manifest.json`` into ``out_dir`` and returns the
+    manifest's entries.  Gaussian pixel noise of standard deviation
+    ``noise_sigma`` is added independently to every written frame (reference
+    included), with one RNG stream split off the master seed per image, so
+    outputs are reproducible for a fixed (seed, noise_sigma) and unchanged by
+    rendering order.  Every pixel gets clip(p + K, 0, 255) with
+    K = rint(N(0, noise_sigma)), drawn by ``_add_noise`` from one
+    ``_NoiseTable`` built per call (about 5 ms; none when ``noise_sigma`` is
+    0, which writes the clean frames).
 
-    Only the noise runs on worker threads (``_map_in_order``), one per usable
-    CPU, each with at most one frame in flight; NumPy's draws and ufuncs
-    release the GIL, so the frames are noised in parallel.  A frame's noise
-    depends only on its own stream, so the bytes do not depend on scheduling
-    or on the number of CPUs.  Rendering, writing, error messages and the manifest stay on the
-    calling thread in protocol order: frames rendered before a failing render
-    are written before its error is raised, and nothing is written after a
-    failing write.
+    Each frame is one job of ``_map_in_order``: a worker thread, one per
+    usable CPU with at most one frame in flight, renders the frame, builds its
+    manifest entry and adds its noise; NumPy's ufuncs and draws release the
+    GIL, so the frames are made in parallel.  A frame depends only on its own
+    pose and stream, so the bytes do not depend on scheduling or on the number
+    of CPUs.  Writing and the manifest stay on the calling thread in protocol
+    order, so the frames before a failing render or write are written before
+    its error is raised, and none after it.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
@@ -559,45 +552,41 @@ def generate_protocol_dataset(
     except OSError as exc:
         raise OSError(f"cannot create dataset directory {out_dir}: {exc}") from exc
 
-    n_images = 1 + len(DEFAULT_INDENTER_SPECS) * 8
-    streams = np.random.SeedSequence(seed).spawn(n_images)
     reference_name = "reference.pgm"
+    # (file name, object, pose) of every image in stream order; the reference has no object.
+    jobs = [(reference_name, None, None)] + [
+        (f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm", object_label, pose)
+        for object_label in OBJECT_ORDER
+        for pose_index, pose in enumerate(protocol_poses())
+    ]
+    streams = np.random.SeedSequence(seed).spawn(len(jobs))
+    noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
     entries = []
 
-    def rendered():
-        """(file name, image) in stream order, each rendered when asked for."""
-        yield reference_name, render_reference(g, k)
-        for object_label in OBJECT_ORDER:
-            for pose_index, pose in enumerate(protocol_poses()):
-                ind = default_indenter(object_label, pose, g)
-                frame_name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
-                truth = ind.contact_point
-                entries.append(
-                    ManifestEntry(
-                        object_label=object_label,
-                        pose=pose,
-                        reference=reference_name,
-                        frame=frame_name,
-                        truth_mm=(truth.x, truth.y, truth.z),
-                    )
-                )
-                yield frame_name, render_contact(ind, g, k)
-
-    def noised(item):
-        (name, image), stream = item
-        return name, _add_noise(image, noise, np.random.default_rng(stream))
+    def frame(item):
+        """(file name, noisy pixels, manifest entry or None) of one job, on a worker thread."""
+        (name, object_label, pose), stream = item
+        if object_label is None:
+            image, entry = render_reference(g, k), None
+        else:
+            ind = default_indenter(object_label, pose, g)
+            truth = ind.contact_point
+            entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
+            image = render_contact(ind, g, k)
+        return name, _add_noise(image, noise, np.random.default_rng(stream)), entry
 
     def write(result) -> None:
-        name, pixels = result
+        name, pixels, entry = result
         path = out_dir / name
         try:
             write_pgm(path, pixels)
         except OSError as exc:
             raise OSError(f"cannot write image {path}: {exc}") from exc
+        if entry is not None:
+            entries.append(entry)
 
-    noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
-    _map_in_order(noised, zip(rendered(), streams), write)
+    _map_in_order(frame, zip(jobs, streams), write)
 
-    manifest = DatasetManifest(tuple(entries))
+    manifest = tuple(entries)
     save_manifest(out_dir / "manifest.json", manifest)
     return manifest

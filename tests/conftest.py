@@ -20,7 +20,7 @@ def intrinsics() -> CameraIntrinsics:
 def protocol_dataset(tmp_path_factory):
     """One noise-free protocol dataset, shared across test modules."""
     out_dir = tmp_path_factory.mktemp("protocol")
-    manifest = generate_protocol_dataset(
+    entries = generate_protocol_dataset(
         out_dir, SensorGeometry(), CameraIntrinsics(), noise_sigma=0.0, seed=0
     )
-    return out_dir, manifest
+    return out_dir, entries

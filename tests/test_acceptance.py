@@ -177,13 +177,13 @@ def test_criterion_04_calibration_recovery(intrinsics):
 
 
 def test_criterion_05_closed_loop(geometry, intrinsics, protocol_dataset):
-    out_dir, manifest = protocol_dataset
+    out_dir, entries = protocol_dataset
     start = time.perf_counter()
-    reference = TactileImage(read_pgm(out_dir / manifest.entries[0].reference))
+    reference = TactileImage(read_pgm(out_dir / entries[0].reference))
     config = SessionConfig(geometry, intrinsics)  # sigma 2 px, threshold 25, min area 20 px
     errors: dict[str, list[float]] = {}
     detected = 0
-    for entry in manifest.entries:
+    for entry in entries:
         estimate = localize_frame(reference, TactileImage(read_pgm(out_dir / entry.frame)), config)
         if estimate is None:
             errors.setdefault(entry.object_label, []).append(float("inf"))

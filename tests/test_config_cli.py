@@ -328,8 +328,7 @@ def test_dataset_matches_library_output(tmp_path, capsys, protocol_dataset):
     code = main(["dataset", "--out-dir", str(out), "--seed", "0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == str(out / "manifest.json")
-    manifest = load_manifest(out / "manifest.json")
-    assert len(manifest.entries) == 56
+    assert len(load_manifest(out / "manifest.json")) == 56
     # Byte-identical to the library-generated dataset with the same seed.
     assert _digest_dir(out) == _digest_dir(fixture_dir)
 
@@ -447,6 +446,28 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
     rows = (tmp_path / "errors.csv").read_text().splitlines()
     assert rows[1].endswith(",nan")
     assert json.loads(captured.out)["n_detected"] == 55
+
+
+def test_localize_refuses_frames_of_another_camera(tmp_path, capsys, small_dataset):
+    # The 64x48 frames back-projected with a 128x96 camera once gave a mean
+    # error and exit status 0, without a warning.
+    for image in small_dataset.parent.glob("*.pgm"):
+        (tmp_path / image.name).symlink_to(image)
+    (tmp_path / "manifest.json").write_text(small_dataset.read_text())
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"width_px": 128, "height_px": 96, "alpha_px": 40.0, "cx_px": 64.0, "cy_px": 48.0}
+    ))
+    code = main(["localize", "--config", str(tmp_path / "config.json"),
+                 "--manifest", str(tmp_path / "manifest.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    *warned, last = captured.err.splitlines()
+    assert last == "error: no entry could be localized"
+    assert len(warned) == 56
+    assert all(w.endswith(": dimension mismatch: frame 64x48, camera 128x96") for w in warned)
+    rows = (tmp_path / "errors.csv").read_text().splitlines()[1:]
+    assert len(rows) == 56 and all(row.endswith(",nan") for row in rows)
 
 
 def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch,

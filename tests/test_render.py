@@ -27,7 +27,7 @@ from fingersense.geometry import (
 )
 from fingersense.config import SessionConfig
 from fingersense.imaging import TactileImage, localization_error, localize_frame
-from fingersense.pgm import read_pgm
+from fingersense.pgm import read_pgm, write_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
     BACKGROUND_INTENSITY,
@@ -387,10 +387,10 @@ def test_default_specs_cover_all_objects():
 
 
 def test_dataset_shape_and_truth(protocol_dataset, geometry):
-    out_dir, manifest = protocol_dataset
-    assert len(manifest.entries) == 56
+    out_dir, entries = protocol_dataset
+    assert len(entries) == 56
     per_object = {}
-    for e in manifest.entries:
+    for e in entries:
         per_object.setdefault(e.object_label, []).append(e)
         assert (out_dir / e.frame).exists()
         assert (out_dir / e.reference).exists()
@@ -401,13 +401,13 @@ def test_dataset_shape_and_truth(protocol_dataset, geometry):
 
 
 def test_dataset_manifest_round_trip(protocol_dataset):
-    out_dir, manifest = protocol_dataset
-    assert load_manifest(out_dir / "manifest.json") == manifest
+    out_dir, entries = protocol_dataset
+    assert load_manifest(out_dir / "manifest.json") == entries
 
 
 def test_dataset_images_read_back(protocol_dataset):
-    out_dir, manifest = protocol_dataset
-    image = read_pgm(out_dir / manifest.entries[0].frame)
+    out_dir, entries = protocol_dataset
+    image = read_pgm(out_dir / entries[0].frame)
     assert image.shape == (1080, 1920)
     assert image.max() > BACKGROUND_INTENSITY  # an imprint is present
 
@@ -496,18 +496,39 @@ def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, geometry, sigma, w
     # The bytes depend on neither the worker count nor how often threads switch.
     if workers is not None:
         monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
+    # Each worker holds at most one frame: renders started minus frames written.
+    lock = threading.Lock()
+    started = written = most_in_flight = 0
+
+    def counted_render(*args):
+        nonlocal started, most_in_flight
+        with lock:
+            started += 1
+            most_in_flight = max(most_in_flight, started - written)
+        return render_contact(*args)
+
+    def counted_write(*args):
+        nonlocal written
+        write_pgm(*args)
+        with lock:
+            written += 1
+
+    monkeypatch.setattr(render, "render_contact", counted_render)
+    monkeypatch.setattr(render, "write_pgm", counted_write)
     interval = sys.getswitchinterval()
     try:
         if switch_s is not None:
             sys.setswitchinterval(switch_s)
-        manifest = generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, sigma, seed=29)
+        entries = generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, sigma, seed=29)
     finally:
         sys.setswitchinterval(interval)
     expected = serial_dataset(geometry, ORACLE_CAMERA, sigma, seed=29)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*expected, "manifest.json"])
-    assert [e.frame for e in manifest.entries] == list(expected)[1:]
+    assert [e.frame for e in entries] == list(expected)[1:]
     for name, pixels in expected.items():
         np.testing.assert_array_equal(read_pgm(tmp_path / name), pixels, err_msg=name)
+    assert (started, written) == (len(expected) - 1, len(expected))
+    assert most_in_flight <= render._usable_cpus()
 
 
 def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, geometry):
@@ -521,15 +542,15 @@ def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, geometry):
 
 
 def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch, geometry):
-    calls = []
+    # Workers render in no fixed order, so the failure is keyed to the third contact frame.
+    failing = default_indenter("cone", protocol_poses()[2], geometry)
 
-    def failing_third(ind, g, k):
-        calls.append(ind)
-        if len(calls) == 3:
+    def fail_third_frame(ind, g, k):
+        if ind == failing:
             raise ValueError("cannot render this one")
         return render_contact(ind, g, k)
 
-    monkeypatch.setattr(render, "render_contact", failing_third)
+    monkeypatch.setattr(render, "render_contact", fail_third_frame)
     monkeypatch.setattr(render, "_usable_cpus", lambda: 4)  # none written before the failure
     threads = threading.active_count()
     with pytest.raises(ValueError, match="cannot render this one"):
@@ -647,6 +668,9 @@ GOOD_ENTRY = {
         ([{**GOOD_ENTRY, "truth_mm": [0.0, math.nan, 40.0]}], "entry 0: .*finite"),
         ([{**GOOD_ENTRY, "frame": 3}], "entry 0: frame must be a string"),
         ([{**GOOD_ENTRY, "pose_value": 10**400}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "pose_value": "0.0"}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "pose_value": False}], "entry 0: non-numeric"),
+        ([{**GOOD_ENTRY, "truth_mm": [True, "0", 40]}], "entry 0: non-numeric"),
         ([{**GOOD_ENTRY, "frame": "/etc/passwd"}], "entry 0: frame must be a relative path"),
         ([GOOD_ENTRY, {**GOOD_ENTRY, "reference": "../reference.pgm"}], "entry 1: reference must"),
         ([{**GOOD_ENTRY, "frame": "a/../../b.pgm"}], "entry 0: frame must be a relative path"),
