@@ -1,9 +1,10 @@
 """Touch-guided grasping on a 4x4 board: simulation and exact oracle.
 
 One block sits in an unknown column of each row.  A gripper gets up to five
-attempts per block.  A grasp in the block's column succeeds; a grasp in a
-horizontally adjacent column touches the block without grasping it — a
-collision — and the contact side tells the policy exactly where the block is.
+attempts per block (DEFAULT_MAX_ATTEMPTS, the one cap in use).  A grasp in
+the block's column succeeds; a grasp in a horizontally adjacent column
+touches the block without grasping it — a collision — and the contact side
+tells the policy exactly where the block is.
 
 Policies:
 
@@ -33,7 +34,6 @@ import numpy as np
 N_COLUMNS = 4
 N_ROWS = 4
 DEFAULT_MAX_ATTEMPTS = 5
-MAX_ATTEMPTS_LIMIT = 8  # outcome tables hold 4 ** (cap + 1) cells
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Hardware baseline (20 blocks, physical gripper): failure rate, attempts and
@@ -77,9 +77,7 @@ class RunMetrics:
             raise ValueError(f"negative collisions {self.collisions_per_block}")
 
 
-def _play(
-    kind: PolicyKind, block_col: int, draws: tuple[int, ...], max_attempts: int
-) -> tuple[bool, int, int]:
+def _play(kind: PolicyKind, block_col: int, draws: tuple[int, ...]) -> tuple[bool, int, int]:
     """One block's (success, attempts, collisions): the only copy of the policy rules.
 
     A draw in the block's column hits; a draw one column off collides and
@@ -87,7 +85,7 @@ def _play(
     """
     if kind is PolicyKind.CONTROL:
         return True, 1, 0
-    played = draws[:max_attempts]
+    played = draws[:DEFAULT_MAX_ATTEMPTS]
     collisions = 0
     for attempts, draw in enumerate(played, 1):
         if draw == block_col:
@@ -96,71 +94,56 @@ def _play(
             collisions += 1
             if kind is PolicyKind.RGTR:
                 # Regrasp at the sensed column; it needs one more attempt.
-                if attempts < max_attempts:
+                if attempts < DEFAULT_MAX_ATTEMPTS:
                     return True, attempts + 1, collisions
                 return False, attempts, collisions
     return False, len(played), collisions
 
 
-def _check_max_attempts(max_attempts: int) -> None:
-    if not 1 <= max_attempts <= MAX_ATTEMPTS_LIMIT:
-        raise ValueError(f"max_attempts must be in 1..{MAX_ATTEMPTS_LIMIT}, got {max_attempts}")
-
-
-def replay_policy(
-    kind: PolicyKind,
-    block_col: int,
-    draws: tuple[int, ...],
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> BlockRecord:
+def replay_policy(kind: PolicyKind, block_col: int, draws: tuple[int, ...]) -> BlockRecord:
     """Run one block with a scripted draw sequence (reference semantics).
 
     ``draws`` supplies the policy's random column choices in order; Control
-    ignores it.  The rules are ``_play``'s.  Raises ValueError when
-    ``max_attempts`` is outside 1..MAX_ATTEMPTS_LIMIT, when the block column
-    or a draw lies outside 0..3, and when ``draws`` runs out before the block
-    is settled (a failure that used fewer than ``max_attempts`` attempts).  A
-    sequence may stop at the hit or at the collision that triggers a regrasp.
+    ignores it.  The rules are ``_play``'s.  Raises ValueError when the block
+    column or a draw lies outside 0..3, and when ``draws`` runs out before the
+    block is settled (a failure that used fewer than DEFAULT_MAX_ATTEMPTS
+    attempts).  A sequence may stop at the hit or at the collision that
+    triggers a regrasp.
     """
-    _check_max_attempts(max_attempts)
     if not all(0 <= c < N_COLUMNS for c in (block_col, *draws)):
         raise ValueError(
             f"columns must lie in 0..{N_COLUMNS - 1}, got block {block_col}, draws {tuple(draws)}"
         )
-    record = BlockRecord(*_play(kind, block_col, draws, max_attempts))
-    if not record.success and record.attempts < max_attempts:
+    record = BlockRecord(*_play(kind, block_col, draws))
+    if not record.success and record.attempts < DEFAULT_MAX_ATTEMPTS:
         raise ValueError(
-            f"draws {tuple(draws)} ran out after {record.attempts} of {max_attempts} attempts "
+            f"draws {tuple(draws)} ran out after {record.attempts} of {DEFAULT_MAX_ATTEMPTS} attempts "
             "before the block was settled"
         )
     return record
 
 
-def outcome_table(
-    kind: PolicyKind, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-) -> tuple[np.ndarray, np.ndarray]:
+def outcome_table(kind: PolicyKind) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct per-block outcome of a policy and its probability.
 
-    The 4 ** (max_attempts + 1) (block column, draw sequence) cells are
-    equally likely.  Per block column, ``_play`` runs on draw prefixes,
+    The 4 ** (DEFAULT_MAX_ATTEMPTS + 1) (block column, draw sequence) cells
+    are equally likely.  Per block column, ``_play`` runs on draw prefixes,
     starting from the empty one: a prefix that succeeds (Control always does)
-    or fails after ``max_attempts`` attempts is settled, and stands for the
-    4 ** (max_attempts - len(prefix)) cells that extend it, whatever their
-    later draws; any other prefix is extended by one draw.  Returns
-    (outcomes, p): sorted int64 rows of (failed, attempts, collisions) and
-    each row's share of the cells, exact in float64 because it is dyadic.
-    ``max_attempts`` must be in 1..MAX_ATTEMPTS_LIMIT.
+    or fails after DEFAULT_MAX_ATTEMPTS attempts is settled, and stands for
+    the 4 ** (DEFAULT_MAX_ATTEMPTS - len(prefix)) cells that extend it,
+    whatever their later draws; any other prefix is extended by one draw.
+    Returns (outcomes, p): sorted int64 rows of (failed, attempts, collisions)
+    and each row's share of the cells, exact in float64 because it is dyadic.
     """
-    _check_max_attempts(max_attempts)
     counts: dict[tuple[bool, int, int], int] = {}
     for block_col in range(N_COLUMNS):
         prefixes: list[tuple[int, ...]] = [()]
         while prefixes:
             prefix = prefixes.pop()
-            outcome = _play(kind, block_col, prefix, max_attempts)
+            outcome = _play(kind, block_col, prefix)
             success, attempts, _ = outcome
-            if success or attempts == max_attempts:
-                cells = N_COLUMNS ** (max_attempts - len(prefix))
+            if success or attempts == DEFAULT_MAX_ATTEMPTS:
+                cells = N_COLUMNS ** (DEFAULT_MAX_ATTEMPTS - len(prefix))
                 counts[outcome] = counts.get(outcome, 0) + cells
             else:
                 prefixes.extend(prefix + (draw,) for draw in range(N_COLUMNS))
@@ -168,36 +151,31 @@ def outcome_table(
         (not ok, attempts, collisions, n) for (ok, attempts, collisions), n in counts.items()
     )
     outcomes = np.array([row[:3] for row in rows], dtype=np.int64)
-    return outcomes, np.array([row[3] for row in rows]) / N_COLUMNS ** (max_attempts + 1)
+    return outcomes, np.array([row[3] for row in rows]) / N_COLUMNS ** (DEFAULT_MAX_ATTEMPTS + 1)
 
 
 def _outcome_counts(
-    kind: PolicyKind, n_boards: int, seed: int, max_attempts: int, size: int | None = None
+    kind: PolicyKind, n_boards: int, seed: int, size: int | None = None
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """(outcomes, n_blocks, blocks per outcome): one multinomial draw, or ``size`` rows."""
     n_blocks = n_boards * N_ROWS
     if not 1 <= n_blocks <= _INT64_MAX:
         raise ValueError(f"n_boards {n_boards} gives {n_blocks} blocks, not in 1..{_INT64_MAX}")
-    outcomes, p = outcome_table(kind, max_attempts)
+    outcomes, p = outcome_table(kind)
     return outcomes, n_blocks, np.random.default_rng(seed).multinomial(n_blocks, p, size=size)
 
 
-def run_batch(
-    kind: PolicyKind,
-    n_boards: int,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> RunMetrics:
+def run_batch(kind: PolicyKind, n_boards: int, seed: int = 0) -> RunMetrics:
     """Aggregate a policy over ``n_boards`` fresh boards.
 
     Blocks are independent, so the blocks per ``outcome_table`` row are one
     multinomial draw seeded with ``seed`` (fixed arguments give fixed bits),
     and the metrics are exact integer sums over the counts divided by the
     block count: the distribution of simulating every block, at a cost that
-    does not grow with ``n_boards``.  A block count above int64 or
-    ``max_attempts`` outside 1..MAX_ATTEMPTS_LIMIT raises ValueError.
+    does not grow with ``n_boards``.  A block count above int64 raises
+    ValueError.
     """
-    outcomes, n_blocks, counts = _outcome_counts(kind, n_boards, seed, max_attempts)
+    outcomes, n_blocks, counts = _outcome_counts(kind, n_boards, seed)
     failed, attempts, collisions = (
         sum(c * value for c, value in zip(counts.tolist(), column)) / n_blocks
         for column in outcomes.T.tolist()
@@ -206,11 +184,7 @@ def run_batch(
 
 
 def batch_distribution(
-    kind: PolicyKind,
-    n_batches: int,
-    boards_per_batch: int,
-    seed: int = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    kind: PolicyKind, n_batches: int, boards_per_batch: int, seed: int = 0
 ) -> np.ndarray:
     """Per-batch metrics over many small batches; shape (n_batches, 3).
 
@@ -219,20 +193,17 @@ def batch_distribution(
     Each batch is one multinomial draw of outcome counts, as in ``run_batch``,
     so the cost grows with ``n_batches`` but not with ``boards_per_batch``.
     """
-    outcomes, per_batch, counts = _outcome_counts(
-        kind, boards_per_batch, seed, max_attempts, size=n_batches
-    )
+    outcomes, per_batch, counts = _outcome_counts(kind, boards_per_batch, seed, size=n_batches)
     return counts @ outcomes.astype(np.float64) / per_batch
 
 
-def exact_metrics(
-    kind: PolicyKind, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-) -> RunMetrics:
+def exact_metrics(kind: PolicyKind) -> RunMetrics:
     """Exact expectations by enumerating outcomes per block column.
 
-    The block column is uniform over {0..3}; per attempt the draw hits with
-    probability 1/4, collides with n_adj/4 (n_adj neighbours on the board)
-    and misses otherwise.  Everything is accumulated in exact rational
+    Every block gets up to DEFAULT_MAX_ATTEMPTS attempts.  The block column
+    is uniform over {0..3}; per attempt the draw hits with probability 1/4,
+    collides with n_adj/4 (n_adj neighbours on the board) and misses
+    otherwise.  Everything is accumulated in exact rational
     arithmetic and averaged over the four columns; n_blocks is 0 to mark an
     expectation rather than a sample.
     """
@@ -243,6 +214,7 @@ def exact_metrics(
 
     fail_total = attempts_total = collisions_total = Fraction(0)
     q = Fraction(1, N_COLUMNS)  # hit probability per draw
+    cap = DEFAULT_MAX_ATTEMPTS
 
     for col in range(N_COLUMNS):
         n_adj = (col > 0) + (col < N_COLUMNS - 1)  # neighbours on the board
@@ -251,10 +223,10 @@ def exact_metrics(
         # costs one more attempt for the regrasp if one is left.
         sensed = a if kind is PolicyKind.RGTR else Fraction(0)
         m = 1 - q - sensed  # probability that a draw does not stop the search
-        prefixes = [m**k for k in range(max_attempts)]  # still searching at k + 1
-        fail_total += m**max_attempts + sensed * m ** (max_attempts - 1)
-        attempts_total += max_attempts * m**max_attempts + sum(
-            prefix * (q * k + sensed * min(k + 1, max_attempts))
+        prefixes = [m**k for k in range(cap)]  # still searching at k + 1
+        fail_total += m**cap + sensed * m ** (cap - 1)
+        attempts_total += cap * m**cap + sum(
+            prefix * (q * k + sensed * min(k + 1, cap))
             for k, prefix in enumerate(prefixes, 1)
         )
         collisions_total += a * sum(prefixes)

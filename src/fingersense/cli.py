@@ -37,7 +37,7 @@ from .blocksworld import (
 )
 from .calibration import fit_intrinsics, load_correspondences, solve_alpha
 from .config import SessionConfig, load_config
-from .geometry import OBJECT_ORDER, ContactPose, pose_to_contact_point
+from .geometry import OBJECT_ORDER, ContactPose
 
 if TYPE_CHECKING:
     from .imaging import GroupStats
@@ -74,12 +74,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         pose = ContactPose.rotation(args.rotation)
     else:
         pose = ContactPose.translation(args.translation)
-    truth = pose_to_contact_point(pose, config.geometry)  # validates the pose
-    indenter = default_indenter(args.object, pose, config.geometry)
+    indenter = default_indenter(args.object, pose, config.geometry)  # validates the pose
+    truth = indenter.contact_point
 
     out_dir = Path(args.out if args.out is not None else config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(out_dir / "reference.pgm", render_reference(config.geometry, config.intrinsics).pixels)
+    write_pgm(out_dir / "reference.pgm", render_reference(config.intrinsics).pixels)
     write_pgm(out_dir / "contact.pgm", render_contact(indenter, config.geometry, config.intrinsics).pixels)
 
     print(

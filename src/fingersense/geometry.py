@@ -77,6 +77,8 @@ class Shape(Enum):
 # Canonical object order for the protocol dataset and the report tables.
 OBJECT_ORDER = tuple(shape.value for shape in Shape)
 
+SURFACE_TOL_MM = 1e-6  # how far a point may lie off the membrane and still be on it
+
 
 class NoIntersectionError(ValueError):
     """A viewing ray does not meet the membrane (degenerate geometry)."""
@@ -163,17 +165,16 @@ def _as_xyz(point) -> tuple[float, float, float]:
     return float(x), float(y), float(z)
 
 
-def classify_surface_point(point, geometry: SensorGeometry, tol: float = 1e-6) -> Region:
+def classify_surface_point(point, geometry: SensorGeometry) -> Region:
     """Classify a 3D point as lying on the tip, on the side, or off the membrane.
 
-    ``tol`` is a distance tolerance in mm on the radial residual.  Points
-    within ``tol`` of the seam circle (z = d, x^2 + y^2 = r^2) satisfy both
-    surface equations and classify as SIDE, which keeps the answer unique.
+    A point is on a surface when its radial residual is at most
+    SURFACE_TOL_MM.  Points within that distance of the seam circle (z = d,
+    x^2 + y^2 = r^2) satisfy both surface equations and classify as SIDE,
+    which keeps the answer unique.
     """
-    if not 0 < tol < math.inf:  # also refuses NaN
-        raise ValueError(f"tolerance must be positive, got {tol}")
     x, y, z = _as_xyz(point)
-    r, d = geometry.r, geometry.d
+    r, d, tol = geometry.r, geometry.d, SURFACE_TOL_MM
 
     radial = math.hypot(x, y)
     if abs(radial - r) <= tol and -tol <= z <= d + tol:
@@ -282,20 +283,18 @@ def back_project_pixels(
     return points, tip
 
 
-def surface_normal(
-    point: SurfacePoint, geometry: SensorGeometry, tol: float = 1e-6
-) -> np.ndarray:
+def surface_normal(point: SurfacePoint, geometry: SensorGeometry) -> np.ndarray:
     """Outward unit normal of the membrane at a surface point.
 
-    Tip: (x, y, z - d) / r.  Side: (x, y, 0) / r.  The result is renormalised
-    so that points within ``tol`` of the surface still yield an exactly unit
-    vector; the two expressions agree on the seam, so the field is continuous.
+    Tip: (x, y, z - d) / r.  Side: (x, y, 0) / r.  Renormalising gives an
+    exactly unit vector within SURFACE_TOL_MM of the surface too; the two
+    expressions agree on the seam, so the field is continuous.
     """
-    region = classify_surface_point(point, geometry, tol)
+    region = classify_surface_point(point, geometry)
     if region is Region.OFF:
         raise ValueError(
             f"({point.x}, {point.y}, {point.z}) is not on the membrane "
-            f"(tol={tol} mm)"
+            f"(tol={SURFACE_TOL_MM} mm)"
         )
     if region is Region.TIP:
         n = np.array([point.x, point.y, point.z - geometry.d], dtype=np.float64)

@@ -26,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The detection defaults are config's; they are also read from this module.
-from .config import (
-    DEFAULT_MIN_AREA_PX,
-    DEFAULT_SIGMA_PX,
-    DEFAULT_THRESHOLD,
-    MAX_SIGMA_PX,
-    SessionConfig,
-)
+# The detection defaults are config's; perfbench/run.py reads DEFAULT_SIGMA_PX
+# and DEFAULT_THRESHOLD from this module.
+from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionConfig
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
 # Frame rows that detection reads or smooths at once.  Smoothing a band of a

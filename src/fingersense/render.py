@@ -107,15 +107,14 @@ class Indenter:
       slab      a size x size/2 rectangle
       irregular a fixed composite of three overlapping discs
 
-    ``orientation_rad`` spins the footprint about the surface normal; it only
-    affects shapes without rotational symmetry (edge, slab, irregular).
+    Footprints are laid out in the tangent frame of ``_tangent_basis``; the
+    edge and the slab's long side run along its t1.
     """
 
     shape: Shape
     characteristic_size: float  # mm
     contact_point: SurfacePoint
     depth: float  # mm, indentation along the inward normal
-    orientation_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.depth > 0:
@@ -149,9 +148,8 @@ def _tangent_basis(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal (t1, t2, n) frame of the tangent plane at the contact.
 
-    t1 is the projection of the finger axis onto the tangent plane (falling
-    back to x-hat at the apex, where the axis is normal), rotated by the
-    indenter's orientation about n.
+    t1 is the projection of the finger axis onto the tangent plane, falling
+    back to x-hat at the apex, where the axis is normal.
     """
     n = surface_normal(ind.contact_point, g)
     axis = np.array([0.0, 0.0, 1.0])
@@ -161,11 +159,7 @@ def _tangent_basis(
         t1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
         norm = np.linalg.norm(t1)
     t1 = t1 / norm
-    t2 = np.cross(n, t1)
-    if ind.orientation_rad != 0.0:
-        c, s = math.cos(ind.orientation_rad), math.sin(ind.orientation_rad)
-        t1, t2 = c * t1 + s * t2, -s * t1 + c * t2
-    return t1, t2, n
+    return t1, np.cross(n, t1), n
 
 
 def _planar_footprint_distance(ind: Indenter, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,7 +262,7 @@ def _imprint_window(ind: Indenter, k: CameraIntrinsics) -> tuple[slice, slice]:
     return window[0], window[1]
 
 
-def render_reference(g: SensorGeometry, k: CameraIntrinsics) -> TactileImage:
+def render_reference(k: CameraIntrinsics) -> TactileImage:
     """The no-contact frame: uniform background across the membrane silhouette.
 
     The membrane wraps around the camera, so every forward pixel ray strikes
@@ -567,7 +561,7 @@ def generate_protocol_dataset(
         """(file name, noisy pixels, manifest entry or None) of one job, on a worker thread."""
         (name, object_label, pose), stream = item
         if object_label is None:
-            image, entry = render_reference(g, k), None
+            image, entry = render_reference(k), None
         else:
             ind = default_indenter(object_label, pose, g)
             truth = ind.contact_point

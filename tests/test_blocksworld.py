@@ -9,7 +9,6 @@ import pytest
 
 from fingersense.blocksworld import (
     HARDWARE_TABLE,
-    MAX_ATTEMPTS_LIMIT,
     BlockRecord,
     PolicyKind,
     RunMetrics,
@@ -51,26 +50,19 @@ RGTR_EXACT = (0.02490234375, 2.201171875, 0.5751953125)
 def test_single_grasp_hits_collides_or_misses(block, draw):
     # One Rg attempt: a hit in the block's column, a collision one column off,
     # a miss otherwise.
-    record = replay_policy(PolicyKind.RG, block, (draw,), 1)
+    record = _play(PolicyKind.RG, block, (draw,))
     if draw == block:
-        assert record == BlockRecord(True, 1, 0)
+        assert record == (True, 1, 0)
     elif abs(draw - block) == 1:
-        assert record == BlockRecord(False, 1, 1)
+        assert record == (False, 1, 1)
     else:
-        assert record == BlockRecord(False, 1, 0)
+        assert record == (False, 1, 0)
 
 
 @pytest.mark.parametrize("block, draws", [(4, (0, 1)), (1, (0, -1))])
 def test_replay_rejects_columns_outside_board(block, draws):
     with pytest.raises(ValueError, match="columns must lie in 0..3"):
         replay_policy(PolicyKind.RGTR, block, draws)
-
-
-@pytest.mark.parametrize("cap", [0, -1, MAX_ATTEMPTS_LIMIT + 1])
-def test_replay_rejects_cap_outside_limit(cap):
-    # A cap of -1 used to play draws[:-1]: two attempts out of (3, 2, 0).
-    with pytest.raises(ValueError, match=f"max_attempts must be in 1..8, got {cap}"):
-        replay_policy(PolicyKind.RG, 0, (3, 2, 0), cap)
 
 
 @pytest.mark.parametrize(
@@ -129,61 +121,36 @@ def test_rg_ignores_feedback():
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
-@pytest.mark.parametrize("cap", range(1, 6))
-def test_outcome_table_matches_replay_over_every_cell(kind, cap):
-    # Every (block column, draw sequence) cell is equally likely; replaying
-    # each cell through the public call gives the frequencies.
+def test_outcome_table_matches_replay_over_every_cell(kind):
+    # Every (block column, five draws) cell is equally likely.  Replaying each
+    # one through the public call, as perfbench does, with no settled-prefix
+    # shortcut, gives the same table bit for bit.
     cells = Counter()
-    for block, *draws in product(range(4), repeat=cap + 1):
-        r = replay_policy(kind, block, tuple(draws), cap)
+    for block, *draws in product(range(4), repeat=6):
+        r = replay_policy(kind, block, tuple(draws))
         cells[(int(not r.success), r.attempts, r.collisions)] += 1
-    outcomes, p = outcome_table(kind, cap)
-    assert [tuple(row) for row in outcomes.tolist()] == sorted(cells)
-    assert [Fraction(x) for x in p.tolist()] == [
-        Fraction(cells[key], 4 ** (cap + 1)) for key in sorted(cells)
-    ]
+    keys = sorted(cells)
+    outcomes, p = outcome_table(kind)
+    assert outcomes.dtype == np.int64 and p.dtype == np.float64
+    assert outcomes.tobytes() == np.array(keys, dtype=np.int64).tobytes()
+    assert p.tobytes() == (np.array([cells[key] for key in keys]) / 4**6).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
-@pytest.mark.parametrize("cap", range(1, MAX_ATTEMPTS_LIMIT + 1))
-def test_outcome_table_expectation_is_exact_oracle(kind, cap):
-    # The table's exact expectation equals the independent closed form bit for
-    # bit, up to the largest cap the table accepts.
-    outcomes, p = outcome_table(kind, cap)
+def test_outcome_table_expectation_is_exact_oracle(kind):
+    # The table's exact expectation equals the independent closed form bit for bit.
+    outcomes, p = outcome_table(kind)
     expected = [
         float(sum(Fraction(share) * value for share, value in zip(p.tolist(), column)))
         for column in outcomes.T.tolist()
     ]
-    m = exact_metrics(kind, cap)
+    m = exact_metrics(kind)
     assert expected == [m.failure_rate, m.attempts_per_block, m.collisions_per_block]
-
-
-@pytest.mark.parametrize("kind", list(PolicyKind))
-def test_outcome_table_matches_every_cell_up_to_the_largest_cap(kind):
-    # Playing every (block column, draw sequence) cell, with no settled-prefix
-    # shortcut, gives the same table bit for bit at every cap.
-    for cap in range(1, MAX_ATTEMPTS_LIMIT + 1):
-        cells = Counter(
-            _play(kind, cell[0], cell[1:], cap) for cell in product(range(4), repeat=cap + 1)
-        )
-        rows = sorted((not ok, attempts, collisions, n) for (ok, attempts, collisions), n in cells.items())
-        outcomes, p = outcome_table(kind, cap)
-        assert outcomes.dtype == np.int64 and p.dtype == np.float64
-        assert outcomes.tobytes() == np.array([row[:3] for row in rows], dtype=np.int64).tobytes()
-        assert p.tobytes() == (np.array([row[3] for row in rows]) / 4 ** (cap + 1)).tobytes()
 
 
 def test_outcome_table_sizes():
     sizes = {kind: len(outcome_table(kind)[0]) for kind in PolicyKind}
     assert sizes == {PolicyKind.CONTROL: 1, PolicyKind.RG: 21, PolicyKind.RGTR: 11}
-
-
-@pytest.mark.parametrize("cap", [0, MAX_ATTEMPTS_LIMIT + 1])
-def test_batch_rejects_cap_outside_limit(cap):
-    with pytest.raises(ValueError, match=f"max_attempts must be in 1..8, got {cap}"):
-        run_batch(PolicyKind.RG, 10, max_attempts=cap)
-    with pytest.raises(ValueError, match="max_attempts"):
-        batch_distribution(PolicyKind.RG, 10, 5, max_attempts=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +174,6 @@ def test_exact_rgtr_matches_closed_form():
     assert m.failure_rate == pytest.approx(RGTR_EXACT[0], abs=1e-15)
     assert m.attempts_per_block == pytest.approx(RGTR_EXACT[1], abs=1e-15)
     assert m.collisions_per_block == pytest.approx(RGTR_EXACT[2], abs=1e-15)
-
-
-def test_exact_single_attempt_cap():
-    # One attempt: Rg fails 3/4 of the time, collides n_adj/4 on average.
-    m = exact_metrics(PolicyKind.RG, max_attempts=1)
-    assert m.failure_rate == pytest.approx(0.75)
-    assert m.attempts_per_block == pytest.approx(1.0)
-    assert m.collisions_per_block == pytest.approx(0.375)
-    # RgTr with one attempt can never regrasp: same failure rate as Rg.
-    m = exact_metrics(PolicyKind.RGTR, max_attempts=1)
-    assert m.failure_rate == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------

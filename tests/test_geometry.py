@@ -14,6 +14,7 @@ from fingersense.geometry import (
     PixelCoord,
     Region,
     SensorGeometry,
+    SurfacePoint,
     back_project,
     back_project_pixels,
     classify_surface_point,
@@ -56,15 +57,11 @@ def test_classify_seam_prefers_side(geometry):
 
 
 def test_classify_respects_tolerance(geometry):
-    p = (10.0 + 5e-7, 0.0, 15.0)
-    assert classify_surface_point(p, geometry, tol=1e-6) is Region.SIDE
-    assert classify_surface_point(p, geometry, tol=1e-9) is Region.OFF
-
-
-def test_classify_rejects_bad_tolerance(geometry):
-    for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            classify_surface_point((10.0, 0.0, 15.0), geometry, tol=tol)
+    # SURFACE_TOL_MM is 1e-6: half of it off the side is on, twice it is off.
+    assert classify_surface_point((10.0 + 5e-7, 0.0, 15.0), geometry) is Region.SIDE
+    assert classify_surface_point((10.0 + 2e-6, 0.0, 15.0), geometry) is Region.OFF
+    with pytest.raises(ValueError, match=re.escape("is not on the membrane (tol=1e-06 mm)")):
+        surface_normal(SurfacePoint(10.0 + 2e-6, 0.0, 15.0, Region.SIDE), geometry)
 
 
 # ---------------------------------------------------------------------------

@@ -457,7 +457,7 @@ def test_detect_contacts_memory_stays_below_a_frame():
     config = SessionConfig()
     indenter = default_indenter("cone", ContactPose.rotation(0.0), config.geometry)
     clean = render_contact(indenter, config.geometry, config.intrinsics)
-    reference = render_reference(config.geometry, config.intrinsics)
+    reference = render_reference(config.intrinsics)
     assert len(detect_contacts(reference, clean, 2.0, 25.0, 20)) == 1
     assert traced_peak(detect_contacts, reference, clean, 2.0, 25.0, 20) <= 2 * 2**20
 

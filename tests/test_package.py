@@ -64,3 +64,44 @@ def _unreached_public_names() -> set[str]:
 
 def test_every_public_function_is_reached_by_a_command_or_allowed():
     assert _unreached_public_names() == set(ALLOWED_UNREACHED)
+
+
+def _unread_parameters(source: str, module: str) -> set[str]:
+    """``module.function.parameter`` for each parameter its function's body never reads.
+
+    Every function counts, nested ones and lambdas too; ``self`` and ``cls``
+    do not.  A read anywhere in the body, a nested function's included, counts,
+    which can only count too much as read, never too little.
+    """
+    unread = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for statement in body
+            for sub in ast.walk(statement)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread |= {
+            f"{module}.{name}.{param.arg}"
+            for param in params
+            if param is not None and param.arg not in {"self", "cls"} | read
+        }
+    return unread
+
+
+def test_every_parameter_is_read():
+    sample = (
+        "def f(a, b, *c, d, **e):\n    return a + d\n"
+        "class K:\n    def g(self, x):\n        return lambda y: 0\n"
+    )
+    assert _unread_parameters(sample, "m") == {"m.f.b", "m.f.c", "m.f.e", "m.g.x", "m.<lambda>.y"}
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        unread |= _unread_parameters(path.read_text(), path.stem)
+    assert unread == set()
