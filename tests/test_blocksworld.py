@@ -121,19 +121,23 @@ def test_rg_ignores_feedback():
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
-def test_outcome_table_matches_replay_over_every_cell(kind):
+@pytest.mark.parametrize("attempts", range(1, 6))
+def test_outcome_table_matches_replay_over_every_cell(kind, attempts):
     # Every (block column, five draws) cell is equally likely.  Replaying each
     # one through the public call, as perfbench does, with no settled-prefix
-    # shortcut, gives the same table bit for bit.
+    # shortcut, gives the table's rows that used ``attempts`` attempts bit for
+    # bit; over the five cases that is the whole table.
     cells = Counter()
     for block, *draws in product(range(4), repeat=6):
         r = replay_policy(kind, block, tuple(draws))
         cells[(int(not r.success), r.attempts, r.collisions)] += 1
-    keys = sorted(cells)
+    keys = sorted(key for key in cells if key[1] == attempts)
     outcomes, p = outcome_table(kind)
     assert outcomes.dtype == np.int64 and p.dtype == np.float64
-    assert outcomes.tobytes() == np.array(keys, dtype=np.int64).tobytes()
-    assert p.tobytes() == (np.array([cells[key] for key in keys]) / 4**6).tobytes()
+    assert set(outcomes[:, 1].tolist()) <= set(range(1, 6))
+    rows = outcomes[:, 1] == attempts
+    assert outcomes[rows].tobytes() == np.array(keys, dtype=np.int64).reshape(-1, 3).tobytes()
+    assert p[rows].tobytes() == (np.array([cells[key] for key in keys]) / 4**6).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))

@@ -242,6 +242,33 @@ def test_imprint_mass_increases_with_depth(geometry, intrinsics):
     assert all(a < b for a, b in zip(masses, masses[1:]))
 
 
+def footprint_on_turned_grid(shape, geometry, turn=0.7):
+    # Footprint distances on a tangent-plane grid about the contact, as laid
+    # out in the tangent frame and turned by ``turn`` about the normal.
+    ind = indenter_at(shape, ContactPose.rotation(0.5), geometry)
+    t1, t2, n = render._tangent_basis(ind, geometry)
+    a, b = (x.ravel() for x in np.meshgrid(np.linspace(-4, 4, 17), np.linspace(-4, 4, 17)))
+    c, s = math.cos(turn), math.sin(turn)
+    origin = ind.contact_point.as_array() + 0.2 * n
+
+    def distances(a, b):
+        return footprint_distance_mm(ind, origin + np.outer(a, t1) + np.outer(b, t2), geometry)
+
+    return distances(a, b), distances(c * a - s * b, s * a + c * b)
+
+
+@pytest.mark.parametrize("shape", [Shape.CONE, Shape.SPHERE, Shape.CYLINDER, Shape.TUBE])
+def test_symmetric_shapes_ignore_orientation(shape, geometry):
+    plain, spun = footprint_on_turned_grid(shape, geometry)
+    np.testing.assert_allclose(spun, plain, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [Shape.EDGE, Shape.SLAB])
+def test_oriented_shapes_respond_to_orientation(shape, geometry):
+    plain, spun = footprint_on_turned_grid(shape, geometry)
+    assert np.abs(spun - plain).max() > 0.5
+
+
 def test_cone_closed_loop_every_protocol_pose(geometry, intrinsics):
     # Sharp indenter: the pipeline must recover every protocol pose within
     # 1 mm on noise-free renders.
