@@ -154,17 +154,6 @@ def outcome_table(kind: PolicyKind) -> tuple[np.ndarray, np.ndarray]:
     return outcomes, np.array([row[3] for row in rows]) / N_COLUMNS ** (DEFAULT_MAX_ATTEMPTS + 1)
 
 
-def _outcome_counts(
-    kind: PolicyKind, n_boards: int, seed: int, size: int | None = None
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """(outcomes, n_blocks, blocks per outcome): one multinomial draw, or ``size`` rows."""
-    n_blocks = n_boards * N_ROWS
-    if not 1 <= n_blocks <= _INT64_MAX:
-        raise ValueError(f"n_boards {n_boards} gives {n_blocks} blocks, not in 1..{_INT64_MAX}")
-    outcomes, p = outcome_table(kind)
-    return outcomes, n_blocks, np.random.default_rng(seed).multinomial(n_blocks, p, size=size)
-
-
 def run_batch(kind: PolicyKind, n_boards: int, seed: int = 0) -> RunMetrics:
     """Aggregate a policy over ``n_boards`` fresh boards.
 
@@ -175,26 +164,16 @@ def run_batch(kind: PolicyKind, n_boards: int, seed: int = 0) -> RunMetrics:
     does not grow with ``n_boards``.  A block count above int64 raises
     ValueError.
     """
-    outcomes, n_blocks, counts = _outcome_counts(kind, n_boards, seed)
+    n_blocks = n_boards * N_ROWS
+    if not 1 <= n_blocks <= _INT64_MAX:
+        raise ValueError(f"n_boards {n_boards} gives {n_blocks} blocks, not in 1..{_INT64_MAX}")
+    outcomes, p = outcome_table(kind)
+    counts = np.random.default_rng(seed).multinomial(n_blocks, p)
     failed, attempts, collisions = (
         sum(c * value for c, value in zip(counts.tolist(), column)) / n_blocks
         for column in outcomes.T.tolist()
     )
     return RunMetrics(failed, attempts, collisions, n_blocks)
-
-
-def batch_distribution(
-    kind: PolicyKind, n_batches: int, boards_per_batch: int, seed: int = 0
-) -> np.ndarray:
-    """Per-batch metrics over many small batches; shape (n_batches, 3).
-
-    Columns are (failure_rate, attempts_per_block, collisions_per_block),
-    used to place small-sample observations within the sampling distribution.
-    Each batch is one multinomial draw of outcome counts, as in ``run_batch``,
-    so the cost grows with ``n_batches`` but not with ``boards_per_batch``.
-    """
-    outcomes, per_batch, counts = _outcome_counts(kind, boards_per_batch, seed, size=n_batches)
-    return counts @ outcomes.astype(np.float64) / per_batch
 
 
 def exact_metrics(kind: PolicyKind) -> RunMetrics:

@@ -199,12 +199,6 @@ def project_points(x, y, z, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, n
     return k.alpha * x / z + k.cx, k.alpha * y / z + k.cy
 
 
-def project(point, intrinsics: CameraIntrinsics) -> PixelCoord:
-    """Project one 3D point: the one-point case of :func:`project_points`."""
-    u, v = project_points(*_as_xyz(point), intrinsics)
-    return PixelCoord(float(u), float(v))
-
-
 def discontinuity_circle_radius_px(
     intrinsics: CameraIntrinsics, geometry: SensorGeometry
 ) -> float:

@@ -2,21 +2,24 @@
 
 Pipeline: difference against a no-contact reference frame, Gaussian smoothing,
 thresholding, 8-connected blob extraction, then back-projection of the blob
-centroid onto the membrane.  All five tuning values (grayscale averaging,
-absolute differencing, sigma, threshold, minimum area) are parameters of the
-operations, not hidden constants.
+centroid onto the membrane.  Its three tuning values, the smoothing sigma, the
+threshold and the minimum blob area, are parameters of the operations, not
+hidden constants.
 
 ``localize_frame`` is the one call for the whole pipeline.  Its first four
-stages, ``detect_contacts``, smooth and label only the box that can hold
-above-threshold pixels, so their cost scales with the imprint, not the frame,
-and smooth that box in bands of rows, so no frame-sized float64 array is ever
-held.  The tests hold the full-frame pipeline they are compared against.
+stages, ``detect_contacts``, work only in the box that can hold
+above-threshold pixels, in bands of rows, and smooth exactly only the columns
+of a band where an integer upper bound of the smoothed value can pass the
+threshold.  So their cost follows the pixels that can pass, not the frame, and
+no frame-sized float64 array is ever held.  The tests hold the full-frame
+pipeline they are compared against.
 
-Every box is smoothed and labelled in NumPy, with the same bits as SciPy's
-``gaussian_filter`` and the same labels as its ``label``, so no command
-imports SciPy.  The ``ndimage`` module attribute (SciPy's, imported on first
-read) and ``DiffImage`` are kept only for the benchmark's per-layer tracer
-(``perfbench/traced.py``), which wraps both; no package code uses either.
+Every strip is smoothed and every box labelled in NumPy, with the same bits as
+SciPy's ``gaussian_filter`` and the same labels as its ``label``, so no
+command imports SciPy.  The ``ndimage`` module attribute (SciPy's, imported on
+first read) and ``DiffImage`` are kept only for the benchmark's per-layer
+tracer (``perfbench/traced.py``), which wraps both; no package code uses
+either.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ import numpy as np
 from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionConfig
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
-# Frame rows that detection reads or smooths at once.  Smoothing a band of a
-# 1920-pixel-wide frame holds three float64 arrays of its size, about 1.5 MB,
-# which fit in a 2 MB L2 cache: on a noisy frame 24 to 48 rows cost the same,
-# and 64 rows a quarter more.
-DETECT_BAND_ROWS = 32
+# Frame rows that detection reads, bounds or smooths at once.  Each band costs
+# about a hundred short NumPy calls, and two localize workers hand the GIL
+# over at each of them: on noisy frames with two workers, 32-row bands made
+# three times the context switches of 64-row bands and ran slower.  96-row
+# bands ran a little faster but raised the peak RSS by 6%, and 128 rows ran
+# slower.
+DETECT_BAND_ROWS = 64
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
 # std), reported alongside synthetic results for comparison.  Hardware
@@ -269,37 +274,62 @@ def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pixels, np.repeat(numbers, lengths)
 
 
+def _kernel(sigma: float) -> np.ndarray:
+    """SciPy's Gaussian weights at ``truncate=3``, of which there are ``2 r + 1``.
+
+    They are ``w = exp(-0.5 / sigma**2 * x**2)`` over ``x = -r..r`` with
+    ``r = int(3 sigma + 0.5)``, divided by their sum.  A sigma of at most
+    1e-15, which SciPy does not filter, gives the one weight 1.
+    """
+    if sigma <= 1e-15:
+        return np.ones(1)
+    radius = int(3.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    return weights / weights.sum()
+
+
+def _padded(diff: np.ndarray, radius: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start - r .. stop + r`` and columns ``-r .. width + r`` of ``diff``, flat.
+
+    Rows are taken at clipped indices and the edge columns are copied into
+    the margins, so every margin replicates its edge as ``mode="nearest"``
+    does, for any radius, even one longer than an axis.
+    """
+    width = diff.shape[1]
+    out = np.empty((stop - start + 2 * radius, width + 2 * radius), dtype=diff.dtype)
+    rows = np.arange(start - radius, stop + radius)
+    np.take(diff, rows, axis=0, mode="clip", out=out[:, radius : radius + width])
+    out[:, :radius] = out[:, radius : radius + 1]
+    out[:, radius + width :] = out[:, radius + width - 1 : radius + width]
+    return out.ravel()
+
+
 def _gaussian_numpy(diff: np.ndarray, sigma: float, rows: slice = slice(None)) -> np.ndarray:
     """``rows`` of ``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")``.
 
-    The bits are SciPy's.  The kernel is SciPy's: ``w = exp(-0.5 / sigma**2 *
-    x**2)`` over ``x = -r..r`` with ``r = int(3 sigma + 0.5)``, divided by its
-    sum.  As in SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is
+    The bits are SciPy's.  The weights are ``_kernel``'s, which are SciPy's.
+    As in SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is
     filtered before axis 1, each in SciPy's order for a symmetric kernel: the
     centre tap, then for ``j`` from ``r`` down to 1 the sum of the two taps at
     ``-j`` and ``+j``, times their weight.
 
     Only ``rows`` are filtered; the other rows of the uint8 ``diff`` are only
-    read.  The rows and columns in reach are gathered once into a uint8
-    buffer, with the edges replicated by clipping indices, so any radius
-    works, even one longer than an axis.  That buffer and the axis-0 result
-    are filtered as flat arrays, a row of ``width + 2 r`` apart along axis 0
-    and one element apart along axis 1, so every pass is one contiguous
-    ufunc call; the axis-1 values that wrap into a neighbouring row land in
-    the padding and are dropped.  The axis-0 tap pairs are summed in uint16,
-    which is exact.
+    read.  The rows and columns in reach are gathered once by ``_padded``.
+    That buffer and the axis-0 result are filtered as flat arrays, a row of
+    ``width + 2 r`` apart along axis 0 and one element apart along axis 1, so
+    every pass is one contiguous ufunc call; the axis-1 values that wrap into
+    a neighbouring row land in the padding and are dropped.  The axis-0 tap
+    pairs are summed in uint16, which is exact.
     """
     start, stop, _ = rows.indices(diff.shape[0])
     if sigma <= 1e-15:
         return diff[start:stop].astype(np.float64)
-    radius = int(3.0 * sigma + 0.5)
-    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
-    weights = weights / weights.sum()
-    height, width = diff.shape
+    weights = _kernel(sigma)
+    radius = weights.size // 2
+    width = diff.shape[1]
     pitch = width + 2 * radius
     size = (stop - start) * pitch
-    source = diff[np.clip(np.arange(start - radius, stop + radius), 0, height - 1)]
-    source = source[:, np.clip(np.arange(-radius, width + radius), 0, width - 1)].ravel()
+    source = _padded(diff, radius, start, stop)
     centre = radius * pitch
     rows_done = np.multiply(source[centre : centre + size], weights[radius])
     pair, term = np.empty(size, dtype=np.uint16), np.empty(size)
@@ -314,6 +344,80 @@ def _gaussian_numpy(diff: np.ndarray, sigma: float, rows: slice = slice(None)) -
     for j in range(radius, 0, -1):
         np.add(rows_done[radius - j : size - radius - j], rows_done[radius + j : size - radius + j], out=term)
         out_inner += np.multiply(term, weights[radius + j], out=term)
+    return out.reshape(-1, pitch)[:, radius : radius + width]
+
+
+def _rounded_up(weights: list[float], total: int) -> tuple[list[int], int]:
+    """``ceil(w s)`` for each weight, and ``s``: the largest integer scale where they sum to at most ``total``.
+
+    The sum grows with ``s``, and is ``len(weights) <= total`` at ``s = 1``.
+    """
+    low, high = 1, total
+    while low < high:
+        scale = (low + high + 1) // 2
+        if sum(math.ceil(w * scale) for w in weights) <= total:
+            low = scale
+        else:
+            high = scale - 1
+    return [math.ceil(w * low) for w in weights], low
+
+
+def _bound_weights(kernel: np.ndarray, threshold: float) -> tuple[list[int], list[int], int]:
+    """Integer weights per axis for ``_bound``, and the limit their bound must pass.
+
+    Each weight ``w`` of the ``_kernel`` is rounded up to ``q = ceil(w s)``,
+    with one scale ``s0`` for axis 0 and one ``s1`` for axis 1.  Axis 0 sums
+    in uint16, so ``s0`` is the largest scale with ``255 sum(q0) <= 65535``;
+    more than 257 taps cannot fit, and then axis 0 sums in uint32 and
+    ``sum(q0)`` is kept to ``sqrt(2**32 / 255)``, so axis 1 has as much room.
+    Axis 1 sums in uint32, so ``s1`` is the largest scale with
+    ``255 sum(q0) sum(q1) < 2**32``.
+
+    As ``q >= w s``, the integer bound is at least ``s0 s1`` times the exact
+    filter value at every pixel.  SciPy's value is within a relative
+    ``(5 r + 2) 2**-53`` of the exact one, under 1e-12 for every sigma up to
+    MAX_SIGMA_PX, so wherever it exceeds ``threshold`` the bound exceeds
+    ``floor(threshold s0 s1 (1 - 1e-9))``, the limit returned.
+    """
+    weights = kernel.tolist()
+    total = 65535 // 255 if len(weights) <= 65535 // 255 else math.isqrt((2**32 - 1) // 255)
+    axis0, s0 = _rounded_up(weights, total)
+    axis1, s1 = _rounded_up(weights, (2**32 - 1) // (255 * sum(axis0)))
+    return axis0, axis1, math.floor(threshold * s0 * s1 * (1 - 1e-9))
+
+
+def _bound(diff: np.ndarray, rows: slice, axis0: list[int], axis1: list[int]) -> np.ndarray:
+    """``rows`` of ``diff`` filtered with the integer weights of ``_bound_weights``, as uint32.
+
+    The filter is ``_gaussian_numpy``'s, in its flat, column-padded layout
+    and tap order, but in integers: axis 0 in uint16 (uint32 when
+    ``255 sum(axis0)`` does not fit 16 bits) and axis 1 in uint32, neither of
+    which can overflow.  Wherever ``gaussian_filter`` exceeds the threshold,
+    the result exceeds the limit of ``_bound_weights``.
+    """
+    start, stop, _ = rows.indices(diff.shape[0])
+    radius = len(axis0) // 2
+    width = diff.shape[1]
+    pitch = width + 2 * radius
+    size = (stop - start) * pitch
+    wide = np.uint16 if 255 * sum(axis0) <= 65535 else np.uint32
+    source = _padded(diff, radius, start, stop).astype(wide)
+    centre = radius * pitch
+    rows_done = source[centre : centre + size] * axis0[radius]
+    pair = np.empty_like(rows_done)
+    for j in range(radius, 0, -1):
+        above, below = centre - j * pitch, centre + j * pitch
+        np.add(source[above : above + size], source[below : below + size], out=pair)
+        rows_done += np.multiply(pair, axis0[radius + j], out=pair)
+    del source, pair
+    rows_done = rows_done.astype(np.uint32, copy=False)
+    out = np.empty(size, dtype=np.uint32)
+    inner = slice(radius, size - radius)
+    out_inner, term = out[inner], np.empty(size - 2 * radius, dtype=np.uint32)
+    np.multiply(rows_done[inner], axis1[radius], out=out_inner)
+    for j in range(radius, 0, -1):
+        np.add(rows_done[radius - j : size - radius - j], rows_done[radius + j : size - radius + j], out=term)
+        out_inner += np.multiply(term, axis1[radius + j], out=term)
     return out.reshape(-1, pitch)[:, radius : radius + width]
 
 
@@ -334,39 +438,50 @@ def detect_contacts(
     order: |frame - ref| as float64, ``gaussian_filter`` at ``truncate=3`` and
     ``mode="nearest"``, then the 8-connected components of the pixels above
     ``threshold`` with at least ``min_area`` pixels, heaviest first (ties in
-    scan order).  But it smooths and labels only a box around the pixels that
-    can pass ``threshold``, and holds no frame-sized difference array.
+    scan order).  But it works only in a box around the pixels that can pass
+    ``threshold``, smooths exactly only the columns where an integer bound
+    says a pixel can pass, and holds no frame-sized difference or float64
+    array.
 
-    The smoothed value is a non-negative weighted mean, normalised to 1, over
-    the pixels within ``r = int(3 sigma + 0.5)`` per axis (the radius of
-    ``gaussian_filter`` at ``truncate=3``).  Where every difference in reach is
-    at most ``floor(threshold) - 1`` the mean stays below ``threshold`` even
-    after rounding, while a plateau at an integer ``threshold`` can round just
-    above it.  So every smoothed pixel above ``threshold`` lies within ``r`` of
-    a seed, a pixel whose difference is at least ``floor(threshold)``.  One
-    pass over the frame in bands of DETECT_BAND_ROWS rows keeps the largest
-    difference of each row and of each column, which bound the seeds.
-
-    The crop that is smoothed and labelled is the seed box grown by ``2 r``,
+    The box.  The smoothed value is a non-negative weighted mean, normalised
+    to 1, over the pixels within ``r = int(3 sigma + 0.5)`` per axis (the
+    radius of ``gaussian_filter`` at ``truncate=3``).  Where every difference
+    in reach is at most ``floor(threshold) - 1`` the mean stays below
+    ``threshold`` even after rounding, while a plateau at an integer
+    ``threshold`` can round just above it.  So every smoothed pixel above
+    ``threshold`` lies within ``r`` of a seed, a pixel whose difference is at
+    least ``floor(threshold)``.  One pass over the frame in bands of
+    DETECT_BAND_ROWS rows keeps the largest difference of each row and of each
+    column, which bound the seeds.  The box is the seed box grown by ``2 r``,
     clipped to the frame.  Pixels within ``r`` of the seed box see the same
-    inputs as in the whole frame (where the crop edge is a frame edge,
+    inputs as in the whole frame (where the box edge is a frame edge,
     ``mode="nearest"`` replicates the same pixels), so they get the same bits.
     Farther pixels see only non-seeds, real or replicated, so they stay below
-    ``threshold`` as they do in the whole frame.  Labelling a crop that holds
+    ``threshold`` as they do in the whole frame.  Labelling a box that holds
     every above-threshold pixel gives the same components in the same scan
-    order.  With no seeds the result is empty; when noise puts seeds all over
-    the frame the crop is the whole frame.
+    order.  With no seeds the result is empty and nothing is bounded or
+    smoothed; when noise puts seeds all over the frame the box is the frame.
 
-    The crop is smoothed in bands of DETECT_BAND_ROWS rows by
-    ``_gaussian_numpy``, each read with up to ``r`` rows of the crop above and
-    below it.  The filter is separable, and a band row sees the same crop rows
-    as in the whole crop, replicated at the same crop edges, so it gets the
-    same bits.  The filter reads the uint8 difference as float64, the same
-    bits as filtering a float64 copy.  Each band is thresholded into one bool
-    mask of the crop, and its smoothed values are kept at the foreground
+    The bound.  The box is read in bands of DETECT_BAND_ROWS rows, each with up
+    to ``r`` rows of the box above and below it.  ``_bound`` filters a band
+    with ``_bound_weights``' integer weights, each rounded up, so it is at
+    least ``s0 s1`` times the smoothed value at every pixel, and wherever the
+    smoothed value exceeds ``threshold`` it exceeds the integer limit.  A
+    candidate column is one where some band pixel's bound exceeds the limit.
+
+    The exact values.  The band's strip is every column of the box within
+    ``r`` of a candidate column, side by side, with the band's halo rows.
+    ``_gaussian_numpy`` smooths the strip's band rows.  The filter is
+    separable, and a candidate column sees the same ``r`` columns on each side
+    in the strip as in the box, or the same box edge, which the strip edge
+    replicates in the same way; so its values have the same bits as in the
+    whole box.  The other strip columns are dropped: they hold no candidate,
+    so nothing there passes.  The candidate columns are thresholded into one
+    bool mask of the box, and their smoothed values are kept at the foreground
     pixels only, which ``_label_runs`` and ``_blobs`` then label and weigh.
-    On a noisy 1920x1080 frame this holds the 1-byte-per-pixel mask and one
-    band, not a float64 frame.
+    On a noisy (sigma 16) 1920x1080 frame about a fifth of the pixels are
+    smoothed, and detection holds the 1-byte-per-pixel mask and one band's
+    buffers, not a float64 frame.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -385,20 +500,29 @@ def detect_contacts(
     if rows.size == 0:
         return []
     cols = np.flatnonzero(col_max >= seed_level)
-    radius = int(3.0 * sigma + 0.5)
+    kernel = _kernel(sigma)
+    radius = kernel.size // 2
+    axis0, axis1, limit = _bound_weights(kernel, threshold)
     top, bottom = max(rows[0] - 2 * radius, 0), min(rows[-1] + 1 + 2 * radius, height)
     left, right = max(cols[0] - 2 * radius, 0), min(cols[-1] + 1 + 2 * radius, width)
     columns = slice(left, right)
-    mask = np.empty((bottom - top, right - left), dtype=bool)
-    weights = []
+    mask = np.zeros((bottom - top, right - left), dtype=bool)
+    weights = [np.empty(0)]
     for start in range(top, bottom, DETECT_BAND_ROWS):
         stop = min(start + DETECT_BAND_ROWS, bottom)
         lo, hi = max(start - radius, top), min(stop + radius, bottom)
         diff = _abs_diff(ref, frame, slice(lo, hi), columns)
-        smoothed = _gaussian_numpy(diff, sigma, slice(start - lo, stop - lo))
-        band_mask = mask[start - top : stop - top]
-        np.greater(smoothed, threshold, out=band_mask)
-        weights.append(smoothed[band_mask])
+        band = slice(start - lo, stop - lo)
+        candidate = _bound(diff, band, axis0, axis1).max(axis=0) > limit
+        # Every column within r of a candidate column, in order: the kernel is positive.
+        strip = np.flatnonzero(np.convolve(candidate, kernel, "full")[radius : radius + diff.shape[1]])
+        if strip.size == 0:
+            continue
+        keep = candidate[strip]
+        smoothed = _gaussian_numpy(diff[:, strip], sigma, band)[:, keep]
+        above = smoothed > threshold
+        mask[start - top : stop - top, strip[keep]] = above
+        weights.append(smoothed[above])
     weights = np.concatenate(weights)  # and drop the bands' pieces
     return _blobs(mask, weights, min_area, (int(top), int(left)))
 

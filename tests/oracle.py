@@ -3,8 +3,9 @@
 No command runs any of this.  It is the plain whole-frame or one-point form
 of what the package computes faster, plus writers for the files the package
 only reads: the full-frame detection pipeline that ``detect_contacts`` must
-match bit for bit, the one-point indentation depth, and CSV and JSON writers
-for correspondences and configurations.
+match bit for bit, the one-point indentation depth and projection, the
+per-batch spread of small grasp batches, and CSV and JSON writers for
+correspondences and configurations.
 """
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
+from fingersense.blocksworld import N_ROWS, PolicyKind, outcome_table
 from fingersense.config import SessionConfig
-from fingersense.geometry import SensorGeometry, SurfacePoint
+from fingersense.geometry import (
+    CameraIntrinsics,
+    PixelCoord,
+    SensorGeometry,
+    SurfacePoint,
+    _as_xyz,
+    project_points,
+)
 from fingersense.imaging import (
     ContactBlob,
     DiffImage,
@@ -72,6 +81,28 @@ def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> floa
     """Membrane displacement at a single surface point, in mm."""
     dist = footprint_distance_mm(ind, p.as_array()[np.newaxis, :], g)[0]
     return max(0.0, ind.depth - dist * K_FALLOFF)
+
+
+def project(point, intrinsics: CameraIntrinsics) -> PixelCoord:
+    """Project one 3D point: the one-point case of ``project_points``."""
+    u, v = project_points(*_as_xyz(point), intrinsics)
+    return PixelCoord(float(u), float(v))
+
+
+def batch_distribution(
+    kind: PolicyKind, n_batches: int, boards_per_batch: int, seed: int = 0
+) -> np.ndarray:
+    """Per-batch metrics over many small batches; shape (n_batches, 3).
+
+    Columns are (failure_rate, attempts_per_block, collisions_per_block),
+    used to place small-sample observations within the sampling distribution.
+    Each batch is one multinomial draw of outcome counts, as in ``run_batch``,
+    so the cost grows with ``n_batches`` but not with ``boards_per_batch``.
+    """
+    outcomes, p = outcome_table(kind)
+    per_batch = boards_per_batch * N_ROWS
+    counts = np.random.default_rng(seed).multinomial(per_batch, p, size=n_batches)
+    return counts @ outcomes.astype(np.float64) / per_batch
 
 
 def save_correspondences(path: str | Path, points) -> None:

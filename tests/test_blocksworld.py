@@ -13,13 +13,13 @@ from fingersense.blocksworld import (
     PolicyKind,
     RunMetrics,
     _play,
-    batch_distribution,
     exact_metrics,
     metrics_to_json_dict,
     outcome_table,
     replay_policy,
     run_batch,
 )
+from oracle import batch_distribution
 
 # Closed-form expectations for the default 5-attempt cap, derived by hand:
 #

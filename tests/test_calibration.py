@@ -21,9 +21,8 @@ from fingersense.geometry import (
     Region,
     SensorGeometry,
     SurfacePoint,
-    project,
 )
-from oracle import save_correspondences
+from oracle import project, save_correspondences
 
 
 def sample_surface_points(n: int, geometry: SensorGeometry, rng) -> list[SurfacePoint]:

@@ -29,11 +29,10 @@ from fingersense.geometry import (
     Region,
     SensorGeometry,
     SurfacePoint,
-    project,
 )
 from fingersense.pgm import read_pgm
 from fingersense.render import OBJECT_ORDER, generate_protocol_dataset, load_manifest
-from oracle import save_config, save_correspondences
+from oracle import project, save_config, save_correspondences
 
 
 # ---------------------------------------------------------------------------

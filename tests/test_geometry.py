@@ -20,10 +20,10 @@ from fingersense.geometry import (
     classify_surface_point,
     discontinuity_circle_radius_px,
     pose_to_contact_point,
-    project,
     project_points,
     surface_normal,
 )
+from oracle import project
 
 
 def surface_residual(p, g: SensorGeometry) -> float:

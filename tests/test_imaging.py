@@ -33,7 +33,15 @@ from fingersense.imaging import (
     localization_error,
     localize_frame,
 )
-from fingersense.render import default_indenter, render_contact, render_reference
+from fingersense.render import (
+    OBJECT_ORDER,
+    _add_noise,
+    _NoiseTable,
+    default_indenter,
+    protocol_poses,
+    render_contact,
+    render_reference,
+)
 from oracle import detect_blobs, smooth, subtract_reference
 
 
@@ -339,19 +347,30 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
     return blobs
 
 
-@pytest.fixture
-def smoothed_shapes(monkeypatch) -> list:
-    """Record, for every band ``detect_contacts`` smooths, the shape it reads and the rows it smooths."""
+def record_shapes(monkeypatch, name: str) -> list:
+    """Record, for every band that ``imaging.<name>`` filters, the shape it reads and the rows it filters."""
     shapes = []
-    original = imaging._gaussian_numpy
+    original = getattr(imaging, name)
 
     def recording(diff, *args):
-        smoothed = original(diff, *args)
-        shapes.append((diff.shape, smoothed.shape[0]))
-        return smoothed
+        filtered = original(diff, *args)
+        shapes.append((diff.shape, filtered.shape[0]))
+        return filtered
 
-    monkeypatch.setattr(imaging, "_gaussian_numpy", recording)
+    monkeypatch.setattr(imaging, name, recording)
     return shapes
+
+
+@pytest.fixture
+def smoothed_shapes(monkeypatch) -> list:
+    """The strips ``detect_contacts`` smooths exactly, as ``record_shapes`` records them."""
+    return record_shapes(monkeypatch, "_gaussian_numpy")
+
+
+@pytest.fixture
+def bounded_shapes(monkeypatch) -> list:
+    """The bands ``detect_contacts`` runs the integer bound over, as ``record_shapes`` records them."""
+    return record_shapes(monkeypatch, "_bound")
 
 
 @st.composite
@@ -410,20 +429,22 @@ def test_detect_contacts_matches_full_frame_pipeline(case):
 
 
 def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, smoothed_shapes):
-    # Every pixel is a seed, so the crop is the whole 40x50 frame.  At sigma 2
-    # the radius is 6: each band of 8 rows reads up to one radius of the crop
-    # above and below it and smooths only its own rows; at sigma 0 there is
-    # no halo.
+    # Every pixel passes, so every column is a candidate and each band's strip
+    # is the whole band: at sigma 2 the radius is 6, and each band of 8 rows
+    # reads up to one radius of the box above and below it and smooths only
+    # its own rows.
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
     rng = np.random.default_rng(14)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
-    assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)
+    assert len(assert_pipeline_matches(ref, ref + 60, 2.0, 25.0, 1)) == 1
     assert smoothed_shapes == [((8 + 6, 50), 8)] + [((6 + 8 + 6, 50), 8)] * 3 + [((6 + 8, 50), 8)]
+    # At sigma 0 there is no halo and a strip is just the candidate columns,
+    # those whose difference reaches the threshold's integer part.
     smoothed_shapes.clear()
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 1)
     frame = ref + rng.integers(0, 60, size=ref.shape, dtype=np.uint8)
     assert_pipeline_matches(ref, frame, 0.0, 25.0, 1)
-    assert smoothed_shapes == [((1, 50), 1)] * 40
+    assert smoothed_shapes == [((1, int(n)), 1) for n in np.count_nonzero(frame - ref >= 25, axis=1)]
 
 
 def traced_peak(function, *args) -> int:
@@ -503,34 +524,38 @@ def test_detect_contacts_faint_rim_at_small_sigma():
     assert blob.area == 5  # the seed and its four edge neighbours
 
 
-def test_detect_contacts_threshold_below_one_smooths_whole_frame(smoothed_shapes):
+def test_detect_contacts_threshold_below_one_bounds_whole_frame(bounded_shapes, smoothed_shapes):
+    # Every pixel is a seed, so the box is the whole frame and the bound pass
+    # reads all of it.  But the frame equals its reference, so the bound is 0
+    # and no strip is smoothed.
     rng = np.random.default_rng(13)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
-    assert_pipeline_matches(ref, ref, 2.0, 0.5, 1)  # every pixel is a seed
-    # Two bands of at most 32 rows cover all 40 rows, each read with a halo
-    # of 6 rows, the radius at sigma 2.
-    assert smoothed_shapes == [((32 + 6, 50), 32), ((6 + 8, 50), 8)]
+    assert assert_pipeline_matches(ref, ref, 2.0, 0.5, 1) == []
+    assert bounded_shapes == [((40, 50), 40)]
+    assert smoothed_shapes == []
 
 
-def test_detect_contacts_smooths_only_the_window(smoothed_shapes):
-    # One imprint on a 1080x1920 frame: smoothing and labelling cover the
-    # pixels at or above the threshold's integer part, grown by twice the
-    # kernel radius (6 px at sigma 2) on each side.  That crop of 25 + 24
-    # rows is smoothed in two bands, each read with a halo inside the crop.
+def test_detect_contacts_smooths_only_the_window(bounded_shapes, smoothed_shapes):
+    # One imprint on a 1080x1920 frame: the box is the pixels at or above the
+    # threshold's integer part, grown by twice the kernel radius (6 px at
+    # sigma 2) on each side, 25 + 24 rows by 30 + 24 columns.  The bound
+    # reads that box, and the one strip smoothed stays inside it.
     ref = np.full((1080, 1920), 128, dtype=np.uint8)
     frame = ref.copy()
     frame[500:520, 1000:1030] = 200
     frame[495:500, 1000:1030] = 153  # exactly 25 above the reference: seeds
     (blob,) = assert_pipeline_matches(ref, frame, 2.0, 25.0, 20)
-    assert smoothed_shapes == [((32 + 6, 30 + 24), 32), ((6 + 17, 30 + 24), 17)]
+    assert bounded_shapes == [((49, 54), 49)]
+    ((strip_shape, smoothed_rows),) = smoothed_shapes
+    assert smoothed_rows == 49 and strip_shape[0] == 49 and 30 + 12 <= strip_shape[1] <= 54
     assert 1000 < blob.centroid.u < 1030 and 495 < blob.centroid.v < 520
 
 
-def test_detect_contacts_no_seeds_skips_smoothing(smoothed_shapes):
+def test_detect_contacts_no_seeds_skips_smoothing(bounded_shapes, smoothed_shapes):
     ref = np.full((30, 40), 128, dtype=np.uint8)
     frame = ref + 24  # one below the threshold everywhere
     assert assert_pipeline_matches(ref, frame, 2.0, 25.0, 1) == []
-    assert smoothed_shapes == []
+    assert bounded_shapes == [] and smoothed_shapes == []
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 300.0])
@@ -550,9 +575,11 @@ def test_detect_contacts_validates_like_the_stages():
         detect_contacts(ref, frame, 2.0, 0.0, 1)
 
 
-def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, smoothed_shapes):
-    # Sigma-16 noise puts seeds all over the frame, so the crop is the whole
-    # frame: 34 bands of at most 32 rows, smoothed and labelled in NumPy.
+def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, bounded_shapes, smoothed_shapes):
+    # Sigma-16 noise puts seeds all over the frame, so the box is the whole
+    # frame and the bound pass reads all of it, but only the strips around
+    # the few pixels that can pass are smoothed: at most 30% of the frame
+    # (about 20%).  Everything runs in NumPy.
     ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
     want = full_frame_pipeline(ref, frame, 2.0, 25.0, 20)
 
@@ -562,8 +589,34 @@ def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, smoo
     monkeypatch.delitem(vars(imaging), "ndimage", raising=False)
     monkeypatch.setattr(imaging, "_ndimage", no_scipy)
     assert detect_contacts(ref, frame, 2.0, 25.0, 20) == want
-    assert len(smoothed_shapes) == 34
-    assert sum(rows for _, rows in smoothed_shapes) == 1080
+    assert sum(rows for _, rows in bounded_shapes) == 1080
+    assert all(shape[1] == 1920 for shape, _ in bounded_shapes)
+    smoothed_px = sum(rows * shape[1] for shape, rows in smoothed_shapes)
+    assert 0 < smoothed_px <= 0.3 * 1080 * 1920
+
+
+@pytest.fixture(scope="module")
+def protocol_noise():
+    """The sigma-16 noise table of ``dataset --noise 16`` and its noisy default-camera reference."""
+    noise = _NoiseTable.for_sigma(16.0)
+    reference = render_reference(SessionConfig().intrinsics)
+    return noise, TactileImage(_add_noise(reference, noise, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("pose_index", range(8))
+def test_detect_contacts_matches_full_frame_pipeline_on_noisy_protocol_frames(protocol_noise, pose_index):
+    # The real workload's statistics: a rendered protocol frame, one per pose
+    # and each of another object, with the dataset's sigma-16 pixel noise, at
+    # the default camera and detection settings.
+    noise, reference = protocol_noise
+    config = SessionConfig()
+    pose = protocol_poses()[pose_index]
+    indenter = default_indenter(OBJECT_ORDER[pose_index % len(OBJECT_ORDER)], pose, config.geometry)
+    clean = render_contact(indenter, config.geometry, config.intrinsics)
+    frame = TactileImage(_add_noise(clean, noise, np.random.default_rng(1 + pose_index)))
+    detection = (config.sigma_px, config.threshold, config.min_area_px)
+    blobs = detect_contacts(reference, frame, *detection)
+    assert blobs and blobs == full_frame_pipeline(reference, frame, *detection)
 
 
 def test_detect_blobs_adds_origin_before_weighting():
@@ -617,6 +670,49 @@ def test_numpy_smoothing_of_a_halo_band_matches_scipy_rows(image, data):
     got = imaging._gaussian_numpy(image[lo:hi], sigma, slice(start - lo, stop - lo))
     assert got.shape == (stop - start, image.shape[1]) and got.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.uint64), want[start:stop].view(np.uint64))
+
+
+@st.composite
+def bound_images(draw):
+    """Images as ``uint8_images``, or at the extremes: all 255, all 0, or 0 and 255 mixed."""
+    image = draw(uint8_images(max_side=60))
+    extreme = draw(st.sampled_from(["none", "all 255", "all 0", "mixed"]))
+    if extreme == "all 255":
+        image[:] = 255
+    elif extreme == "all 0":
+        image[:] = 0
+    elif extreme == "mixed":
+        image = np.where(image < 128, 0, 255).astype(np.uint8)
+    return image
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bound_images(),
+    # Radius 128 is the most that axis 0 sums in uint16 (2 r + 1 = 257 taps);
+    # sigma 42.8 is its last sigma and 42.9 the first of radius 129.
+    st.sampled_from([0.0, 1e-15, 0.45, 2.0, 7.0, 42.5, 42.8, 42.9, 43.2, MAX_SIGMA_PX])
+    | st.floats(0.0, MAX_SIGMA_PX),
+    st.data(),
+)
+def test_integer_bound_passes_every_pixel_above_the_threshold(image, sigma, data):
+    # Integer thresholds, which a plateau at that difference can round just
+    # above; thresholds just below a difference in the image, which an
+    # unsmoothed pixel passes by a hair; and any value up to 256.
+    kind = data.draw(st.sampled_from(["integer", "below a difference", "any"]))
+    if kind == "integer":
+        threshold = float(data.draw(st.sampled_from([1, 25, 254, 255]) | st.integers(1, 255)))
+    elif kind == "below a difference":
+        value = float(data.draw(st.sampled_from(sorted(set(image.ravel().tolist()) - {0}) or [1])))
+        threshold = data.draw(st.sampled_from([value * (1 - 1e-6), value - 0.5, value - 1e-9]))
+    else:
+        threshold = data.draw(st.floats(0.01, 255.99))
+    want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest") > threshold
+    axis0, axis1, limit = imaging._bound_weights(imaging._kernel(sigma), threshold)
+    assert 255 * sum(axis0) * sum(axis1) < 2**32
+    bound = imaging._bound(image, slice(None), axis0, axis1)
+    assert bound.shape == image.shape and bound.dtype == np.uint32
+    assert not np.any(want & (bound <= limit))
 
 
 def assert_labels_match_ndimage(mask: np.ndarray) -> int:

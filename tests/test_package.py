@@ -9,10 +9,8 @@ PACKAGE = Path(fingersense.__file__).parent
 
 # Public functions and classes no command reaches, each kept for a reason outside the package.
 ALLOWED_UNREACHED = {
-    "geometry.project": "the one-point case of project_points, which the tests project with",
     "blocksworld.replay_policy": "perfbench's exact_moments replays every draw sequence through it",
     "blocksworld.BlockRecord": "what the allowed replay_policy returns",
-    "blocksworld.batch_distribution": "acceptance criterion 8 places the hardware counts in its spread",
     "imaging.DiffImage": "perfbench's per-layer trace wraps its constructor and tests/oracle.py builds it",
 }
 
