@@ -14,7 +14,10 @@ deterministic given its flags: all randomness flows from ``--seed`` (default
 completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
-it, so ``blocksworld`` and ``calibrate`` load none of it.  The two NumPy-only
+it, so ``blocksworld`` and ``calibrate`` load none of it.  ``localize`` runs
+its frames on forked worker processes, one per usable CPU (``_map_forked``),
+and imports ``multiprocessing`` only when it forks them; the calling process
+writes every row, warning and table in manifest order.  The two NumPy-only
 layers, ``calibration`` and ``blocksworld``, are imported here: the per-layer
 trace of ``perfbench/traced.py`` looks every layer module up right after
 importing this one and ``imaging`` and ``render``.
@@ -130,6 +133,52 @@ def _write_group_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
+_job = None  # a forked worker's job, set by its pool's initializer
+
+
+def _set_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _run_job(item):
+    return _job(item)
+
+
+def _map_forked(job, items: tuple, workers: int) -> list:
+    """``[job(item) for item in items]``, on up to ``workers`` forked worker processes.
+
+    The pool's initializer hands ``job`` to each worker, which inherits it
+    with the rest of the parent's memory, so only the items and the results
+    are pickled.  With one worker, or where the OS cannot fork, ``job`` runs
+    inline and no process is started.  An exception that ``job`` raises is
+    raised here with its type and message; a worker that dies (a signal,
+    ``os._exit``, the OOM killer) raises ``OSError``.  Either way the call
+    returns or raises only once every worker has ended.
+
+    Workers are forked, not spawned: a spawned worker would import NumPy and
+    the package again and could not inherit ``job``.  The pool forks every
+    worker before it starts its own thread, so a caller with no other
+    threads forks none that could hold a lock.
+    """
+    workers = min(workers, len(items))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, context, initializer=_set_job, initargs=(job,))
+            try:
+                with pool:
+                    return list(pool.map(_run_job, items))
+            except BrokenProcessPool as exc:
+                raise OSError(f"a worker process died: {exc}") from exc
+    return [job(item) for item in items]
+
+
 def cmd_localize(args: argparse.Namespace) -> int:
     from .imaging import (
         HARDWARE_ERRORS_BY_OBJECT,
@@ -141,7 +190,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
         localize_frame,
     )
     from .pgm import read_pgm
-    from .render import _map_in_order, load_manifest
+    from .render import _usable_cpus, load_manifest
 
     config = _session_config(args)
     manifest_path = Path(args.manifest)
@@ -152,48 +201,41 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
     records: list[ErrorRecord] = []
     rows = ["object,pose_kind,pose_value,error_mm"]
+    reference_path = reference = None
 
-    def with_reference():
-        """Each entry with its reference image, or the error reading it.
+    def localized(entry) -> float | str:
+        """The entry's error in mm, or the message of the error that stopped it.
 
-        Only the last reference read is kept, however many paths the manifest names.
+        Each worker reads references itself and keeps only the last one read,
+        however many paths the manifest names.
         """
-        path = reference = None
-        for entry in entries:
-            if entry.reference != path:
-                path = entry.reference
-                try:
-                    reference = TactileImage(read_pgm(base / path))
-                except (OSError, ValueError) as exc:
-                    reference = exc
-            yield entry, reference
-
-    def localized(item):
-        """(entry, its error in mm or the exception that stopped it), on a worker thread."""
-        entry, reference = item
-        if isinstance(reference, Exception):
-            return entry, reference
+        nonlocal reference_path, reference
+        if entry.reference != reference_path:
+            reference_path, reference = entry.reference, None  # the old one goes first
+            try:
+                reference = TactileImage(read_pgm(base / entry.reference))
+            except (OSError, ValueError) as exc:
+                reference = str(exc)
+        if isinstance(reference, str):
+            return reference
         try:
             frame = TactileImage(read_pgm(base / entry.frame))
             estimate = localize_frame(reference, frame, config)
             if estimate is None:
                 raise ValueError("no contact detected")
-            return entry, localization_error(estimate, entry.truth_mm)
+            return localization_error(estimate, entry.truth_mm)
         except (OSError, ValueError) as exc:
-            return entry, exc
+            return str(exc)
 
-    def record(result) -> None:
-        entry, outcome = result
+    # Frames are localised on worker processes; rows and warnings follow the manifest.
+    for entry, outcome in zip(entries, _map_forked(localized, entries, _usable_cpus())):
         row = f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)}"
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, str):
             print(f"warning: {entry.frame}: {outcome}", file=sys.stderr)
             rows.append(f"{row},nan")
         else:
             records.append(ErrorRecord(entry.object_label, entry.pose, outcome))
             rows.append(f"{row},{_fmt(outcome)}")
-
-    # Frames are localised on worker threads; rows and warnings follow the manifest.
-    _map_in_order(localized, with_reference(), record)
 
     (base / "errors.csv").write_text("\n".join(rows) + "\n")
     if not records:

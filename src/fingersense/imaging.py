@@ -35,11 +35,10 @@ from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionCo
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
 # Frame rows that detection reads, bounds or smooths at once.  Each band costs
-# about a hundred short NumPy calls, and two localize workers hand the GIL
-# over at each of them: on noisy frames with two workers, 32-row bands made
-# three times the context switches of 64-row bands and ran slower.  96-row
-# bands ran a little faster but raised the peak RSS by 6%, and 128 rows ran
-# slower.
+# about a hundred short NumPy calls; localize runs each worker in its own
+# process, so the band is sized for one CPU's cache and memory, not for GIL
+# hand-offs.  96-row bands ran a little faster on threads but raised the peak
+# RSS by 6%, and 128-row bands fall out of L2 and ran slower on one thread.
 DETECT_BAND_ROWS = 64
 
 # Localisation errors measured on the physical sensor (mm, mean and sample

@@ -40,7 +40,10 @@ it, builds its manifest entry and adds its noise.  A frame depends only on its
 own pose and stream, so the bytes do not depend on scheduling or on the CPU
 count.  Writing and the manifest stay on the calling thread, in protocol
 order.  ``_map_in_order``, the bounded map in order that runs the frames,
-also runs ``localize`` over a manifest.
+serves ``dataset`` only: a frame's work is a few long NumPy calls that
+release the GIL, so threads overlap it without sending frames between
+processes.  ``localize`` runs its frames on forked processes instead (see
+``cli``).
 """
 
 from __future__ import annotations
@@ -490,14 +493,13 @@ def _usable_cpus() -> int:
 def _map_in_order(fn: Callable, items: Iterable, consume: Callable) -> None:
     """``consume(fn(item))`` for every item, in order, with ``fn`` on worker threads.
 
-    There is one worker per usable CPU, each with at most one item in flight.
-    ``items`` is iterated and ``consume`` is called on the calling thread, in
-    the order of ``items``, so only ``fn`` needs to be safe to run on several
-    items at once.  Iterating ``items`` must not raise: a caller turns its
-    errors into values, as ``localize`` does with reference reads.  If ``fn``
-    or ``consume`` raises, nothing more is consumed, and the error is raised
-    once the items in flight have finished, so no worker outlives the call;
-    that is the one error path.
+    It runs ``dataset``'s frames.  There is one worker per usable CPU, each
+    with at most one item in flight.  ``items`` is iterated and ``consume`` is
+    called on the calling thread, in the order of ``items``, so only ``fn``
+    needs to be safe to run on several items at once.  Iterating ``items``
+    must not raise.  If ``fn`` or ``consume`` raises, nothing more is
+    consumed, and the error is raised once the items in flight have
+    finished, so no worker outlives the call; that is the one error path.
     """
     workers = _usable_cpus()
     in_flight: deque[Future] = deque()

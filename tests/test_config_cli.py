@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -469,7 +470,7 @@ def test_localize_refuses_frames_of_another_camera(tmp_path, capsys, small_datas
     assert len(rows) == 56 and all(row.endswith(",nan") for row in rows)
 
 
-def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch,
+def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch, forks,
                                                                    protocol_dataset):
     # Each spelling of the reference's path once cached its own copy: 20
     # spellings peaked at 22 frames.  The peak is now the reference, one
@@ -483,7 +484,7 @@ def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monk
         (tmp_path / image.name).symlink_to(image)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(payload))
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 1)  # one frame in flight
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 1)  # inline: one frame in flight
     tracemalloc.start()
     try:
         with redirect_stdout(io.StringIO()):
@@ -494,6 +495,7 @@ def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monk
     assert code == 0
     frame_bytes = CameraIntrinsics().width * CameraIntrinsics().height
     assert peak < 3.5 * frame_bytes, peak / frame_bytes
+    assert forks == []  # the peak is this process's own: no worker ran a frame
 
 
 SMALL_CAMERA = {"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}
@@ -582,6 +584,22 @@ BROKEN_ENTRIES = {5: ("frame", "missing.pgm"), 20: ("reference", "garbage.pgm"),
                   21: ("reference", "garbage.pgm")}
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pid of every process forked during the test, as the parent saw it."""
+    pids = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
 @pytest.fixture(scope="module")
 def broken_dataset(tmp_path_factory):
     """A 192x108 protocol dataset whose manifest names a missing frame and an unreadable reference.
@@ -617,8 +635,10 @@ def _fresh_copy(dataset: Path, work: Path) -> list[str]:
 @pytest.mark.parametrize(
     "workers, switch_s", [(2, None), (3, None), (3, 1e-6)], ids=["2cpus", "3cpus", "3cpus-switch1us"]
 )
-def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatch, broken_dataset,
-                                                    workers, switch_s):
+def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatch, forks,
+                                                    broken_dataset, workers, switch_s):
+    # One CPU runs every frame inline; more fork one worker process per CPU.
+    # The switch interval perturbs the parent's pool threads.
     work = tmp_path / "work"  # one directory, since messages hold paths
     argv = _fresh_copy(broken_dataset, work)
     outputs = [work / name for name in ("errors.csv", "by_pose.csv", "by_object.csv")]
@@ -638,7 +658,10 @@ def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatc
         return code, captured.out, captured.err, [path.read_bytes() for path in outputs]
 
     serial = run(1, None)
+    assert forks == []
     assert run(workers, switch_s) == serial
+    assert len(forks) == workers
+    assert multiprocessing.active_children() == []
     code, out, err, (errors, _, _) = serial
     assert code == 0 and json.loads(out)["n_entries"] == 56
     # One warning per nan row, in manifest order, each naming its frame.
@@ -654,10 +677,10 @@ def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatc
         assert "no contact" not in line
 
 
-def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, broken_dataset):
+def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, forks, broken_dataset):
     # main catches only ValueError and OSError: any other error in a worker
-    # leaves it as it was raised, once the frames in flight are done, and
-    # nothing is written.
+    # process leaves main with its type and message, once every worker has
+    # ended, and nothing is written.
     argv = _fresh_copy(broken_dataset, tmp_path / "work")
     calls = []
     localize_frame = imaging.localize_frame  # cmd_localize imports it when it runs
@@ -688,6 +711,33 @@ def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, broken_da
     assert str(raised[0]) == "worker broke"
     assert not (tmp_path / "work" / "errors.csv").exists()
     assert threading.active_count() == threads
+    assert len(forks) == 2 and multiprocessing.active_children() == []
+
+
+def test_localize_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch, forks,
+                                                   broken_dataset):
+    # A worker process that dies mid-frame (a signal, os._exit, the OOM
+    # killer) breaks the pool: localize exits 1 with one line, writes no
+    # errors.csv and leaves no worker behind.
+    argv = _fresh_copy(broken_dataset, tmp_path / "work")
+    payload = json.loads((broken_dataset / "manifest.json").read_text())
+    doomed = read_pgm(broken_dataset / payload[9]["frame"])
+    localize_frame = imaging.localize_frame  # cmd_localize imports it when it runs
+
+    def dying(reference, frame, config):
+        if np.array_equal(frame.pixels, doomed):
+            os._exit(3)
+        return localize_frame(reference, frame, config)
+
+    monkeypatch.setattr(imaging, "localize_frame", dying)
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a worker process died: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "work" / "errors.csv").exists()
+    assert len(forks) == 2 and multiprocessing.active_children() == []
 
 
 def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):
@@ -1058,6 +1108,14 @@ def test_noisy_localize_loads_no_scipy(tmp_path):
         assert main(["dataset", "--noise", "16", "--out-dir", str(tmp_path / "ds"), *vga]) == 0
     argv = ["localize", "--manifest", str(tmp_path / "ds" / "manifest.json"), *vga]
     assert _modules_loaded_by(argv) == COMMAND_MODULES["localize"]
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # localize imports the process pool only when it forks workers, so the
+    # import that every command pays for goes without it.
+    done = _run_python("-c", "import sys, fingersense.cli\nprint('multiprocessing' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def _modules_loaded_by(argv: list[str] | None) -> tuple[set[str], set[str]]:

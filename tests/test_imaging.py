@@ -465,7 +465,7 @@ def noisy_pair(seed: int) -> list[np.ndarray]:
 
 
 def test_detect_contacts_memory_stays_below_a_frame():
-    # Worker threads localise frames side by side, so each must stay small:
+    # Worker processes localise frames side by side, so each must stay small:
     # a float64 1920x1080 frame alone is 15.8 MiB.  Each case runs once
     # untraced first, so the measurement sees only the call's own arrays.
     noisy = noisy_pair(15)
