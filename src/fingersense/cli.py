@@ -14,13 +14,16 @@ deterministic given its flags: all randomness flows from ``--seed`` (default
 completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
-it, so ``blocksworld`` and ``calibrate`` load none of it.  ``localize`` runs
-its frames on forked worker processes, one per usable CPU (``_map_forked``),
-and imports ``multiprocessing`` only when it forks them; the calling process
-writes every row, warning and table in manifest order.  The two NumPy-only
-layers, ``calibration`` and ``blocksworld``, are imported here: the per-layer
-trace of ``perfbench/traced.py`` looks every layer module up right after
-importing this one and ``imaging`` and ``render``.
+it, so ``blocksworld`` and ``calibrate`` load none of it.  ``dataset`` and
+``localize`` run their frames on forked worker processes, one per usable CPU
+(``render._map_forked``), and import ``multiprocessing`` only when they fork
+them.  ``dataset``'s workers write their own frames, and the calling process
+renames them into place and writes the manifest in protocol order;
+``localize``'s calling process writes every row, warning and table in
+manifest order.  The two NumPy-only layers, ``calibration`` and
+``blocksworld``, are imported here: the per-layer trace of
+``perfbench/traced.py`` looks every layer module up right after importing
+this one and ``imaging`` and ``render``.
 """
 
 from __future__ import annotations
@@ -133,52 +136,6 @@ def _write_group_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-_job = None  # a forked worker's job, set by its pool's initializer
-
-
-def _set_job(job) -> None:
-    global _job
-    _job = job
-
-
-def _run_job(item):
-    return _job(item)
-
-
-def _map_forked(job, items: tuple, workers: int) -> list:
-    """``[job(item) for item in items]``, on up to ``workers`` forked worker processes.
-
-    The pool's initializer hands ``job`` to each worker, which inherits it
-    with the rest of the parent's memory, so only the items and the results
-    are pickled.  With one worker, or where the OS cannot fork, ``job`` runs
-    inline and no process is started.  An exception that ``job`` raises is
-    raised here with its type and message; a worker that dies (a signal,
-    ``os._exit``, the OOM killer) raises ``OSError``.  Either way the call
-    returns or raises only once every worker has ended.
-
-    Workers are forked, not spawned: a spawned worker would import NumPy and
-    the package again and could not inherit ``job``.  The pool forks every
-    worker before it starts its own thread, so a caller with no other
-    threads forks none that could hold a lock.
-    """
-    workers = min(workers, len(items))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, context, initializer=_set_job, initargs=(job,))
-            try:
-                with pool:
-                    return list(pool.map(_run_job, items))
-            except BrokenProcessPool as exc:
-                raise OSError(f"a worker process died: {exc}") from exc
-    return [job(item) for item in items]
-
-
 def cmd_localize(args: argparse.Namespace) -> int:
     from .imaging import (
         HARDWARE_ERRORS_BY_OBJECT,
@@ -190,7 +147,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
         localize_frame,
     )
     from .pgm import read_pgm
-    from .render import _usable_cpus, load_manifest
+    from .render import _map_forked, _usable_cpus, load_manifest
 
     config = _session_config(args)
     manifest_path = Path(args.manifest)

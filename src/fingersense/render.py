@@ -19,41 +19,41 @@ approximated by 3D chords; for footprints up to ~5 mm on a 10 mm-radius
 membrane the error is under 2%.
 
 Imprint window: a surface point farther than delta / k_falloff from the
-footprint is not displaced, and every footprint point lies within a
-per-shape extent E of the contact point c, so the imprint is confined to the
-ball of radius rho = E + delta / k_falloff around c.  Each pixel sees exactly
-one membrane point, so only pixels inside the projection of that ball can
-differ from the background.  The renderer back-projects and shades just the
-ball's pixel bounding box, padded by 2 px against rounding, and fills the
-rest of the frame with the background; when the ball reaches the camera
-plane (z <= 0) or a tangent ray reaches 90 degrees the box is the whole
-frame.  Render cost therefore scales with the imprint, not the frame.  The
-box is shaded in bands of whole rows, at most RENDER_BAND_PX pixels each, so
-the float64 temporaries stay a few MB even when the box is the whole frame;
-every pixel is computed on its own, so the bands give the same bytes.
+footprint is not displaced, so the imprint is confined to a ball of radius
+rho around the contact point c: E + delta / k_falloff for a planar footprint
+that lies within E of c, and sqrt(size * delta / k_falloff + (delta /
+k_falloff)^2) for the sphere, whose tangent ball touches the convex membrane
+only near c (see ``_imprint_radius_mm``).  Each pixel sees exactly one
+membrane point, so only pixels inside the projection of that ball can differ
+from the background.  The renderer back-projects and shades just the ball's
+pixel bounding box, padded by 2 px against rounding, and fills the rest of
+the frame with the background; when the ball reaches the camera plane
+(z <= 0) or a tangent ray reaches 90 degrees the box is the whole frame.
+Render cost therefore scales with the imprint, not the frame: the 56
+protocol frames shade about 1.07M pixels in all.  The box is shaded in bands
+of whole rows, at most RENDER_BAND_PX pixels each, so the float64
+temporaries stay a few MB even when the box is the whole frame; every pixel
+is computed on its own, so the bands give the same bytes.
 
 Protocol dataset: every image adds Gaussian pixel noise from its own random
 stream split off the seed.  Pixels are integers, so the noise is drawn as the
 rounded Gaussian K by inverse CDF from a 16-bit table (see ``_NoiseTable``).
-Each frame is one job on worker threads, one per usable CPU: a worker renders
-it, builds its manifest entry and adds its noise.  A frame depends only on its
-own pose and stream, so the bytes do not depend on scheduling or on the CPU
-count.  Writing and the manifest stay on the calling thread, in protocol
-order.  ``_map_in_order``, the bounded map in order that runs the frames,
-serves ``dataset`` only: a frame's work is a few long NumPy calls that
-release the GIL, so threads overlap it without sending frames between
-processes.  ``localize`` runs its frames on forked processes instead (see
-``cli``).
+Each frame is one job of ``_map_forked`` on forked worker processes, one per
+usable CPU: a worker renders it, builds its manifest entry, adds its noise
+and writes it under a temporary name, and only the entry comes back.  A
+worker makes all its frames in one frame buffer.  A
+frame depends only on its own pose and stream, so the bytes do not depend on
+scheduling or on the CPU count.  The calling process renames the frames into
+place and writes the manifest, in protocol order.  ``localize`` runs its
+frames on the same map (see ``cli``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from collections import deque
-from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +79,7 @@ IMPRINT_GAIN = 60  # intensity units at full indentation depth
 K_FALLOFF = 1.0  # depth lost per mm of distance from the footprint
 WINDOW_PAD_PX = 2  # margin around the projected imprint ball
 RENDER_BAND_PX = 1 << 15  # pixels shaded at once, in whole rows of the window
-NOISE_CHUNK_ROWS = 64  # frame rows of noise drawn and added at once
+NOISE_CHUNK_ROWS = 64  # frame rows of noise drawn and added at once; a multiple of 4 (see _buckets)
 NOISE_BUCKETS = 1 << 16  # noise table entries, one per uint16 draw
 NOISE_CAP = 255  # |K| beyond this clips every pixel in 0..255 as the cap does
 _CDF_STEP = np.iinfo(np.int16).min  # table entry of a bucket that holds a CDF step
@@ -220,12 +220,10 @@ def footprint_distance_mm(
 
 
 def _footprint_extent_mm(ind: Indenter) -> float:
-    """Radius of a ball about the contact point that holds the whole footprint."""
+    """Radius of a ball about the contact point that holds a planar footprint."""
     half = ind.characteristic_size / 2.0
     if ind.shape is Shape.CONE:
         return 0.0
-    if ind.shape is Shape.SPHERE:
-        return 2.0 * half  # the far pole of the tangent ball
     if ind.shape in (Shape.CYLINDER, Shape.TUBE, Shape.EDGE):
         return half
     if ind.shape is Shape.SLAB:
@@ -236,18 +234,34 @@ def _footprint_extent_mm(ind: Indenter) -> float:
     raise ValueError(f"unhandled shape {ind.shape}")  # pragma: no cover
 
 
+def _imprint_radius_mm(ind: Indenter) -> float:
+    """Radius rho of a ball about the contact point c that holds every displaced membrane point.
+
+    A displaced point lies within s = delta / k_falloff of the footprint, so
+    for a planar footprint rho = E + s, with E its ``_footprint_extent_mm``.
+    The sphere's footprint is the tangent ball of radius R = size / 2 about
+    c + R n, with n the outward normal at c.  The membrane is convex, so
+    n . (p - c) <= 0 at every membrane point p, and then
+    |p - c|^2 <= |p - c - R n|^2 - R^2 < (R + s)^2 - R^2 = size * s + s^2.
+    """
+    reach = ind.depth / K_FALLOFF
+    if ind.shape is Shape.SPHERE:
+        return math.sqrt(ind.characteristic_size * reach + reach * reach)
+    return _footprint_extent_mm(ind) + reach
+
+
 def _imprint_window(ind: Indenter, k: CameraIntrinsics) -> tuple[slice, slice]:
     """(rows, columns) of the frame that can show the indenter's imprint.
 
-    The box bounds the projection of the ball of radius
-    rho = E + delta / k_falloff around the contact point, padded by
+    The box bounds the projection of the ball of radius rho
+    (``_imprint_radius_mm``) around the contact point, padded by
     WINDOW_PAD_PX and clipped to the frame.  Along each image axis the bound
     comes from the two rays tangent to the ball's disc in the x-z (for u) or
     y-z (for v) plane.  If the ball reaches z <= 0 or a tangent ray reaches
     90 degrees, its projection is unbounded and the window is the whole frame.
     """
     c = ind.contact_point
-    rho = _footprint_extent_mm(ind) + ind.depth / K_FALLOFF
+    rho = _imprint_radius_mm(ind)
     full = (slice(0, k.height), slice(0, k.width))
     if c.z - rho <= 0:
         return full
@@ -275,27 +289,32 @@ def render_reference(k: CameraIntrinsics) -> TactileImage:
 
 
 def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> TactileImage:
-    """Render the imprint of an indenter over the reference frame.
+    """Render the imprint of an indenter over the reference frame (see ``_shade_imprint``)."""
+    image = np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
+    _shade_imprint(ind, g, k, image)
+    return TactileImage(image)
+
+
+def _shade_imprint(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics, image: np.ndarray) -> None:
+    """Shade the imprint of an indenter into ``image``, a (k.height, k.width) uint8 frame of background.
 
     Pixel intensity is BACKGROUND + GAIN * depth / ind.depth, clamped to
     [0, 255]: the deepest point renders at a fixed contrast regardless of
     delta, and the imprint shrinks as delta does.
 
     Only the imprint window is shaded: the pixel box bounding the projection
-    of the ball of radius rho = E + delta / k_falloff around the contact
-    point (E the footprint's extent), padded by 2 px.  Every other pixel sees
-    an undisplaced membrane point and keeps the background.  If the ball
-    reaches z <= 0 or a tangent ray reaches 90 degrees the window is the
-    whole frame.  The window is shaded in bands of whole rows holding at most
-    RENDER_BAND_PX pixels (one row if a row is wider), so memory stays
-    bounded when the window is large.
+    of the ball of radius rho (``_imprint_radius_mm``) around the contact
+    point, padded by 2 px.  Every other pixel sees an undisplaced membrane
+    point and keeps the background.  If the ball reaches z <= 0 or a tangent
+    ray reaches 90 degrees the window is the whole frame.  The window is
+    shaded in bands of whole rows holding at most RENDER_BAND_PX pixels (one
+    row if a row is wider), so memory stays bounded when the window is large.
     """
     if not ind.depth < g.r:
         raise ValueError(
             f"indentation depth {ind.depth} must stay below the membrane radius {g.r}"
         )
     rows, columns = _imprint_window(ind, k)
-    image = np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
     band_rows = max(1, RENDER_BAND_PX // max(1, columns.stop - columns.start))
     for top in range(rows.start, rows.stop, band_rows):
         band = slice(top, min(top + band_rows, rows.stop))
@@ -305,7 +324,6 @@ def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> Tac
         depth = np.maximum(0.0, ind.depth - dist * K_FALLOFF)
         intensity = BACKGROUND_INTENSITY + IMPRINT_GAIN * depth / ind.depth
         image[band, columns] = np.rint(np.clip(intensity, 0, 255)).astype(np.uint8)
-    return TactileImage(image)
 
 
 def default_indenter(object_label: str, pose: ContactPose, g: SensorGeometry) -> Indenter:
@@ -441,36 +459,52 @@ class _NoiseTable:
         return cls(cdf, table)
 
 
-def _add_noise(
-    image: TactileImage, noise: _NoiseTable | None, rng: np.random.Generator
-) -> np.ndarray:
-    """``image`` with rounded Gaussian noise drawn from ``noise``, or unchanged if it is None.
+def _buckets(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform 16-bit noise buckets: ``rng.integers(0, NOISE_BUCKETS, n, dtype=np.uint16)``, cheaper.
+
+    They are read from ceil(n / 4) raw 64-bit words, four 16-bit values a
+    word, low first, at under half the cost of ``integers``.  For PCG64 this
+    is the same stream: ``integers`` splits each word into two 32-bit halves,
+    low first, and each half into two 16-bit values, low first, and
+    ``random()`` reads whole words either way.  The streams can part only
+    after a call whose ``n`` is not a multiple of 4: ``integers`` keeps a
+    leftover 32-bit half for its next call, where this drops it.
+    """
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False)
+    return words.view("<u2")[:n]
+
+
+def _add_noise(pixels: np.ndarray, noise: _NoiseTable | None, rng: np.random.Generator) -> None:
+    """Add rounded Gaussian noise drawn from ``noise`` to the uint8 frame ``pixels``, in place.
+
+    Nothing is added if ``noise`` is None.
 
     For an integer pixel p, rint(clip(p + N(0, sigma), 0, 255)) has the law
     of clip(p + K, 0, 255) with K = rint(N(0, sigma)), and capping K to
     [-255, 255] changes no clipped pixel.  Each pixel draws K by inverse CDF:
-    one ``rng.integers(0, NOISE_BUCKETS, dtype=np.uint16)`` picks an entry of
-    ``noise.table``; if that is _CDF_STEP, one 53-bit ``rng.random()`` V more
-    gives U = (bucket + V) / NOISE_BUCKETS and K is found in ``noise.cdf``.  So
-    the law is exact to the CDF's float precision, tails included, and more
-    than 99% of the pixels cost one 16-bit draw and a look-up.  K is added to
-    the pixels in int16, clipped and stored as uint8.
+    one 16-bit bucket picks an entry of ``noise.table``; if that is
+    _CDF_STEP, one 53-bit ``rng.random()`` V more gives
+    U = (bucket + V) / NOISE_BUCKETS and K is found in ``noise.cdf``.  So the
+    law is exact to the CDF's float precision, tails included, and more than
+    99% of the pixels cost one 16-bit draw and a look-up.  K is added to the
+    pixels in int16, clipped and stored as uint8.
 
     The noise is drawn and added NOISE_CHUNK_ROWS rows at a time, so the
-    temporaries take a chunk's memory, not a frame's: the chunk's 16-bit
-    draws, then the 53-bit draws of its step pixels in row-major order.  That
-    order is the stream's layout, so a seed gives the same bytes everywhere.
-    Touches nothing but ``image`` and ``rng`` (``noise`` is only read), so
-    frames with their own generators can be noised on different threads at
-    once.
+    temporaries take a chunk's memory, not a frame's: the chunk's buckets
+    (``_buckets``), then the 53-bit draws of its step pixels in row-major
+    order.  Every chunk but the last holds a multiple of 4 pixels, which
+    ``_buckets`` needs to draw the stream of ``rng.integers``.  That order is
+    the stream's layout, so a seed gives the same bytes everywhere.  Each
+    chunk's rows are read before they are written.  Touches nothing but
+    ``pixels`` and ``rng`` (``noise`` is only read), so frames with their own
+    generators can be noised at once.
     """
-    pixels = image.pixels
     if noise is None:
-        return pixels
-    noisy = np.empty_like(pixels)
+        return
     for top in range(0, pixels.shape[0], NOISE_CHUNK_ROWS):
         rows = slice(top, top + NOISE_CHUNK_ROWS)
-        index = rng.integers(0, NOISE_BUCKETS, pixels[rows].shape, dtype=np.uint16)
+        shape = pixels[rows].shape
+        index = _buckets(rng, shape[0] * shape[1]).reshape(shape)
         k = np.take(noise.table, index)
         steps = np.flatnonzero(k == _CDF_STEP)
         if steps.size:
@@ -478,8 +512,7 @@ def _add_noise(
             k.flat[steps] = np.searchsorted(noise.cdf, u, side="right") - NOISE_CAP
         k += pixels[rows]
         np.clip(k, 0, 255, out=k)
-        noisy[rows] = k
-    return noisy
+        pixels[rows] = k
 
 
 def _usable_cpus() -> int:
@@ -490,26 +523,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_in_order(fn: Callable, items: Iterable, consume: Callable) -> None:
-    """``consume(fn(item))`` for every item, in order, with ``fn`` on worker threads.
+_job = None  # a forked worker's job, set by its pool's initializer
 
-    It runs ``dataset``'s frames.  There is one worker per usable CPU, each
-    with at most one item in flight.  ``items`` is iterated and ``consume`` is
-    called on the calling thread, in the order of ``items``, so only ``fn``
-    needs to be safe to run on several items at once.  Iterating ``items``
-    must not raise.  If ``fn`` or ``consume`` raises, nothing more is
-    consumed, and the error is raised once the items in flight have
-    finished, so no worker outlives the call; that is the one error path.
+
+def _set_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _run_job(item):
+    return _job(item)
+
+
+def _map_forked(job, items: tuple, workers: int) -> list:
+    """``[job(item) for item in items]``, on up to ``workers`` forked worker processes.
+
+    It runs the frames of ``dataset`` and of ``localize``.  The pool's
+    initializer hands ``job`` to each worker, which inherits it with the rest
+    of the parent's memory, so only the items and the results are pickled.
+    With one worker, or where the OS cannot fork, ``job`` runs inline and no
+    process is started.  An exception that ``job`` raises is raised here with
+    its type and message; a worker that dies (a signal, ``os._exit``, the OOM
+    killer) raises ``OSError``.  Either way the call returns or raises only
+    once every worker has ended.
+
+    Workers are forked, not spawned: a spawned worker would import NumPy and
+    the package again and could not inherit ``job``.  The pool forks every
+    worker before it starts its own thread, so a caller with no other
+    threads forks none that could hold a lock.  ``multiprocessing`` is
+    imported only here, when there is more than one worker.
     """
-    workers = _usable_cpus()
-    in_flight: deque[Future] = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for item in items:
-            in_flight.append(pool.submit(fn, item))
-            if len(in_flight) == workers:
-                consume(in_flight.popleft().result())
-        while in_flight:
-            consume(in_flight.popleft().result())
+    workers = min(workers, len(items))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, context, initializer=_set_job, initargs=(job,))
+            try:
+                with pool:
+                    return list(pool.map(_run_job, items))
+            except BrokenProcessPool as exc:
+                raise OSError(f"a worker process died: {exc}") from exc
+    return [job(item) for item in items]
+
+
+def _image_error(path: Path, exc: OSError) -> OSError:
+    """The error of writing image ``path``, naming ``path`` where ``exc`` named a temporary file."""
+    if exc.filename is not None:
+        exc = OSError(exc.errno, exc.strerror, str(path))
+    return OSError(f"cannot write image {path}: {exc}")
 
 
 def generate_protocol_dataset(
@@ -531,14 +597,19 @@ def generate_protocol_dataset(
     ``_NoiseTable`` built per call (about 5 ms; none when ``noise_sigma`` is
     0, which writes the clean frames).
 
-    Each frame is one job of ``_map_in_order``: a worker thread, one per
-    usable CPU with at most one frame in flight, renders the frame, builds its
-    manifest entry and adds its noise; NumPy's ufuncs and draws release the
-    GIL, so the frames are made in parallel.  A frame depends only on its own
-    pose and stream, so the bytes do not depend on scheduling or on the number
-    of CPUs.  Writing and the manifest stay on the calling thread in protocol
-    order, so the frames before a failing render or write are written before
-    its error is raised, and none after it.
+    Each frame is one job of ``_map_forked``, on forked worker processes, one
+    per usable CPU, or inline at one CPU: the job renders the frame, builds its
+    manifest entry, adds its noise and writes the PGM under a temporary name
+    in ``out_dir``.  Each process makes all its frames in one frame buffer,
+    so no frame-sized array is allocated, freed and page-faulted again per
+    frame.  Only the entry, or the exception that stopped the frame, comes
+    back; no pixels cross between processes.  A frame depends only on its own
+    pose and stream, so the bytes do not depend on scheduling or on the
+    number of CPUs.  Once every worker has ended, the calling process
+    renames the frames into place in protocol order, so the frames before a
+    failing render or write are written when its error is raised, and none
+    after it; every temporary file is removed first.  The frames after a
+    failing one are still made, then removed.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
@@ -555,33 +626,52 @@ def generate_protocol_dataset(
         for object_label in OBJECT_ORDER
         for pose_index, pose in enumerate(protocol_poses())
     ]
+    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name, _, _ in jobs]
     streams = np.random.SeedSequence(seed).spawn(len(jobs))
     noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
-    entries = []
 
-    def frame(item):
-        """(file name, noisy pixels, manifest entry or None) of one job, on a worker thread."""
-        (name, object_label, pose), stream = item
-        if object_label is None:
-            image, entry = render_reference(k), None
-        else:
-            ind = default_indenter(object_label, pose, g)
-            truth = ind.contact_point
-            entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
-            image = render_contact(ind, g, k)
-        return name, _add_noise(image, noise, np.random.default_rng(stream)), entry
+    pixels = None  # the frame of the process running the jobs, made at its first job
 
-    def write(result) -> None:
-        name, pixels, entry = result
-        path = out_dir / name
+    def frame(index: int) -> ManifestEntry | None | Exception:
+        """Make and write image ``index`` under its temporary name: its manifest entry, or its error."""
+        nonlocal pixels
+        name, object_label, pose = jobs[index]
         try:
-            write_pgm(path, pixels)
-        except OSError as exc:
-            raise OSError(f"cannot write image {path}: {exc}") from exc
-        if entry is not None:
-            entries.append(entry)
+            if pixels is None:
+                pixels = np.empty((k.height, k.width), dtype=np.uint8)
+            pixels.fill(BACKGROUND_INTENSITY)
+            entry = None
+            if object_label is not None:
+                ind = default_indenter(object_label, pose, g)
+                truth = ind.contact_point
+                entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
+                _shade_imprint(ind, g, k, pixels)
+            _add_noise(pixels, noise, np.random.default_rng(streams[index]))
+            try:
+                write_pgm(temps[index], pixels)
+            except OSError as exc:
+                raise _image_error(out_dir / name, exc) from exc
+            return entry
+        except Exception as exc:  # raised by the calling process, in protocol order
+            return exc
 
-    _map_in_order(frame, zip(jobs, streams), write)
+    entries = []
+    try:
+        outcomes = _map_forked(frame, tuple(range(len(jobs))), _usable_cpus())
+        for (name, _, _), temp, outcome in zip(jobs, temps, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            try:
+                os.replace(temp, out_dir / name)
+            except OSError as exc:
+                raise _image_error(out_dir / name, exc) from exc
+            if outcome is not None:
+                entries.append(outcome)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
+        raise
 
     manifest = tuple(entries)
     save_manifest(out_dir / "manifest.json", manifest)

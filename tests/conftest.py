@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from fingersense.geometry import CameraIntrinsics, SensorGeometry
@@ -24,3 +26,19 @@ def protocol_dataset(tmp_path_factory):
         out_dir, SensorGeometry(), CameraIntrinsics(), noise_sigma=0.0, seed=0
     )
     return out_dir, entries
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pid of every process forked during the test, as the parent saw it."""
+    pids = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

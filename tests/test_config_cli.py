@@ -363,6 +363,33 @@ def test_dataset_unwritable_image_fails_with_one_line(tmp_path, capsys):
     assert threading.active_count() == threads
 
 
+def test_dataset_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch, forks):
+    # A worker process that dies mid-frame (a signal, os._exit, the OOM
+    # killer) breaks the pool: dataset exits 1 with one line, and leaves no
+    # frame, manifest, temporary file or worker behind.
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_CAMERA))
+    out = tmp_path / "ds"
+    geometry = SessionConfig().geometry
+    doomed = render.default_indenter("slab", render.protocol_poses()[5], geometry)
+    shade_imprint = render._shade_imprint
+
+    def dying(ind, g, k, image):
+        if ind == doomed:
+            os._exit(3)
+        shade_imprint(ind, g, k, image)
+
+    monkeypatch.setattr(render, "_shade_imprint", dying)
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    code = main(["dataset", "--config", str(tmp_path / "small.json"), "--out-dir", str(out), "--noise", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a worker process died: ")
+    assert captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
+    assert len(forks) == 2 and multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [["dataset", "--noise", "2"], ["blocksworld", "--policy", "rg", "-n", "10"]],
@@ -582,22 +609,6 @@ def test_manifest_labels_never_split_a_csv_row(tmp_path_factory, small_dataset, 
 BROKEN_CAMERA = CameraIntrinsics(alpha=30.0, cx=96.0, cy=54.0, width=192, height=108)
 BROKEN_ENTRIES = {5: ("frame", "missing.pgm"), 20: ("reference", "garbage.pgm"),
                   21: ("reference", "garbage.pgm")}
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """The pid of every process forked during the test, as the parent saw it."""
-    pids = []
-    fork = os.fork
-
-    def counted() -> int:
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 @pytest.fixture(scope="module")
@@ -1070,14 +1081,17 @@ _CLI_MODULES = {"cli", "config", "geometry", "calibration", "blocksworld"}
 # Per command, the fingersense modules it loads besides those, and which of
 # four other packages that only some commands need it loads.  None loads
 # SciPy: detection smooths and labels in NumPy (see the next test too).
+# dataset and localize load the process pool only when they fork workers,
+# which they do with more than one usable CPU.
 _DETECTION = {"render", "imaging", "pgm"}
+_POOL = {"concurrent.futures"} if render._usable_cpus() > 1 else set()
 COMMAND_MODULES = {
     "import": (set(), set()),
     "blocksworld": (set(), {"fractions"}),
     "calibrate": (set(), {"csv"}),
-    "render": (_DETECTION, {"concurrent.futures"}),
-    "dataset": (_DETECTION, {"concurrent.futures"}),
-    "localize": (_DETECTION, {"concurrent.futures"}),
+    "render": (_DETECTION, set()),
+    "dataset": (_DETECTION, _POOL),
+    "localize": (_DETECTION, _POOL),
 }
 
 
@@ -1110,12 +1124,29 @@ def test_noisy_localize_loads_no_scipy(tmp_path):
     assert _modules_loaded_by(argv) == COMMAND_MODULES["localize"]
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # localize imports the process pool only when it forks workers, so the
-    # import that every command pays for goes without it.
+def test_cli_import_loads_no_multiprocessing(tmp_path):
+    # dataset and localize import the process pool only when they fork
+    # workers, so the import that every command pays for goes without it,
+    # and so does a dataset on one CPU, which forks nothing.
     done = _run_python("-c", "import sys, fingersense.cli\nprint('multiprocessing' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_CAMERA))
+    argv = ["dataset", "--noise", "2", "--out-dir", str(tmp_path / "ds"), "--config", str(tmp_path / "small.json")]
+    done = _run_python(
+        "-c",
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "def fork():\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = fork\n"
+        "from fingersense.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'multiprocessing' in sys.modules, file=sys.stderr)\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "0 False\n"
+    assert len(load_manifest(tmp_path / "ds" / "manifest.json")) == 56
 
 
 def _modules_loaded_by(argv: list[str] | None) -> tuple[set[str], set[str]]:

@@ -599,8 +599,9 @@ def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, boun
 def protocol_noise():
     """The sigma-16 noise table of ``dataset --noise 16`` and its noisy default-camera reference."""
     noise = _NoiseTable.for_sigma(16.0)
-    reference = render_reference(SessionConfig().intrinsics)
-    return noise, TactileImage(_add_noise(reference, noise, np.random.default_rng(0)))
+    reference = render_reference(SessionConfig().intrinsics).pixels.copy()
+    _add_noise(reference, noise, np.random.default_rng(0))
+    return noise, TactileImage(reference)
 
 
 @pytest.mark.parametrize("pose_index", range(8))
@@ -612,8 +613,9 @@ def test_detect_contacts_matches_full_frame_pipeline_on_noisy_protocol_frames(pr
     config = SessionConfig()
     pose = protocol_poses()[pose_index]
     indenter = default_indenter(OBJECT_ORDER[pose_index % len(OBJECT_ORDER)], pose, config.geometry)
-    clean = render_contact(indenter, config.geometry, config.intrinsics)
-    frame = TactileImage(_add_noise(clean, noise, np.random.default_rng(1 + pose_index)))
+    pixels = render_contact(indenter, config.geometry, config.intrinsics).pixels.copy()
+    _add_noise(pixels, noise, np.random.default_rng(1 + pose_index))
+    frame = TactileImage(pixels)
     detection = (config.sigma_px, config.threshold, config.min_area_px)
     blobs = detect_contacts(reference, frame, *detection)
     assert blobs and blobs == full_frame_pipeline(reference, frame, *detection)

@@ -1,9 +1,12 @@
 """Tests for the synthetic imprint renderer and the protocol dataset."""
 
 import bisect
+import errno
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -26,8 +29,8 @@ from fingersense.geometry import (
     pose_to_contact_point,
 )
 from fingersense.config import SessionConfig
-from fingersense.imaging import TactileImage, localization_error, localize_frame
-from fingersense.pgm import read_pgm, write_pgm
+from fingersense.imaging import localization_error, localize_frame
+from fingersense.pgm import read_pgm
 from fingersense.render import (
     DEFAULT_INDENTER_SPECS,
     BACKGROUND_INTENSITY,
@@ -368,6 +371,21 @@ def test_window_falls_back_to_full_frame_near_camera_plane(shape):
     assert image.pixels.max() > BACKGROUND_INTENSITY  # the imprint is visible
 
 
+@pytest.mark.parametrize(
+    "pose", protocol_poses(), ids=[f"{p.kind.value}_{i % 4}" for i, p in enumerate(protocol_poses())]
+)
+def test_sphere_window_is_tight_and_exact(geometry, intrinsics, pose):
+    # The convex membrane keeps the sphere's imprint within
+    # sqrt(size * delta + delta^2) of the contact: translation 15 shades 55k
+    # pixels, against 810k for a ball of radius size + delta.
+    ind = default_indenter("sphere", pose, geometry)
+    rows, columns = render._imprint_window(ind, intrinsics)
+    assert (rows.stop - rows.start) * (columns.stop - columns.start) <= 56_000
+    image = render_contact(ind, geometry, intrinsics)
+    np.testing.assert_array_equal(image.pixels, full_frame_oracle(ind, geometry, intrinsics))
+    assert image.pixels.max() > BACKGROUND_INTENSITY
+
+
 # ---------------------------------------------------------------------------
 # footprint sanity
 
@@ -493,77 +511,98 @@ def serial_dataset(g, k, sigma: float, seed: int) -> dict[str, np.ndarray]:
     }
 
 
+# Frames of 307 KB: far more than the calling process allocates for a whole
+# forked run, so its peak shows that no frame's pixels came back to it.
+WIDE_CAMERA = CameraIntrinsics(alpha=200.0, cx=319.5, cy=239.5, width=640, height=480)
+# The last noise chunk holds 97 * 17 pixels, one more than a multiple of 4.
+ODD_CAMERA = CameraIntrinsics(alpha=40.0, cx=48.0, cy=40.0, width=97, height=NOISE_CHUNK_ROWS + 17)
+
+
 @pytest.mark.parametrize(
-    "sigma, workers, switch_s",
-    [(0.0, None, None), (16.0, None, None), (16.0, 1, None), (16.0, 3, 1e-6)],
-    ids=["noise0", "noise16", "noise16-1cpu", "noise16-3cpus-switch1us"],
+    "sigma, workers, switch_s, camera",
+    [
+        (0.0, 2, None, WIDE_CAMERA),
+        (16.0, 2, None, ORACLE_CAMERA),
+        (16.0, 1, None, ORACLE_CAMERA),
+        (16.0, 3, 1e-6, ORACLE_CAMERA),
+        (16.0, 2, None, ODD_CAMERA),
+    ],
+    ids=["noise0", "noise16", "noise16-1cpu", "noise16-3cpus-switch1us", "noise16-odd-width"],
 )
-def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, geometry, sigma, workers, switch_s):
-    # The bytes depend on neither the worker count nor how often threads switch.
-    if workers is not None:
-        monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
-    # Each worker holds at most one frame: renders started minus frames written.
-    lock = threading.Lock()
-    started = written = most_in_flight = 0
-
-    def counted_render(*args):
-        nonlocal started, most_in_flight
-        with lock:
-            started += 1
-            most_in_flight = max(most_in_flight, started - written)
-        return render_contact(*args)
-
-    def counted_write(*args):
-        nonlocal written
-        write_pgm(*args)
-        with lock:
-            written += 1
-
-    monkeypatch.setattr(render, "render_contact", counted_render)
-    monkeypatch.setattr(render, "write_pgm", counted_write)
+def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, forks, geometry, sigma, workers,
+                                       switch_s, camera):
+    # The bytes depend on neither the worker count nor how often the pool's
+    # threads in the calling process switch.  One CPU runs every frame
+    # inline; more fork one worker process per CPU.
+    monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
+    if camera is WIDE_CAMERA:
+        # The first forked run imports the pool's modules; the peak below
+        # counts only this run's allocations.
+        generate_protocol_dataset(tmp_path / "warm", geometry, camera, sigma, seed=29)
+        del forks[:]
+    out_dir = tmp_path / "out"
     interval = sys.getswitchinterval()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
     try:
         if switch_s is not None:
             sys.setswitchinterval(switch_s)
-        entries = generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, sigma, seed=29)
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        entries = generate_protocol_dataset(out_dir, geometry, camera, sigma, seed=29)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         sys.setswitchinterval(interval)
-    expected = serial_dataset(geometry, ORACLE_CAMERA, sigma, seed=29)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*expected, "manifest.json"])
+        if not tracing:
+            tracemalloc.stop()
+    assert len(forks) == (0 if workers == 1 else workers)
+    assert multiprocessing.active_children() == []
+    if camera is WIDE_CAMERA:
+        # Each worker writes its own frames: only manifest entries come back.
+        assert peak - before < camera.width * camera.height, peak - before
+    expected = serial_dataset(geometry, camera, sigma, seed=29)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*expected, "manifest.json"])
     assert [e.frame for e in entries] == list(expected)[1:]
     for name, pixels in expected.items():
-        np.testing.assert_array_equal(read_pgm(tmp_path / name), pixels, err_msg=name)
-    assert (started, written) == (len(expected) - 1, len(expected))
-    assert most_in_flight <= render._usable_cpus()
+        np.testing.assert_array_equal(read_pgm(out_dir / name), pixels, err_msg=name)
 
 
-def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, geometry):
+def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, monkeypatch, forks, geometry):
     (tmp_path / "cone_rotation_0.pgm").mkdir()
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
-    with pytest.raises(OSError, match=r"^cannot write image .*cone_rotation_0\.pgm: "):
+    with pytest.raises(OSError, match=r"^cannot write image .*cone_rotation_0\.pgm: ") as exc:
         generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
+    # The message names the frame, not the temporary file renamed onto it.
+    path = tmp_path / "cone_rotation_0.pgm"
+    assert str(exc.value) == f"cannot write image {path}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
     assert threading.active_count() == threads
-    # As in protocol order: nothing after the frame that could not be written.
+    assert len(forks) == 2 and multiprocessing.active_children() == []
+    # As in protocol order: nothing after the frame that could not be written,
+    # and no temporary file.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cone_rotation_0.pgm", "reference.pgm"]
 
 
-def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch, geometry):
+def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch, forks, geometry):
     # Workers render in no fixed order, so the failure is keyed to the third contact frame.
     failing = default_indenter("cone", protocol_poses()[2], geometry)
 
-    def fail_third_frame(ind, g, k):
+    shade_imprint = render._shade_imprint
+
+    def fail_third_frame(ind, g, k, image):
         if ind == failing:
             raise ValueError("cannot render this one")
-        return render_contact(ind, g, k)
+        shade_imprint(ind, g, k, image)
 
-    monkeypatch.setattr(render, "render_contact", fail_third_frame)
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 4)  # none written before the failure
+    monkeypatch.setattr(render, "_shade_imprint", fail_third_frame)
+    monkeypatch.setattr(render, "_usable_cpus", lambda: 4)  # later frames are made, then removed
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="cannot render this one"):
+    with pytest.raises(ValueError, match="^cannot render this one$"):
         generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
     assert threading.active_count() == threads
+    assert len(forks) == 4 and multiprocessing.active_children() == []
     expected = serial_dataset(geometry, ORACLE_CAMERA, 2.0, seed=3)
-    written = sorted(p.name for p in tmp_path.iterdir())
+    written = sorted(p.name for p in tmp_path.iterdir())  # no temporary file is left
     assert written == ["cone_rotation_0.pgm", "cone_rotation_1.pgm", "reference.pgm"]
     for name in written:
         np.testing.assert_array_equal(read_pgm(tmp_path / name), expected[name], err_msg=name)
@@ -576,9 +615,9 @@ def test_noise_pmf_matches_closed_form(sigma, p):
     # - Phi((v - p - 1/2) / sigma), with the clip edges v = 0 and 255 holding
     # the whole tails; bins expected to hold fewer than 5 are lumped into the
     # tail bins.  Seeded, so the verdict is fixed.
-    image = TactileImage(np.full((256, 1024), p, np.uint8))
+    noisy = np.full((256, 1024), p, np.uint8)
     noise = render._NoiseTable.for_sigma(sigma)
-    noisy = render._add_noise(image, noise, np.random.default_rng(1000 + p))
+    render._add_noise(noisy, noise, np.random.default_rng(1000 + p))
     observed = np.bincount(noisy.ravel(), minlength=256)
     below = stats.norm.cdf((np.arange(255) - p + 0.5) / sigma)
     expected = np.diff(np.concatenate([[0.0], below, [1.0]])) * noisy.size
@@ -598,20 +637,36 @@ def test_noise_reaches_below_a_bare_table():
     # spans K = -8 and the whole lower tail, so one table entry cannot stand
     # for it; the 53-bit draws must give the exact inverse CDF inside it.
     class LowestBucket:
-        def integers(self, low, high, size, dtype):
-            return np.zeros(size, dtype)
+        class bit_generator:
+            @staticmethod
+            def random_raw(n):
+                return np.zeros(n, np.uint64)
 
         def random(self, n):
             return (np.arange(n) + 0.5) / n
 
     n = 4096
-    image = TactileImage(np.full((1, n), 128, np.uint8))
-    noisy = render._add_noise(image, render._NoiseTable.for_sigma(2.0), LowestBucket())
+    noisy = np.full((1, n), 128, np.uint8)
+    render._add_noise(noisy, render._NoiseTable.for_sigma(2.0), LowestBucket())
     k = noisy[0].astype(int) - 128
     u = (np.arange(n) + 0.5) / n / 2**16
     assert np.all(stats.norm.cdf((k - 0.5) / 2.0) <= u)
     assert np.all(u < stats.norm.cdf((k + 0.5) / 2.0))
     assert set(k.tolist()) >= {-8, -9, -10, -11, -12}
+
+
+@pytest.mark.parametrize("residue", range(4))
+def test_noise_buckets_are_the_integers_stream(residue):
+    # _add_noise draws each chunk's buckets, then its step pixels' random()
+    # values; every chunk but the last holds a multiple of 4 pixels, and the
+    # last may hold any number.
+    assert NOISE_CHUNK_ROWS % 4 == 0
+    raw, reference = np.random.default_rng(41), np.random.default_rng(41)
+    for n in (4, 4 * 1537, 4 * 9 + residue):
+        np.testing.assert_array_equal(
+            render._buckets(raw, n), reference.integers(0, 2**16, n, dtype=np.uint16)
+        )
+        np.testing.assert_array_equal(raw.random(n % 7 + 1), reference.random(n % 7 + 1))
 
 
 @pytest.mark.parametrize("sigma", [5e-324, 1e300])
@@ -630,9 +685,11 @@ def test_dataset_extreme_noise_sigma(tmp_path, geometry, sigma):
 
 
 def test_full_size_render_is_exact_in_bounded_memory(geometry, intrinsics):
-    # The widest protocol imprint: its window is about 810k of the 2.07M
-    # pixels, so shading it at once would take about 100 MB.
-    ind = default_indenter("sphere", ContactPose.translation(15.0), geometry)
+    # A contact 5 mm above the camera plane whose imprint ball reaches it, so
+    # the window is all 2.07M pixels: shading it at once would take about 250 MB.
+    ind = default_indenter("cylinder", ContactPose.translation(25.0), geometry)
+    assert ind.contact_point.z - render._imprint_radius_mm(ind) <= 0
+    assert render._imprint_window(ind, intrinsics) == (slice(0, 1080), slice(0, 1920))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
