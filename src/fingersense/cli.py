@@ -137,6 +137,8 @@ def _write_group_csv(
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .imaging import (
         HARDWARE_ERRORS_BY_OBJECT,
         HARDWARE_ERRORS_BY_POSE,
@@ -158,25 +160,29 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
     records: list[ErrorRecord] = []
     rows = ["object,pose_kind,pose_value,error_mm"]
-    reference_path = reference = None
+    reference_path = reference = pixels = None
 
     def localized(entry) -> float | str:
         """The entry's error in mm, or the message of the error that stopped it.
 
         Each worker reads references itself and keeps only the last one read,
-        however many paths the manifest names.
+        however many paths the manifest names.  It reads every image of the
+        camera's size into one array of its own, made at its first entry, so
+        each image allocates one frame, its ``TactileImage``'s copy.
         """
-        nonlocal reference_path, reference
+        nonlocal reference_path, reference, pixels
+        if pixels is None:
+            pixels = np.empty((config.intrinsics.height, config.intrinsics.width), dtype=np.uint8)
         if entry.reference != reference_path:
             reference_path, reference = entry.reference, None  # the old one goes first
             try:
-                reference = TactileImage(read_pgm(base / entry.reference))
+                reference = TactileImage(read_pgm(base / entry.reference, pixels))
             except (OSError, ValueError) as exc:
                 reference = str(exc)
         if isinstance(reference, str):
             return reference
         try:
-            frame = TactileImage(read_pgm(base / entry.frame))
+            frame = TactileImage(read_pgm(base / entry.frame, pixels))
             estimate = localize_frame(reference, frame, config)
             if estimate is None:
                 raise ValueError("no contact detected")

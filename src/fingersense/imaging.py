@@ -8,14 +8,14 @@ hidden constants.
 
 ``localize_frame`` is the one call for the whole pipeline.  Its first four
 stages, ``detect_contacts``, work only in the box that can hold
-above-threshold pixels, in bands of rows, and smooth exactly only the columns
+above-threshold pixels, in bands of rows, and smooth exactly only the pixels
 of a band where an integer upper bound of the smoothed value can pass the
-threshold.  So their cost follows the pixels that can pass, not the frame, and
-no frame-sized float64 array is ever held.  The tests hold the full-frame
-pipeline they are compared against.
+threshold.  So their exact cost follows the pixels that can pass, not the
+frame, and no frame-sized float64 array is ever held.  The tests hold the
+full-frame pipeline they are compared against.
 
-Every strip is smoothed and every box labelled in NumPy, with the same bits as
-SciPy's ``gaussian_filter`` and the same labels as its ``label``, so no
+Every exact value is smoothed and every box labelled in NumPy, with the same
+bits as SciPy's ``gaussian_filter`` and the same labels as its ``label``, so no
 command imports SciPy.  The ``ndimage`` module attribute (SciPy's, imported on
 first read) and ``DiffImage`` are kept only for the benchmark's per-layer
 tracer (``perfbench/traced.py``), which wraps both; no package code uses
@@ -34,11 +34,13 @@ import numpy as np
 from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionConfig
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
-# Frame rows that detection reads, bounds or smooths at once.  Each band costs
-# about a hundred short NumPy calls; localize runs each worker in its own
-# process, so the band is sized for one CPU's cache and memory, not for GIL
-# hand-offs.  96-row bands ran a little faster on threads but raised the peak
-# RSS by 6%, and 128-row bands fall out of L2 and ran slower on one thread.
+# Frame rows that detection reads, bounds or smooths at once.  A band costs
+# about 45 contiguous ufunc calls for its integer bound and about 90 short
+# gathers and ufunc calls for the exact values of its passing pixels at the
+# default sigma, so taller bands make fewer calls but hold larger buffers.
+# On localize's forked workers at noise 16 (2 vCPUs, medians of 12
+# alternating runs) 32 rows took 1.00 s, 64 rows 0.93 s and 96 rows 0.96 s,
+# and 96 rows raised the peak RSS by 0.6 MB.
 DETECT_BAND_ROWS = 64
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
@@ -173,28 +175,29 @@ def _check_threshold(threshold: float) -> None:
 
 
 def _blobs(
-    mask: np.ndarray, weights: np.ndarray, min_area: int, origin: tuple[int, int]
+    pixels: np.ndarray, weights: np.ndarray, width: int, min_area: int, origin: tuple[int, int]
 ) -> list[ContactBlob]:
-    """The blobs of the 8-connected components of a 2D bool ``mask``.
+    """The blobs of the 8-connected components of the foreground ``pixels`` of a box ``width`` wide.
 
-    ``weights`` holds the value at each pixel of ``mask``, in
-    ``np.flatnonzero(mask)`` order.  Cost is one ``_label_runs`` pass over the
-    mask, a few passes over its foreground pixels and a short loop over the
-    kept blobs, so it does not grow with the number of components.  The
+    ``pixels`` are the foreground's flat indices in the box, in increasing
+    order, and ``weights`` holds the value at each.  Cost is a few passes
+    over the foreground pixels, in ``_label_runs`` and here, and a short loop
+    over the kept blobs, so it grows neither with the box nor with the
+    number of components.  The
     pixels of components below ``min_area`` are dropped first.  A stable sort
     groups the rest by label with each blob's pixels still in scan order, and
     each blob is summed as one contiguous array.  These are the same values
     in the same order as summing the blob's own masked pixels, so NumPy's
     pairwise sum gives the same mass and centroid bit for bit.
     """
-    pixels, owner = _label_runs(mask)
+    pixels, owner = _label_runs(pixels, width)
     areas = np.bincount(owner, minlength=1)  # areas[i] is the size of label i
     kept = areas >= min_area
     kept[0] = False  # label 0 is the background
     members = np.flatnonzero(kept[owner])
     order = members[np.argsort(owner[members], kind="stable")]
     weights = weights[order]
-    v, u = np.divmod(pixels[order], mask.shape[1])
+    v, u = np.divmod(pixels[order], width)
     weighted_u = weights * (u + origin[1])
     weighted_v = weights * (v + origin[0])
     areas = areas[kept]
@@ -217,10 +220,12 @@ def _blobs(
     return blobs
 
 
-def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.flatnonzero(mask)`` and each of those pixels' 8-connected ``ndimage.label`` label.
+def _label_runs(pixels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The foreground ``pixels`` as int32, and each one's 8-connected ``ndimage.label`` label.
 
-    A run is a maximal horizontal segment of foreground pixels.  Runs are
+    ``pixels`` are the increasing flat indices of a mask ``width`` wide whose
+    other pixels are background, as ``np.flatnonzero(mask)`` gives them.  A
+    run is a maximal horizontal segment of foreground pixels.  Runs are
     placed on a grid one column wider than the mask, so the runs of the row
     above that touch a run, diagonals included, are exactly those that end
     at or after its start and begin at or before its end, one grid row up: a
@@ -228,14 +233,12 @@ def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hooked onto the smallest root among its neighbours' and the trees are
     flattened by pointer jumping, until no two touching runs have different
     roots.  A component's root is then its first run in scan order, so
-    numbering the roots in order gives ``ndimage.label``'s numbers.  After
-    the one ``flatnonzero`` pass over the mask, cost is a few passes over its
-    foreground pixels and over the runs.  Every index array is int32
-    (MAX_FRAME_PX fits) and is dropped once used, so a mask of many short
-    runs holds less.
+    numbering the roots in order gives ``ndimage.label``'s numbers.  Cost is
+    a few passes over the foreground pixels and over the runs.  Every index
+    array is int32 (MAX_FRAME_PX fits) and is dropped once used, so a mask of
+    many short runs holds less.
     """
-    width = mask.shape[1]
-    pixels = np.flatnonzero(mask).astype(np.int32)
+    pixels = pixels.astype(np.int32, copy=False)
     starts = np.flatnonzero(
         (np.diff(pixels, prepend=np.int32(-1)) != 1) | (pixels % width == 0)
     ).astype(np.int32)
@@ -303,47 +306,59 @@ def _padded(diff: np.ndarray, radius: int, start: int, stop: int) -> np.ndarray:
     return out.ravel()
 
 
-def _gaussian_numpy(diff: np.ndarray, sigma: float, rows: slice = slice(None)) -> np.ndarray:
-    """``rows`` of ``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")``.
+def _gaussian_at(diff: np.ndarray, rows: slice, kernel: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """``gaussian_filter(diff, sigma, output=float64, truncate=3, mode="nearest")[rows].flat[pixels]``.
 
-    The bits are SciPy's.  The weights are ``_kernel``'s, which are SciPy's.
-    As in SciPy, a sigma of at most 1e-15 filters nothing, and axis 0 is
-    filtered before axis 1, each in SciPy's order for a symmetric kernel: the
-    centre tap, then for ``j`` from ``r`` down to 1 the sum of the two taps at
-    ``-j`` and ``+j``, times their weight.
+    ``kernel`` is ``_kernel(sigma)`` and ``pixels`` are sorted flat indices,
+    at least one, into the ``rows`` of the uint8 ``diff``; its other rows are
+    only read.  The bits are SciPy's: as in SciPy, axis 0 is filtered before
+    axis 1, each in SciPy's order for a symmetric kernel, the centre tap, then
+    for ``j`` from ``r`` down to 1 the sum of the two taps at ``-j`` and
+    ``+j``, times their weight.  A sigma of at most 1e-15 has the one weight
+    1, which leaves every value as it is, as SciPy does.
 
-    Only ``rows`` are filtered; the other rows of the uint8 ``diff`` are only
-    read.  The rows and columns in reach are gathered once by ``_padded``.
-    That buffer and the axis-0 result are filtered as flat arrays, a row of
-    ``width + 2 r`` apart along axis 0 and one element apart along axis 1, so
-    every pass is one contiguous ufunc call; the axis-1 values that wrap into
-    a neighbouring row land in the padding and are dropped.  The axis-0 tap
-    pairs are summed in uint16, which is exact.
+    The rows and columns in reach are gathered once by ``_padded``, whose
+    rows are ``pitch = width + 2 r`` apart.  In that layout a pixel's axis-1
+    taps are the ``2 r + 1`` places around it, all in its own padded row, so
+    each run of pixels grown by ``r`` places on each side is one contiguous
+    range, and runs that overlap or touch are merged.  Axis 0 is filtered
+    only at those places, one gather of each tap row, with the tap pairs
+    summed in uint16, which is exact; axis 1 only at ``pixels``, whose taps
+    are the neighbouring places of their merged range.  So the cost follows
+    the pixels, and the index arrays hold one entry per place, not one per
+    tap.
     """
     start, stop, _ = rows.indices(diff.shape[0])
-    if sigma <= 1e-15:
-        return diff[start:stop].astype(np.float64)
-    weights = _kernel(sigma)
-    radius = weights.size // 2
-    width = diff.shape[1]
-    pitch = width + 2 * radius
-    size = (stop - start) * pitch
+    radius = kernel.size // 2
+    pitch = diff.shape[1] + 2 * radius
+    row, column = np.divmod(pixels, diff.shape[1])
+    place = row * pitch + column + radius  # each pixel's place in its padded row
+    # Each merged range's pixels are pixels[bounds[k] : bounds[k + 1]].
+    bounds = np.flatnonzero(place[1:] - place[:-1] > 2 * radius + 1) + 1
+    bounds = np.concatenate(([0], bounds, [place.size]))
+    begin = place[bounds[:-1]] - radius
+    lengths = place[bounds[1:] - 1] + radius + 1 - begin
+    shift = begin - (lengths.cumsum() - lengths)  # a range's places less their index among all places
+    places = shift.repeat(lengths) + np.arange(lengths.sum())
     source = _padded(diff, radius, start, stop)
     centre = radius * pitch
-    rows_done = np.multiply(source[centre : centre + size], weights[radius])
-    pair, term = np.empty(size, dtype=np.uint16), np.empty(size)
+    gathered = source[centre:].take(places)
+    along = np.multiply(gathered, kernel[radius])
+    other, pair, term = np.empty_like(gathered), np.empty(places.size, dtype=np.uint16), np.empty(places.size)
     for j in range(radius, 0, -1):
-        above, below = centre - j * pitch, centre + j * pitch
-        np.add(source[above : above + size], source[below : below + size], out=pair, dtype=np.uint16)
-        rows_done += np.multiply(pair, weights[radius + j], out=term)
-    out = np.empty(size)
-    inner = slice(radius, size - radius)
-    out_inner, term = out[inner], term[inner]
-    np.multiply(rows_done[inner], weights[radius], out=out_inner)
+        source[centre - j * pitch :].take(places, out=gathered)
+        source[centre + j * pitch :].take(places, out=other)
+        np.add(gathered, other, out=pair, dtype=np.uint16)
+        along += np.multiply(pair, kernel[radius + j], out=term)
+    del source, places, gathered, other, pair, term
+    left = place - shift.repeat(bounds[1:] - bounds[:-1]) - radius  # each pixel's tap -r in ``along``
+    out = np.multiply(along[radius:].take(left), kernel[radius])
+    lower, upper = np.empty_like(out), np.empty_like(out)
     for j in range(radius, 0, -1):
-        np.add(rows_done[radius - j : size - radius - j], rows_done[radius + j : size - radius + j], out=term)
-        out_inner += np.multiply(term, weights[radius + j], out=term)
-    return out.reshape(-1, pitch)[:, radius : radius + width]
+        along[radius - j :].take(left, out=lower)
+        along[radius + j :].take(left, out=upper)
+        out += np.multiply(np.add(lower, upper, out=lower), kernel[radius + j], out=lower)
+    return out
 
 
 def _rounded_up(weights: list[float], total: int) -> tuple[list[int], int]:
@@ -388,11 +403,15 @@ def _bound_weights(kernel: np.ndarray, threshold: float) -> tuple[list[int], lis
 def _bound(diff: np.ndarray, rows: slice, axis0: list[int], axis1: list[int]) -> np.ndarray:
     """``rows`` of ``diff`` filtered with the integer weights of ``_bound_weights``, as uint32.
 
-    The filter is ``_gaussian_numpy``'s, in its flat, column-padded layout
-    and tap order, but in integers: axis 0 in uint16 (uint32 when
+    The filter is ``_gaussian_at``'s, in its tap order, but at every pixel of
+    ``rows`` and in integers: axis 0 in uint16 (uint32 when
     ``255 sum(axis0)`` does not fit 16 bits) and axis 1 in uint32, neither of
     which can overflow.  Wherever ``gaussian_filter`` exceeds the threshold,
-    the result exceeds the limit of ``_bound_weights``.
+    the result exceeds the limit of ``_bound_weights``.  ``_padded``'s buffer
+    and the axis-0 result are filtered as flat arrays, a row of
+    ``width + 2 r`` apart along axis 0 and one element apart along axis 1, so
+    every pass is one contiguous ufunc call; the axis-1 values that wrap into
+    a neighbouring row land in the padding and are dropped.
     """
     start, stop, _ = rows.indices(diff.shape[0])
     radius = len(axis0) // 2
@@ -438,9 +457,8 @@ def detect_contacts(
     ``mode="nearest"``, then the 8-connected components of the pixels above
     ``threshold`` with at least ``min_area`` pixels, heaviest first (ties in
     scan order).  But it works only in a box around the pixels that can pass
-    ``threshold``, smooths exactly only the columns where an integer bound
-    says a pixel can pass, and holds no frame-sized difference or float64
-    array.
+    ``threshold``, smooths exactly only the pixels where an integer bound says
+    they can pass, and holds no frame-sized difference or float64 array.
 
     The box.  The smoothed value is a non-negative weighted mean, normalised
     to 1, over the pixels within ``r = int(3 sigma + 0.5)`` per axis (the
@@ -466,21 +484,19 @@ def detect_contacts(
     with ``_bound_weights``' integer weights, each rounded up, so it is at
     least ``s0 s1`` times the smoothed value at every pixel, and wherever the
     smoothed value exceeds ``threshold`` it exceeds the integer limit.  A
-    candidate column is one where some band pixel's bound exceeds the limit.
+    passing pixel is one whose bound exceeds the limit.
 
-    The exact values.  The band's strip is every column of the box within
-    ``r`` of a candidate column, side by side, with the band's halo rows.
-    ``_gaussian_numpy`` smooths the strip's band rows.  The filter is
-    separable, and a candidate column sees the same ``r`` columns on each side
-    in the strip as in the box, or the same box edge, which the strip edge
-    replicates in the same way; so its values have the same bits as in the
-    whole box.  The other strip columns are dropped: they hold no candidate,
-    so nothing there passes.  The candidate columns are thresholded into one
-    bool mask of the box, and their smoothed values are kept at the foreground
-    pixels only, which ``_label_runs`` and ``_blobs`` then label and weigh.
-    On a noisy (sigma 16) 1920x1080 frame about a fifth of the pixels are
-    smoothed, and detection holds the 1-byte-per-pixel mask and one band's
-    buffers, not a float64 frame.
+    The exact values.  ``_gaussian_at`` smooths the band's passing pixels
+    with the same bits as the whole box: axis 0 at every place within ``r``
+    columns of a passing pixel in its row, axis 1 at the passing pixels
+    alone.  Every other pixel's bound is at most the limit, so it does not
+    pass.  The passing pixels whose exact value exceeds ``threshold`` are the
+    foreground: their flat indices in the box, in scan order, and their
+    values are all that is kept, which ``_label_runs`` and ``_blobs`` then
+    label and weigh.  On a noisy (sigma 16) 1920x1080 protocol frame about
+    0.3% of the pixels pass the bound and axis 0 is filtered at about 1% of
+    the frame, and detection holds the foreground and one band's buffers,
+    with no mask of the box and no float64 frame.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)
@@ -505,25 +521,22 @@ def detect_contacts(
     top, bottom = max(rows[0] - 2 * radius, 0), min(rows[-1] + 1 + 2 * radius, height)
     left, right = max(cols[0] - 2 * radius, 0), min(cols[-1] + 1 + 2 * radius, width)
     columns = slice(left, right)
-    mask = np.zeros((bottom - top, right - left), dtype=bool)
-    weights = [np.empty(0)]
+    pixels, weights = [np.empty(0, dtype=np.int32)], [np.empty(0)]
     for start in range(top, bottom, DETECT_BAND_ROWS):
         stop = min(start + DETECT_BAND_ROWS, bottom)
         lo, hi = max(start - radius, top), min(stop + radius, bottom)
         diff = _abs_diff(ref, frame, slice(lo, hi), columns)
         band = slice(start - lo, stop - lo)
-        candidate = _bound(diff, band, axis0, axis1).max(axis=0) > limit
-        # Every column within r of a candidate column, in order: the kernel is positive.
-        strip = np.flatnonzero(np.convolve(candidate, kernel, "full")[radius : radius + diff.shape[1]])
-        if strip.size == 0:
+        passing = np.flatnonzero(_bound(diff, band, axis0, axis1) > limit)
+        if passing.size == 0:
             continue
-        keep = candidate[strip]
-        smoothed = _gaussian_numpy(diff[:, strip], sigma, band)[:, keep]
+        smoothed = _gaussian_at(diff, band, kernel, passing)
         above = smoothed > threshold
-        mask[start - top : stop - top, strip[keep]] = above
+        pixels.append((passing[above] + (start - top) * (right - left)).astype(np.int32))
         weights.append(smoothed[above])
-    weights = np.concatenate(weights)  # and drop the bands' pieces
-    return _blobs(mask, weights, min_area, (int(top), int(left)))
+    pixels = np.concatenate(pixels)  # and drop the bands' pieces, one list at a time
+    weights = np.concatenate(weights)
+    return _blobs(pixels, weights, int(right - left), min_area, (int(top), int(left)))
 
 
 def localize_frame(

@@ -24,55 +24,73 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(image).data)
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM file into a read-only 2D uint8 array (top-left origin).
+def read_pgm(path: str | Path, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a binary PGM file into a 2D uint8 array (top-left origin).
 
-    The array is a view of the file's bytes; copy it before writing to it.
+    When ``out`` is a writable C-ordered uint8 array of the file's height and
+    width, the pixels are read into it and ``out`` is returned, so a caller
+    that reads frame after frame into one array allocates no frame for them.
+    Otherwise the array is a new read-only view of the bytes after the header.
+    A payload shorter than the header's pixel count raises ``ValueError``
+    (``out`` may then hold part of it), and bytes after the pixels are
+    ignored.
     """
-    data = Path(path).read_bytes()
-    # The magic ends at whitespace or a comment: b"P55 4 255" is no P5 header.
-    if not data.startswith(b"P5") or data[2:3] not in b" \t\n\v\f\r#":
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+    with open(path, "rb") as fh:
+        magic = fh.read(3)
+        # The magic ends at whitespace or a comment: b"P55 4 255" is no P5 header.
+        if not magic.startswith(b"P5") or magic[2:] not in b" \t\n\v\f\r#":
+            raise ValueError(f"{path}: not a binary PGM (P5) file")
 
-    # Header: magic, width, height, maxval as ASCII tokens; '#' starts a
-    # comment running to end of line; a single whitespace byte separates the
-    # maxval from the pixel payload.
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ValueError(f"{path}: truncated PGM header")
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            eol = data.find(b"\n", pos)
-            pos = len(data) if eol == -1 else eol + 1
-        elif byte.isspace():
-            pos += 1
+        # Header: magic, width, height, maxval as ASCII tokens; '#' starts a
+        # comment running to end of line; a single whitespace byte separates
+        # the maxval from the pixel payload.  ``byte`` is the next unparsed byte.
+        tokens: list[int] = []
+        byte = magic[2:]
+        while len(tokens) < 3:
+            if not byte:
+                raise ValueError(f"{path}: truncated PGM header")
+            if byte == b"#":
+                fh.readline()
+                byte = fh.read(1)
+            elif byte.isspace():
+                byte = fh.read(1)
+            else:
+                field = bytearray()
+                while byte and not byte.isspace():
+                    field += byte
+                    byte = fh.read(1)
+                if not field.isdigit():
+                    raise ValueError(f"{path}: PGM header field {bytes(field[:20])!r} is not a number")
+                try:
+                    tokens.append(int(field))
+                except ValueError:  # more digits than int() converts
+                    raise ValueError(f"{path}: PGM header field of {len(field)} digits is too long") from None
+        # ``byte``, the single whitespace after maxval, has been read.
+
+        width, height, maxval = tokens
+        if width == 0 or height == 0:
+            raise ValueError(f"{path}: empty {width}x{height} PGM image")
+        if maxval != 255:
+            raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
+        count = width * height
+        reusable = (
+            out is not None
+            and out.shape == (height, width)
+            and out.dtype == np.uint8
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        )
+        if reusable:
+            payload = fh.readinto(out.reshape(-1))  # reads until ``out`` is full or the file ends
         else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            field = data[pos:end]
-            if not field.isdigit():
-                raise ValueError(f"{path}: PGM header field {field[:20]!r} is not a number")
-            try:
-                tokens.append(int(field))
-            except ValueError:  # more digits than int() converts
-                raise ValueError(f"{path}: PGM header field of {len(field)} digits is too long") from None
-            pos = end
-    pos += 1  # the single whitespace after maxval
-
-    width, height, maxval = tokens
-    if width == 0 or height == 0:
-        raise ValueError(f"{path}: empty {width}x{height} PGM image")
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
-    payload = max(len(data) - pos, 0)
-    if payload < width * height:
+            data = fh.read()
+            payload = len(data)
+    if payload < count:
         try:
-            expected = str(width * height)
+            expected = str(count)
         except ValueError:  # a product of more digits than str() converts
             expected = f"{width}x{height}"
         raise ValueError(f"{path}: expected {expected} pixels, got {payload}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width)
+    if reusable:
+        return out
+    return np.frombuffer(data, dtype=np.uint8, count=count).reshape(height, width)

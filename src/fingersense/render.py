@@ -444,18 +444,28 @@ class _NoiseTable:
 
     @classmethod
     def for_sigma(cls, sigma: float) -> _NoiseTable:
-        """The tables for a finite ``sigma`` > 0: 510 erfc calls and two searches.
+        """The tables for a finite ``sigma`` > 0, from 510 erfc calls.
 
         Phi(x) = erfc(-x / sqrt 2) / 2.  For a tiny sigma the argument
         overflows to +-inf, where erfc is exact, and for a huge one it is
         about 0; the work is the same for every sigma.
+
+        The table is built from the 510 CDF values alone, with no array of one
+        entry per bucket edge.  Scaled by NOISE_BUCKETS, a power of two, each
+        value ``c`` is exact, so ``c <= i / NOISE_BUCKETS`` exactly when
+        bucket ``i`` is at or after ``ceil(c NOISE_BUCKETS)``: K at the start
+        of bucket ``i`` is the number of such starts at or before ``i``, less
+        NOISE_CAP, one run of buckets per K.  ``c`` lies inside a bucket
+        exactly when ``c NOISE_BUCKETS`` is not an integer, and then inside
+        bucket ``floor(c NOISE_BUCKETS)``.
         """
         scale = sigma * math.sqrt(2.0)
         cdf = np.array([0.5 * math.erfc(-(k + 0.5) / scale) for k in range(-NOISE_CAP, NOISE_CAP)])
-        edges = np.arange(NOISE_BUCKETS + 1) / NOISE_BUCKETS
-        low = np.searchsorted(cdf, edges[:-1], side="right")  # K at each bucket's start
-        high = np.searchsorted(cdf, edges[1:], side="left")  # K just below its end
-        table = np.where(low == high, low - NOISE_CAP, _CDF_STEP).astype(np.int16)
+        scaled = cdf * NOISE_BUCKETS
+        starts = np.ceil(scaled).astype(np.intp)  # the first bucket whose start is at or above each value
+        runs = np.diff(starts, prepend=0, append=NOISE_BUCKETS)  # the buckets of each K
+        table = np.arange(-NOISE_CAP, NOISE_CAP + 1, dtype=np.int16).repeat(runs)
+        table[starts[scaled != starts] - 1] = _CDF_STEP
         return cls(cdf, table)
 
 

@@ -4,14 +4,16 @@ No command runs any of this.  It is the plain whole-frame or one-point form
 of what the package computes faster, plus writers for the files the package
 only reads: the full-frame detection pipeline that ``detect_contacts`` must
 match bit for bit, the one-point indentation depth and projection, the
-per-batch spread of small grasp batches, and CSV and JSON writers for
-correspondences and configurations.
+noise tables by a search over every bucket edge, the per-batch spread of
+small grasp batches, and CSV and JSON writers for correspondences and
+configurations.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,14 @@ from fingersense.imaging import (
     _check_sigma,
     _check_threshold,
 )
-from fingersense.render import K_FALLOFF, Indenter, footprint_distance_mm
+from fingersense.render import (
+    _CDF_STEP,
+    K_FALLOFF,
+    NOISE_BUCKETS,
+    NOISE_CAP,
+    Indenter,
+    footprint_distance_mm,
+)
 
 
 def subtract_reference(ref: TactileImage, frame: TactileImage) -> DiffImage:
@@ -68,19 +77,34 @@ def detect_blobs(
     negative or NaN value never passes the positive threshold.  ``origin``,
     the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
     and column, so centroids are in frame coordinates.  The blobs are those of
-    ``imaging._blobs`` on the thresholded mask and the values at its pixels.
+    ``imaging._blobs`` on the thresholded mask's pixels and the values there.
     """
     _check_threshold(threshold)
     if values.ndim != 2:
         raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
     mask = values > threshold
-    return _blobs(mask, values[mask], min_area, origin)
+    return _blobs(np.flatnonzero(mask), values[mask], values.shape[1], min_area, origin)
 
 
 def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> float:
     """Membrane displacement at a single surface point, in mm."""
     dist = footprint_distance_mm(ind, p.as_array()[np.newaxis, :], g)[0]
     return max(0.0, ind.depth - dist * K_FALLOFF)
+
+
+def noise_tables(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``render._NoiseTable.for_sigma(sigma)``'s CDF and table, searched at all 65,537 bucket edges.
+
+    K at a bucket's start is the number of CDF values at or below it, and a
+    bucket holds a CDF step where fewer values lie below its end than at or
+    below its start.
+    """
+    scale = sigma * math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc(-(k + 0.5) / scale) for k in range(-NOISE_CAP, NOISE_CAP)])
+    edges = np.arange(NOISE_BUCKETS + 1) / NOISE_BUCKETS
+    low = np.searchsorted(cdf, edges[:-1], side="right")  # K at each bucket's start
+    high = np.searchsorted(cdf, edges[1:], side="left")  # K just below its end
+    return cdf, np.where(low == high, low - NOISE_CAP, _CDF_STEP).astype(np.int16)
 
 
 def project(point, intrinsics: CameraIntrinsics) -> PixelCoord:

@@ -500,9 +500,9 @@ def test_localize_refuses_frames_of_another_camera(tmp_path, capsys, small_datas
 def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monkeypatch, forks,
                                                                    protocol_dataset):
     # Each spelling of the reference's path once cached its own copy: 20
-    # spellings peaked at 22 frames.  The peak is now the reference, one
-    # frame and detection's temporaries, about three frames, whatever the
-    # spellings.
+    # spellings peaked at 22 frames.  The peak is now the reference, the
+    # array every image is read into, one frame and detection's temporaries,
+    # about 3.4 frames, whatever the spellings.
     out_dir, _ = protocol_dataset
     payload = json.loads((out_dir / "manifest.json").read_text())[:20]
     for spelling, entry in enumerate(payload, start=1):

@@ -348,7 +348,7 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 
 
 def record_shapes(monkeypatch, name: str) -> list:
-    """Record, for every band that ``imaging.<name>`` filters, the shape it reads and the rows it filters."""
+    """Record, for every band that ``imaging.<name>`` filters, the shape it reads and the rows or pixels it filters."""
     shapes = []
     original = getattr(imaging, name)
 
@@ -363,8 +363,8 @@ def record_shapes(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def smoothed_shapes(monkeypatch) -> list:
-    """The strips ``detect_contacts`` smooths exactly, as ``record_shapes`` records them."""
-    return record_shapes(monkeypatch, "_gaussian_numpy")
+    """The bands whose passing pixels ``detect_contacts`` smooths exactly, and how many, as ``record_shapes`` records them."""
+    return record_shapes(monkeypatch, "_gaussian_at")
 
 
 @pytest.fixture
@@ -429,22 +429,21 @@ def test_detect_contacts_matches_full_frame_pipeline(case):
 
 
 def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, smoothed_shapes):
-    # Every pixel passes, so every column is a candidate and each band's strip
-    # is the whole band: at sigma 2 the radius is 6, and each band of 8 rows
-    # reads up to one radius of the box above and below it and smooths only
-    # its own rows.
+    # Every pixel passes, so every pixel of each band is smoothed: at sigma 2
+    # the radius is 6, and each band of 8 rows reads up to one radius of the
+    # box above and below it and smooths only its own 8 x 50 pixels.
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
     rng = np.random.default_rng(14)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert len(assert_pipeline_matches(ref, ref + 60, 2.0, 25.0, 1)) == 1
-    assert smoothed_shapes == [((8 + 6, 50), 8)] + [((6 + 8 + 6, 50), 8)] * 3 + [((6 + 8, 50), 8)]
-    # At sigma 0 there is no halo and a strip is just the candidate columns,
-    # those whose difference reaches the threshold's integer part.
+    assert smoothed_shapes == [((8 + 6, 50), 400)] + [((6 + 8 + 6, 50), 400)] * 3 + [((6 + 8, 50), 400)]
+    # At sigma 0 there is no halo and the pixels smoothed are just those
+    # whose difference reaches the threshold's integer part.
     smoothed_shapes.clear()
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 1)
     frame = ref + rng.integers(0, 60, size=ref.shape, dtype=np.uint8)
     assert_pipeline_matches(ref, frame, 0.0, 25.0, 1)
-    assert smoothed_shapes == [((1, int(n)), 1) for n in np.count_nonzero(frame - ref >= 25, axis=1)]
+    assert smoothed_shapes == [((1, 50), int(n)) for n in np.count_nonzero(frame - ref >= 25, axis=1)]
 
 
 def traced_peak(function, *args) -> int:
@@ -527,7 +526,7 @@ def test_detect_contacts_faint_rim_at_small_sigma():
 def test_detect_contacts_threshold_below_one_bounds_whole_frame(bounded_shapes, smoothed_shapes):
     # Every pixel is a seed, so the box is the whole frame and the bound pass
     # reads all of it.  But the frame equals its reference, so the bound is 0
-    # and no strip is smoothed.
+    # and no pixel is smoothed.
     rng = np.random.default_rng(13)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert assert_pipeline_matches(ref, ref, 2.0, 0.5, 1) == []
@@ -539,15 +538,16 @@ def test_detect_contacts_smooths_only_the_window(bounded_shapes, smoothed_shapes
     # One imprint on a 1080x1920 frame: the box is the pixels at or above the
     # threshold's integer part, grown by twice the kernel radius (6 px at
     # sigma 2) on each side, 25 + 24 rows by 30 + 24 columns.  The bound
-    # reads that box, and the one strip smoothed stays inside it.
+    # reads that box, and the pixels smoothed exactly are at most those
+    # within one radius of the imprint, and at least the blob's.
     ref = np.full((1080, 1920), 128, dtype=np.uint8)
     frame = ref.copy()
     frame[500:520, 1000:1030] = 200
     frame[495:500, 1000:1030] = 153  # exactly 25 above the reference: seeds
     (blob,) = assert_pipeline_matches(ref, frame, 2.0, 25.0, 20)
     assert bounded_shapes == [((49, 54), 49)]
-    ((strip_shape, smoothed_rows),) = smoothed_shapes
-    assert smoothed_rows == 49 and strip_shape[0] == 49 and 30 + 12 <= strip_shape[1] <= 54
+    ((read_shape, smoothed_px),) = smoothed_shapes
+    assert read_shape == (49, 54) and blob.area <= smoothed_px <= (25 + 12) * (30 + 12)
     assert 1000 < blob.centroid.u < 1030 and 495 < blob.centroid.v < 520
 
 
@@ -577,9 +577,9 @@ def test_detect_contacts_validates_like_the_stages():
 
 def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, bounded_shapes, smoothed_shapes):
     # Sigma-16 noise puts seeds all over the frame, so the box is the whole
-    # frame and the bound pass reads all of it, but only the strips around
-    # the few pixels that can pass are smoothed: at most 30% of the frame
-    # (about 20%).  Everything runs in NumPy.
+    # frame and the bound pass reads all of it, but only the few pixels that
+    # can pass are smoothed exactly: at most 1% of the frame (about 0.13%).
+    # Everything runs in NumPy.
     ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
     want = full_frame_pipeline(ref, frame, 2.0, 25.0, 20)
 
@@ -591,8 +591,8 @@ def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, boun
     assert detect_contacts(ref, frame, 2.0, 25.0, 20) == want
     assert sum(rows for _, rows in bounded_shapes) == 1080
     assert all(shape[1] == 1920 for shape, _ in bounded_shapes)
-    smoothed_px = sum(rows * shape[1] for shape, rows in smoothed_shapes)
-    assert 0 < smoothed_px <= 0.3 * 1080 * 1920
+    smoothed_px = sum(pixels for _, pixels in smoothed_shapes)
+    assert 0 < smoothed_px <= 0.01 * 1080 * 1920
 
 
 @pytest.fixture(scope="module")
@@ -642,18 +642,56 @@ def uint8_images(draw, max_side=40):
     return rng.integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
+@st.composite
+def pixel_subsets(draw, shape: tuple[int, int], radius: int) -> np.ndarray:
+    """Sorted flat indices of some pixels of an array of ``shape``, at least one.
+
+    They mix single pixels, runs, and pairs ``2 r``, ``2 r + 1`` or
+    ``2 r + 2`` columns apart, whose ranges grown by ``radius`` overlap,
+    touch or part, often at the row ends and in the first and last rows;
+    sometimes a random share of every pixel too.
+    """
+    height, width = shape
+    rows = st.sampled_from([0, height - 1]) | st.integers(0, height - 1)
+    columns = st.sampled_from([0, width - 1]) | st.integers(0, width - 1)
+    chosen = set()
+    for _ in range(draw(st.integers(1, 6))):
+        row, column = draw(rows), draw(columns)
+        kind = draw(st.sampled_from(["pixel", "run", "pair"]))
+        if kind == "pixel":
+            picked = [column]
+        elif kind == "run":
+            picked = range(column, column + draw(st.integers(1, width)))
+        else:
+            picked = [column, column + 2 * radius + draw(st.integers(0, 2))]
+        chosen.update(row * width + c for c in picked if c < width)
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chosen.update(np.flatnonzero(rng.random(height * width) < share).tolist())
+    return np.array(sorted(chosen))
+
+
+def assert_smoothing_matches(image, rows: slice, sigma: float, want: np.ndarray, pixels: np.ndarray) -> None:
+    """``_gaussian_at`` at ``pixels`` of ``rows`` of ``image`` has the bits of ``want.flat[pixels]``."""
+    got = imaging._gaussian_at(image, rows, imaging._kernel(sigma), pixels)
+    assert got.shape == pixels.shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.ravel()[pixels].view(np.uint64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     uint8_images(),
     st.sampled_from([0.0, 1e-15, 1e-14, 0.45, 0.5, 2.0, 7.0, MAX_SIGMA_PX])
     | st.floats(0.0, MAX_SIGMA_PX),
+    st.data(),
 )
-def test_numpy_smoothing_matches_scipy_bits(image, sigma):
-    # At sigma >= 7 the radius (22 px or more) can exceed both sides.
+def test_numpy_smoothing_matches_scipy_bits(image, sigma, data):
+    # At every pixel, then at some.  At sigma <= 1e-15 the radius is 0, and at
+    # sigma >= 7 the radius (22 px or more) can exceed both sides.
     want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest")
-    got = imaging._gaussian_numpy(image, sigma)
-    assert got.shape == want.shape and got.dtype == np.float64
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert_smoothing_matches(image, slice(None), sigma, want, np.arange(image.size))
+    radius = int(3.0 * sigma + 0.5) if sigma > 1e-15 else 0
+    assert_smoothing_matches(image, slice(None), sigma, want, data.draw(pixel_subsets(image.shape, radius)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -661,17 +699,20 @@ def test_numpy_smoothing_matches_scipy_bits(image, sigma):
 def test_numpy_smoothing_of_a_halo_band_matches_scipy_rows(image, data):
     # A band of rows read with up to one radius of the image above and below
     # it, as detect_contacts reads its crop, often at the top or bottom edge;
-    # at sigma >= 20 the radius exceeds every band and image.
+    # at sigma >= 20 the radius exceeds every band and image.  Smoothed at
+    # every pixel of the band, then at some.
     height = image.shape[0]
-    sigma = data.draw(st.sampled_from([0.45, 2.0, 7.0, 20.0, MAX_SIGMA_PX]) | st.floats(0.0, MAX_SIGMA_PX))
+    sigma = data.draw(
+        st.sampled_from([0.0, 1e-15, 0.45, 2.0, 7.0, 20.0, MAX_SIGMA_PX]) | st.floats(0.0, MAX_SIGMA_PX)
+    )
     start = data.draw(st.sampled_from([0, height - 1]) | st.integers(0, height - 1))
     stop = data.draw(st.sampled_from([start + 1, height]) | st.integers(start + 1, height))
-    radius = int(3.0 * sigma + 0.5)
+    radius = int(3.0 * sigma + 0.5) if sigma > 1e-15 else 0
     lo, hi = max(start - radius, 0), min(stop + radius, height)
-    want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest")
-    got = imaging._gaussian_numpy(image[lo:hi], sigma, slice(start - lo, stop - lo))
-    assert got.shape == (stop - start, image.shape[1]) and got.dtype == np.float64
-    np.testing.assert_array_equal(got.view(np.uint64), want[start:stop].view(np.uint64))
+    want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest")[start:stop]
+    band = slice(start - lo, stop - lo)
+    assert_smoothing_matches(image[lo:hi], band, sigma, want, np.arange(want.size))
+    assert_smoothing_matches(image[lo:hi], band, sigma, want, data.draw(pixel_subsets(want.shape, radius)))
 
 
 @st.composite
@@ -718,7 +759,7 @@ def test_integer_bound_passes_every_pixel_above_the_threshold(image, sigma, data
 
 
 def assert_labels_match_ndimage(mask: np.ndarray) -> int:
-    pixels, owner = imaging._label_runs(mask)
+    pixels, owner = imaging._label_runs(np.flatnonzero(mask), mask.shape[1])
     labels = np.zeros(mask.shape, dtype=np.int64)
     labels.ravel()[pixels] = owner
     want, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))

@@ -137,3 +137,46 @@ def test_read_fuzzed_bytes_fail_cleanly(tmp_path_factory, content):
         assert "\n" not in str(exc)
     else:
         assert image.dtype == np.uint8 and image.ndim == 2 and image.size > 0
+
+
+def test_read_into_a_matching_array_reuses_it(tmp_path):
+    # Only a writable C-ordered uint8 array of the file's shape is read into;
+    # any other is left as it was, and the pixels come back in a new array.
+    rng = np.random.default_rng(2)
+    image = rng.integers(0, 256, size=(48, 64), dtype=np.uint8)
+    path = tmp_path / "img.pgm"
+    write_pgm(path, image)
+    out = np.zeros((48, 64), dtype=np.uint8)
+    assert read_pgm(path, out) is out
+    np.testing.assert_array_equal(out, image)
+    read_only = np.zeros((48, 64), dtype=np.uint8)
+    read_only.flags.writeable = False
+    others = [
+        np.zeros((64, 48), dtype=np.uint8),
+        np.zeros((48, 64), dtype=np.int16),
+        np.zeros((48, 128), dtype=np.uint8)[:, ::2],
+        np.zeros((64, 48), dtype=np.uint8).T,
+        read_only,
+    ]
+    for other in others:
+        got = read_pgm(path, other)
+        assert got is not other and not got.flags.writeable
+        np.testing.assert_array_equal(got, image)
+        assert not other.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pgm_like, st.sampled_from([(1, 1), (2, 1), (2, 2), (2, 3), (2, 255)]))
+def test_read_into_an_array_agrees_with_a_fresh_read(tmp_path_factory, content, shape):
+    path = tmp_path_factory.mktemp("fuzz") / "x.pgm"
+    path.write_bytes(content)
+    out = np.full(shape, 7, dtype=np.uint8)
+    try:
+        want = read_pgm(path)
+    except (ValueError, OSError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            read_pgm(path, out)
+    else:
+        got = read_pgm(path, out)
+        np.testing.assert_array_equal(got, want)
+        assert (got is out) == (want.shape == shape)

@@ -48,7 +48,7 @@ from fingersense.render import (
     render_contact,
     render_reference,
 )
-from oracle import indentation_depth, subtract_reference
+from oracle import indentation_depth, noise_tables, subtract_reference
 
 
 def indenter_at(shape: Shape, pose: ContactPose, geometry, size=6.0, depth=1.0):
@@ -630,6 +630,29 @@ def test_noise_pmf_matches_closed_form(sigma, p):
         )
 
     assert stats.chisquare(lumped(observed), lumped(expected)).pvalue > 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([5e-324, 1e-300, 1e-3, 0.1, 0.5, 1.0, 2.0, 16.0, 100.0, 1e6, 1e300])
+    | st.floats(1e-3, 1e3)
+    | st.floats(5e-324, 1e308)
+)
+def test_noise_table_matches_the_search_over_every_bucket_edge(sigma):
+    # The tables come from the 510 CDF values alone, bit for bit those of the
+    # searches over every bucket edge, and with no temporary of an entry per
+    # bucket: the peak stays below two 128 KiB tables.
+    want_cdf, want_table = noise_tables(sigma)
+    tracemalloc.start()
+    try:
+        noise = render._NoiseTable.for_sigma(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(noise.cdf.view(np.uint64), want_cdf.view(np.uint64))
+    assert noise.table.dtype == np.int16
+    np.testing.assert_array_equal(noise.table, want_table)
+    assert peak < 2 * render.NOISE_BUCKETS * 2
 
 
 def test_noise_reaches_below_a_bare_table():
