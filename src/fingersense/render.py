@@ -59,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import MAX_SCALE
 from .geometry import (  # Shape and OBJECT_ORDER are also read from this module
     OBJECT_ORDER,
     CameraIntrinsics,
@@ -391,6 +392,8 @@ def _manifest_entry(item) -> ManifestEntry:
         # directory; the check reads the text, so symbolic links are followed.
         if key != "object" and (value.startswith("/") or ".." in value.split("/")):
             raise ValueError(f"{key} must be a relative path without '..', got {value!r}")
+        if key != "object" and not value:  # it would name the manifest's directory
+            raise ValueError(f"{key} must name a file, got ''")
     truth = item["truth_mm"]
     if not isinstance(truth, list) or len(truth) != 3:
         raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")
@@ -405,6 +408,10 @@ def _manifest_entry(item) -> ManifestEntry:
         raise ValueError(f"non-numeric pose_value or truth_mm ({exc})") from None
     if not all(math.isfinite(v) for v in (pose.value, *truth_mm)):
         raise ValueError("pose_value and truth_mm must be finite")
+    # No accepted membrane (r_mm and d_mm at most MAX_SCALE) reaches farther,
+    # and within it every localisation error is finite.
+    if not all(abs(v) <= 2 * MAX_SCALE for v in truth_mm):
+        raise ValueError(f"truth_mm items must lie in [-{2 * MAX_SCALE:g}, {2 * MAX_SCALE:g}], got {truth!r}")
     return ManifestEntry(item["object"], pose, item["reference"], item["frame"], truth_mm)
 
 

@@ -64,9 +64,7 @@ def smooth(d: DiffImage, sigma: float) -> DiffImage:
     return DiffImage(ndimage.gaussian_filter(d.values, sigma, truncate=3.0, mode="nearest"))
 
 
-def detect_blobs(
-    values: np.ndarray, threshold: float, min_area: int, origin: tuple[int, int] = (0, 0)
-) -> list[ContactBlob]:
+def detect_blobs(values: np.ndarray, threshold: float, min_area: int) -> list[ContactBlob]:
     """Extract connected bright regions of a 2D difference array.
 
     Pixels strictly above ``threshold`` are grouped by 8-connectivity;
@@ -74,16 +72,15 @@ def detect_blobs(
     returned sorted by total mass, heaviest first (ties keep scan order), so
     the dominant imprint is always first.  An empty list is a valid outcome:
     weak imprints may not clear the threshold.  ``values`` is only read, and a
-    negative or NaN value never passes the positive threshold.  ``origin``,
-    the frame (row, column) of ``values[0, 0]``, is added to each pixel's row
-    and column, so centroids are in frame coordinates.  The blobs are those of
-    ``imaging._blobs`` on the thresholded mask's pixels and the values there.
+    negative or NaN value never passes the positive threshold.  The blobs are
+    those of ``imaging._blobs`` on the thresholded mask's pixels and the
+    values there.
     """
     _check_threshold(threshold)
     if values.ndim != 2:
         raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
     mask = values > threshold
-    return _blobs(np.flatnonzero(mask), values[mask], values.shape[1], min_area, origin)
+    return _blobs(np.flatnonzero(mask), values[mask], values.shape[1], min_area)
 
 
 def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> float:

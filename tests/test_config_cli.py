@@ -444,6 +444,13 @@ def test_localize_empty_manifest_fails(tmp_path, capsys):
         ('{"entries": []}', "expected a JSON list"),
         ('[{"object": "cone"}]', "entry 0: missing key"),
         ('[["cone", "rotation", 0.0]]', "entry 0: expected a JSON object"),
+        # An empty path names the manifest's directory.  A truth beyond any
+        # membrane's reach makes the mean error infinite, which JSON cannot
+        # hold.
+        (json.dumps([{**GOOD_ENTRY, "frame": ""}]), "entry 0: frame must name a file"),
+        (json.dumps([GOOD_ENTRY, {**GOOD_ENTRY, "reference": ""}]), "entry 1: reference must name a file"),
+        (json.dumps([{**GOOD_ENTRY, "truth_mm": [0.0, 0.0, 1e308]}]), "entry 0: truth_mm items must lie in"),
+        (json.dumps([{**GOOD_ENTRY, "truth_mm": [-2.000001e6, 0.0, 40.0]}]), "entry 0: truth_mm items must lie in"),
     ],
 )
 def test_localize_malformed_manifest_fails_cleanly(tmp_path, capsys, payload, message):
@@ -539,8 +546,8 @@ spelled_images = st.tuples(
 manifest_paths = st.none() | st.text() | spelled_images
 
 
-def _escapes(path: str) -> bool:
-    return path.startswith("/") or ".." in path.split("/")
+def _refused(path: str) -> bool:
+    return path == "" or path.startswith("/") or ".." in path.split("/")
 
 
 @settings(max_examples=100, deadline=None)
@@ -590,7 +597,7 @@ def test_manifest_labels_never_split_a_csv_row(tmp_path_factory, small_dataset, 
         return any(char in value for char in chars)
 
     if any(breaks(e["object"], ',"\r\n') or breaks(e["frame"] + e["reference"], "\r\n")
-           or _escapes(e["frame"]) or _escapes(e["reference"]) for e in payload):
+           or _refused(e["frame"]) or _refused(e["reference"]) for e in payload):
         assert code == 1
         assert err.startswith(f"error: {manifest}: entry ") and err.count("\n") == 1, err
         assert not (work / "errors.csv").exists()

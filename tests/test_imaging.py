@@ -348,16 +348,31 @@ def assert_pipeline_matches(ref, frame, sigma: float, threshold: float, min_area
 
 
 def record_shapes(monkeypatch, name: str) -> list:
-    """Record, for every band that ``imaging.<name>`` filters, the shape it reads and the rows or pixels it filters."""
+    """Record, for every band that ``imaging.<name>`` filters, the padded shape it reads and the rows or pixels it filters."""
     shapes = []
     original = getattr(imaging, name)
 
-    def recording(diff, *args):
-        filtered = original(diff, *args)
-        shapes.append((diff.shape, filtered.shape[0]))
+    def recording(padded, *args):
+        filtered = original(padded, *args)
+        shapes.append((padded.shape, filtered.shape[0]))
         return filtered
 
     monkeypatch.setattr(imaging, name, recording)
+    return shapes
+
+
+@pytest.fixture
+def read_shapes(monkeypatch) -> list:
+    """The shape of each band's difference that ``detect_contacts`` reads, in order."""
+    shapes = []
+    original = imaging._abs_diff
+
+    def recording(*args):
+        diff = original(*args)
+        shapes.append(diff.shape)
+        return diff
+
+    monkeypatch.setattr(imaging, "_abs_diff", recording)
     return shapes
 
 
@@ -371,6 +386,25 @@ def smoothed_shapes(monkeypatch) -> list:
 def bounded_shapes(monkeypatch) -> list:
     """The bands ``detect_contacts`` runs the integer bound over, as ``record_shapes`` records them."""
     return record_shapes(monkeypatch, "_bound")
+
+
+def seed_crops(ref, frame, threshold: float, radius: int, band_rows: int) -> list:
+    """``bounded_shapes`` as the per-band rules give it, from the whole difference.
+
+    Each band of ``band_rows`` rows whose rows, with up to ``radius`` rows
+    above and below, hold a seed is bounded once, over its seed columns grown
+    by ``2 radius`` and clipped to the frame, then padded by ``radius``.
+    """
+    diff = np.abs(frame.astype(np.int16) - ref)
+    height, width = diff.shape
+    crops = []
+    for start in range(0, height, band_rows):
+        stop = min(start + band_rows, height)
+        seeds = np.flatnonzero(diff[max(start - radius, 0) : stop + radius].max(axis=0) >= math.floor(threshold))
+        if seeds.size:
+            left, right = max(seeds[0] - 2 * radius, 0), min(seeds[-1] + 1 + 2 * radius, width)
+            crops.append(((stop - start + 2 * radius, right - left + 2 * radius), stop - start))
+    return crops
 
 
 @st.composite
@@ -428,22 +462,59 @@ def test_detect_contacts_matches_full_frame_pipeline(case):
         assert_pipeline_matches(*pipeline_case)
 
 
-def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, smoothed_shapes):
+def test_detect_contacts_smooths_in_bands_with_a_halo(monkeypatch, read_shapes, smoothed_shapes):
     # Every pixel passes, so every pixel of each band is smoothed: at sigma 2
-    # the radius is 6, and each band of 8 rows reads up to one radius of the
-    # box above and below it and smooths only its own 8 x 50 pixels.
+    # the radius is 6, and each band of 8 rows reads its difference once, with
+    # up to one radius of the frame above and below it, pads it by one radius
+    # and smooths only its own 8 x 50 pixels.
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
     rng = np.random.default_rng(14)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert len(assert_pipeline_matches(ref, ref + 60, 2.0, 25.0, 1)) == 1
-    assert smoothed_shapes == [((8 + 6, 50), 400)] + [((6 + 8 + 6, 50), 400)] * 3 + [((6 + 8, 50), 400)]
-    # At sigma 0 there is no halo and the pixels smoothed are just those
-    # whose difference reaches the threshold's integer part.
+    assert read_shapes == [(8 + 6, 50)] + [(6 + 8 + 6, 50)] * 3 + [(6 + 8, 50)]
+    assert smoothed_shapes == [((6 + 8 + 6, 6 + 50 + 6), 400)] * 5
+    # At sigma 0 there is no halo, each band is cropped to its own seed
+    # columns, and the pixels smoothed are just those whose difference
+    # reaches the threshold's integer part.
+    read_shapes.clear()
     smoothed_shapes.clear()
     monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 1)
     frame = ref + rng.integers(0, 60, size=ref.shape, dtype=np.uint8)
     assert_pipeline_matches(ref, frame, 0.0, 25.0, 1)
-    assert smoothed_shapes == [((1, 50), int(n)) for n in np.count_nonzero(frame - ref >= 25, axis=1)]
+    assert read_shapes == [(1, 50)] * 40
+    seeds = [np.flatnonzero(row) for row in frame - ref >= 25]
+    assert smoothed_shapes == [((1, cols[-1] + 1 - cols[0]), cols.size) for cols in seeds]
+
+
+def test_detect_contacts_crops_each_band_to_its_own_seeds(monkeypatch, bounded_shapes):
+    # A wedge that widens and leans from band to band: each band is cropped
+    # to its own seed columns, so adjacent bands crop differently, yet the
+    # wedge labels as one component across them.
+    monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 4)
+    rng = np.random.default_rng(18)
+    ref = rng.integers(90, 110, size=(60, 80), dtype=np.uint8)
+    frame = ref.copy()
+    for v in range(8, 48):
+        frame[v, 30 - (v - 8) // 2 : 33 + (v - 8)] += 60
+    (blob,) = assert_pipeline_matches(ref, frame, 1.0, 25.0, 1)
+    crops = seed_crops(ref, frame, 25.0, 3, 4)
+    assert bounded_shapes == crops
+    assert len({shape for shape, _ in crops}) > 5
+    assert 8 < blob.centroid.v < 48
+
+
+def test_detect_contacts_bounds_a_band_whose_seed_is_only_in_its_halo(monkeypatch, bounded_shapes, smoothed_shapes):
+    # One seed in the second band's second row, radius 3 at sigma 1: the
+    # first band holds no seed itself but reads the seed in its halo rows, and
+    # its last rows lie above the threshold, so the blob spans both bands.
+    monkeypatch.setattr(imaging, "DETECT_BAND_ROWS", 8)
+    ref = np.full((40, 50), 100, dtype=np.uint8)
+    frame = ref.copy()
+    frame[9, 20] = 255
+    (blob,) = assert_pipeline_matches(ref, frame, 1.0, 2.5, 1)
+    assert bounded_shapes == seed_crops(ref, frame, 2.5, 3, 8) == [((8 + 6, 1 + 12 + 6), 8)] * 2
+    assert [pixels > 0 for _, pixels in smoothed_shapes] == [True, True]
+    assert blob.area == 1 + 3 + 5 + 3 + 1  # rows 7 to 11
 
 
 def traced_peak(function, *args) -> int:
@@ -523,31 +594,35 @@ def test_detect_contacts_faint_rim_at_small_sigma():
     assert blob.area == 5  # the seed and its four edge neighbours
 
 
-def test_detect_contacts_threshold_below_one_bounds_whole_frame(bounded_shapes, smoothed_shapes):
-    # Every pixel is a seed, so the box is the whole frame and the bound pass
-    # reads all of it.  But the frame equals its reference, so the bound is 0
-    # and no pixel is smoothed.
+def test_detect_contacts_threshold_below_one_bounds_whole_frame(read_shapes, bounded_shapes, smoothed_shapes):
+    # Every pixel is a seed, so the one band is bounded over the whole frame,
+    # padded by the radius of 6.  But the frame equals its reference, so the
+    # bound is 0 and no pixel is smoothed.
     rng = np.random.default_rng(13)
     ref = rng.integers(90, 110, size=(40, 50), dtype=np.uint8)
     assert assert_pipeline_matches(ref, ref, 2.0, 0.5, 1) == []
-    assert bounded_shapes == [((40, 50), 40)]
+    assert read_shapes == [(40, 50)]
+    assert bounded_shapes == [((6 + 40 + 6, 6 + 50 + 6), 40)]
     assert smoothed_shapes == []
 
 
-def test_detect_contacts_smooths_only_the_window(bounded_shapes, smoothed_shapes):
-    # One imprint on a 1080x1920 frame: the box is the pixels at or above the
-    # threshold's integer part, grown by twice the kernel radius (6 px at
-    # sigma 2) on each side, 25 + 24 rows by 30 + 24 columns.  The bound
-    # reads that box, and the pixels smoothed exactly are at most those
-    # within one radius of the imprint, and at least the blob's.
+def test_detect_contacts_smooths_only_the_window(read_shapes, bounded_shapes, smoothed_shapes):
+    # One imprint on a 1080x1920 frame, in rows 495 to 519, which only the
+    # 64-row bands at rows 448 and 512 reach with their halo of one kernel
+    # radius (6 px at sigma 2).  Every band reads its difference once, but
+    # only those two are bounded, each over the seed columns grown by twice
+    # the radius, 30 + 24 columns, then padded by the radius.  The pixels
+    # smoothed exactly are at most those within one radius of the imprint,
+    # and at least the blob's.
     ref = np.full((1080, 1920), 128, dtype=np.uint8)
     frame = ref.copy()
     frame[500:520, 1000:1030] = 200
     frame[495:500, 1000:1030] = 153  # exactly 25 above the reference: seeds
     (blob,) = assert_pipeline_matches(ref, frame, 2.0, 25.0, 20)
-    assert bounded_shapes == [((49, 54), 49)]
-    ((read_shape, smoothed_px),) = smoothed_shapes
-    assert read_shape == (49, 54) and blob.area <= smoothed_px <= (25 + 12) * (30 + 12)
+    assert len(read_shapes) == 17 and all(width == 1920 for _, width in read_shapes)
+    assert bounded_shapes == seed_crops(ref, frame, 25.0, 6, 64) == [((6 + 64 + 6, 6 + 54 + 6), 64)] * 2
+    assert [shape for shape, _ in smoothed_shapes] == [(6 + 64 + 6, 6 + 54 + 6)] * 2
+    assert blob.area <= sum(pixels for _, pixels in smoothed_shapes) <= (25 + 12) * (30 + 12)
     assert 1000 < blob.centroid.u < 1030 and 495 < blob.centroid.v < 520
 
 
@@ -575,11 +650,13 @@ def test_detect_contacts_validates_like_the_stages():
         detect_contacts(ref, frame, 2.0, 0.0, 1)
 
 
-def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, bounded_shapes, smoothed_shapes):
-    # Sigma-16 noise puts seeds all over the frame, so the box is the whole
-    # frame and the bound pass reads all of it, but only the few pixels that
-    # can pass are smoothed exactly: at most 1% of the frame (about 0.13%).
-    # Everything runs in NumPy.
+def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, read_shapes, bounded_shapes,
+                                                              smoothed_shapes):
+    # Sigma-16 noise puts seeds in every column of every band, so each band
+    # reads its difference once and is bounded at full width, padded by the
+    # radius of 6, but only the few pixels that can pass are smoothed
+    # exactly: at most 1% of the frame (about 0.13%).  Everything runs in
+    # NumPy.
     ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16))
     want = full_frame_pipeline(ref, frame, 2.0, 25.0, 20)
 
@@ -589,8 +666,9 @@ def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, boun
     monkeypatch.delitem(vars(imaging), "ndimage", raising=False)
     monkeypatch.setattr(imaging, "_ndimage", no_scipy)
     assert detect_contacts(ref, frame, 2.0, 25.0, 20) == want
+    assert len(read_shapes) == 17 and all(width == 1920 for _, width in read_shapes)
     assert sum(rows for _, rows in bounded_shapes) == 1080
-    assert all(shape[1] == 1920 for shape, _ in bounded_shapes)
+    assert all(shape[1] == 6 + 1920 + 6 for shape, _ in bounded_shapes)
     smoothed_px = sum(pixels for _, pixels in smoothed_shapes)
     assert 0 < smoothed_px <= 0.01 * 1080 * 1920
 
@@ -619,14 +697,6 @@ def test_detect_contacts_matches_full_frame_pipeline_on_noisy_protocol_frames(pr
     detection = (config.sigma_px, config.threshold, config.min_area_px)
     blobs = detect_contacts(reference, frame, *detection)
     assert blobs and blobs == full_frame_pipeline(reference, frame, *detection)
-
-
-def test_detect_blobs_adds_origin_before_weighting():
-    values = np.zeros((5, 6))
-    values[1:3, 2:4] = [[10.0, 20.0], [30.0, 40.0]]
-    (at_zero,) = detect_blobs(values, 5.0, 1)
-    (moved,) = detect_blobs(values, 5.0, 1, origin=(100, 1000))
-    assert moved.centroid == PixelCoord(at_zero.centroid.u + 1000, at_zero.centroid.v + 100)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +743,9 @@ def pixel_subsets(draw, shape: tuple[int, int], radius: int) -> np.ndarray:
 
 def assert_smoothing_matches(image, rows: slice, sigma: float, want: np.ndarray, pixels: np.ndarray) -> None:
     """``_gaussian_at`` at ``pixels`` of ``rows`` of ``image`` has the bits of ``want.flat[pixels]``."""
-    got = imaging._gaussian_at(image, rows, imaging._kernel(sigma), pixels)
+    kernel = imaging._kernel(sigma)
+    start, stop, _ = rows.indices(image.shape[0])
+    got = imaging._gaussian_at(imaging._padded(image, kernel.size // 2, start, stop), kernel, pixels)
     assert got.shape == pixels.shape and got.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.uint64), want.ravel()[pixels].view(np.uint64))
 
@@ -753,7 +825,7 @@ def test_integer_bound_passes_every_pixel_above_the_threshold(image, sigma, data
     want = ndimage.gaussian_filter(image, sigma, output=np.float64, truncate=3.0, mode="nearest") > threshold
     axis0, axis1, limit = imaging._bound_weights(imaging._kernel(sigma), threshold)
     assert 255 * sum(axis0) * sum(axis1) < 2**32
-    bound = imaging._bound(image, slice(None), axis0, axis1)
+    bound = imaging._bound(imaging._padded(image, len(axis0) // 2, 0, image.shape[0]), axis0, axis1)
     assert bound.shape == image.shape and bound.dtype == np.uint32
     assert not np.any(want & (bound <= limit))
 
