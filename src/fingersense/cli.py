@@ -15,15 +15,12 @@ completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
 it, so ``blocksworld`` and ``calibrate`` load none of it.  ``dataset`` and
-``localize`` run their frames on forked worker processes, one per usable CPU
-(``render._map_forked``), and import ``multiprocessing`` only when they fork
-them.  ``dataset``'s workers write their own frames, and the calling process
-renames them into place and writes the manifest in protocol order;
-``localize``'s calling process writes every row, warning and table in
-manifest order.  The two NumPy-only layers, ``calibration`` and
-``blocksworld``, are imported here: the per-layer trace of
-``perfbench/traced.py`` looks every layer module up right after importing
-this one and ``imaging`` and ``render``.
+``localize`` run their frames through ``workers.map_forked``; ``dataset``'s
+workers write their own frames, and ``localize``'s calling process writes
+every row, warning and table in manifest order.  The two NumPy-only layers,
+``calibration`` and ``blocksworld``, are imported here: the per-layer trace
+of ``perfbench/traced.py`` looks every layer module up right after
+importing this one and ``imaging`` and ``render``.
 """
 
 from __future__ import annotations
@@ -149,7 +146,8 @@ def cmd_localize(args: argparse.Namespace) -> int:
         localize_frame,
     )
     from .pgm import read_pgm
-    from .render import _map_forked, _usable_cpus, load_manifest
+    from .render import load_manifest
+    from .workers import map_forked
 
     config = _session_config(args)
     manifest_path = Path(args.manifest)
@@ -190,8 +188,11 @@ def cmd_localize(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return str(exc)
 
-    # Frames are localised on worker processes; rows and warnings follow the manifest.
-    for entry, outcome in zip(entries, _map_forked(localized, entries, _usable_cpus())):
+    outcomes = map_forked(localized, entries)
+    for outcome in outcomes:  # an error ``localized`` did not return as text ends the command first
+        if isinstance(outcome, Exception):
+            raise outcome
+    for entry, outcome in zip(entries, outcomes):
         row = f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)}"
         if isinstance(outcome, str):
             print(f"warning: {entry.frame}: {outcome}", file=sys.stderr)

@@ -7,12 +7,9 @@ threshold and the minimum blob area, are parameters of the operations, not
 hidden constants.
 
 ``localize_frame`` is the one call for the whole pipeline.  Its first four
-stages, ``detect_contacts``, read the frame once, in bands of rows.  Each
-band is cropped to the columns that can hold above-threshold pixels, padded
-once, and smoothed exactly only at the pixels where an integer upper bound of
-the smoothed value can pass the threshold.  So their exact cost follows the
-pixels that can pass, not the frame, and no frame-sized float64 array is ever
-held.  The tests hold the full-frame pipeline they are compared against.
+stages, ``detect_contacts``, read the frame once, in bands of rows, and
+smooth exactly only the pixels that can pass the threshold.  The tests hold
+the full-frame pipeline they are compared against.
 
 Every exact value is smoothed and every foreground labelled in NumPy, with
 the same bits as SciPy's ``gaussian_filter`` and the same labels as its
@@ -34,15 +31,11 @@ import numpy as np
 from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionConfig
 from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
 
-# Frame rows that detection reads, bounds or smooths at once.  A band reads
-# its difference once, with one kernel radius of rows above and below, and
-# costs about 45 contiguous ufunc calls for its integer bound and about 90
-# short gathers and ufunc calls for the exact values of its passing pixels
-# at the default sigma, so taller bands make fewer calls but hold larger
-# buffers.  On localize's forked workers at noise 16 (2 vCPUs, medians of 12
-# alternating runs) 32 rows took 1.00 s, 64 rows 0.93 s and 96 rows 0.96 s,
-# and 96 rows raised the peak RSS by 0.6 MB.
+# Frame rows that detection reads, bounds or smooths at once: taller bands
+# make fewer ufunc calls but hold larger buffers.  At noise 16 on 2 vCPUs, 32
+# rows took 1.00 s, 64 rows 0.93 s and 96 rows 0.96 s with 0.6 MB more RSS.
 DETECT_BAND_ROWS = 64
+BOUND_LOOSENESS_U16 = 1.3  # the loosest axis-0 bound kept in uint16 (see _bound_weights)
 
 # Localisation errors measured on the physical sensor (mm, mean and sample
 # std), reported alongside synthetic results for comparison.  Hardware
@@ -379,9 +372,12 @@ def _bound_weights(kernel: np.ndarray, threshold: float) -> tuple[list[int], lis
 
     Each weight ``w`` of the ``_kernel`` is rounded up to ``q = ceil(w s)``,
     with one scale ``s0`` for axis 0 and one ``s1`` for axis 1.  Axis 0 sums
-    in uint16, so ``s0`` is the largest scale with ``255 sum(q0) <= 65535``;
-    more than 257 taps cannot fit, and then axis 0 sums in uint32 and
-    ``sum(q0)`` is kept to ``sqrt(2**32 / 255)``, so axis 1 has as much room.
+    in uint16, with ``s0`` the largest scale where ``255 sum(q0) <= 65535``,
+    while that is tight, ``sum(q0) <= BOUND_LOOSENESS_U16 s0`` (up to sigma
+    17.14); else in uint32, with ``sum(q0)`` kept to ``sqrt(2**32 / 255)`` so
+    axis 1 has as much room.  A looser bound passes pixels far below
+    ``threshold``, whose exact smoothing costs more than wider sums: on
+    sigma-16 noise at threshold 25, uint16 passes every pixel from sigma 24.
     Axis 1 sums in uint32, so ``s1`` is the largest scale with
     ``255 sum(q0) sum(q1) < 2**32``.
 
@@ -392,8 +388,10 @@ def _bound_weights(kernel: np.ndarray, threshold: float) -> tuple[list[int], lis
     ``floor(threshold s0 s1 (1 - 1e-9))``, the limit returned.
     """
     weights = kernel.tolist()
-    total = 65535 // 255 if len(weights) <= 65535 // 255 else math.isqrt((2**32 - 1) // 255)
-    axis0, s0 = _rounded_up(weights, total)
+    if len(weights) <= 65535 // 255:
+        axis0, s0 = _rounded_up(weights, 65535 // 255)
+    if len(weights) > 65535 // 255 or sum(axis0) > BOUND_LOOSENESS_U16 * s0:
+        axis0, s0 = _rounded_up(weights, math.isqrt((2**32 - 1) // 255))
     axis1, s1 = _rounded_up(weights, (2**32 - 1) // (255 * sum(axis0)))
     return axis0, axis1, math.floor(threshold * s0 * s1 * (1 - 1e-9))
 
@@ -479,23 +477,15 @@ def detect_contacts(
     replicated, so they stay below ``threshold`` as they do in the whole
     frame.
 
-    The bound.  ``_bound`` filters the band with ``_bound_weights``' integer
-    weights, each rounded up, so it is at least ``s0 s1`` times the smoothed
-    value at every pixel, and wherever the smoothed value exceeds
-    ``threshold`` it exceeds the integer limit.  A passing pixel is one whose
-    bound exceeds the limit.
-
-    The exact values.  ``_gaussian_at`` smooths the band's passing pixels:
-    axis 0 at every place within ``r`` columns of a passing pixel in its row,
-    axis 1 at the passing pixels alone.  Every other pixel's bound is at most
-    the limit, so it does not pass.  The passing pixels whose exact value
-    exceeds ``threshold`` are the foreground: their flat indices in the
-    frame, in scan order, and their values are all that is kept, which
-    ``_label_runs`` and ``_blobs`` then label and weigh.  On a noisy
-    (sigma 16) 1920x1080 protocol frame about 0.3% of the pixels pass the
-    bound and axis 0 is filtered at about 1% of the frame, and detection
-    holds the foreground and one band's buffers, with no mask and no float64
-    frame.
+    The bound and the exact values.  A pixel passes when its ``_bound``
+    exceeds the limit of ``_bound_weights``, as every pixel whose smoothed
+    value exceeds ``threshold`` does, and ``_gaussian_at`` smooths only the
+    passing pixels.  Those whose exact value exceeds ``threshold`` are the
+    foreground: their flat indices in the frame, in scan order, and their
+    values are all that is kept, which ``_label_runs`` and ``_blobs`` then
+    label and weigh.  On a noisy (sigma 16) 1920x1080 protocol frame about
+    0.3% of the pixels pass the bound, and detection holds the foreground and
+    one band's buffers, with no mask and no float64 frame.
     """
     _check_same_size(ref, frame)
     _check_sigma(sigma)

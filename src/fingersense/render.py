@@ -18,34 +18,19 @@ with dist the 3D Euclidean distance to the footprint set and k_falloff = 1
 approximated by 3D chords; for footprints up to ~5 mm on a 10 mm-radius
 membrane the error is under 2%.
 
-Imprint window: a surface point farther than delta / k_falloff from the
-footprint is not displaced, so the imprint is confined to a ball of radius
-rho around the contact point c: E + delta / k_falloff for a planar footprint
-that lies within E of c, and sqrt(size * delta / k_falloff + (delta /
-k_falloff)^2) for the sphere, whose tangent ball touches the convex membrane
-only near c (see ``_imprint_radius_mm``).  Each pixel sees exactly one
-membrane point, so only pixels inside the projection of that ball can differ
-from the background.  The renderer back-projects and shades just the ball's
-pixel bounding box, padded by 2 px against rounding, and fills the rest of
-the frame with the background; when the ball reaches the camera plane
-(z <= 0) or a tangent ray reaches 90 degrees the box is the whole frame.
-Render cost therefore scales with the imprint, not the frame: the 56
-protocol frames shade about 1.07M pixels in all.  The box is shaded in bands
-of whole rows, at most RENDER_BAND_PX pixels each, so the float64
+Imprint window: every displaced membrane point lies within a ball of radius
+rho about the contact point (``_imprint_radius_mm``), and each pixel sees
+exactly one membrane point, so only pixels inside the projection of that
+ball can differ from the background.  The renderer shades just the ball's
+pixel bounding box (``_imprint_window``) and fills the rest of the frame with
+the background, so render cost scales with the imprint, not the frame: the
+56 protocol frames shade about 1.07M pixels in all.  The box is shaded in
+bands of whole rows, at most RENDER_BAND_PX pixels each, so the float64
 temporaries stay a few MB even when the box is the whole frame; every pixel
 is computed on its own, so the bands give the same bytes.
 
-Protocol dataset: every image adds Gaussian pixel noise from its own random
-stream split off the seed.  Pixels are integers, so the noise is drawn as the
-rounded Gaussian K by inverse CDF from a 16-bit table (see ``_NoiseTable``).
-Each frame is one job of ``_map_forked`` on forked worker processes, one per
-usable CPU: a worker renders it, builds its manifest entry, adds its noise
-and writes it under a temporary name, and only the entry comes back.  A
-worker makes all its frames in one frame buffer.  A
-frame depends only on its own pose and stream, so the bytes do not depend on
-scheduling or on the CPU count.  The calling process renames the frames into
-place and writes the manifest, in protocol order.  ``localize`` runs its
-frames on the same map (see ``cli``).
+Protocol dataset: see ``generate_protocol_dataset``.  Pixels are integers, so
+the noise is the rounded Gaussian K, drawn by inverse CDF (``_NoiseTable``).
 """
 
 from __future__ import annotations
@@ -74,6 +59,7 @@ from .geometry import (  # Shape and OBJECT_ORDER are also read from this module
 )
 from .imaging import TactileImage
 from .pgm import write_pgm
+from .workers import map_forked
 
 BACKGROUND_INTENSITY = 128  # membrane at rest
 IMPRINT_GAIN = 60  # intensity units at full indentation depth
@@ -301,15 +287,9 @@ def _shade_imprint(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics, image:
 
     Pixel intensity is BACKGROUND + GAIN * depth / ind.depth, clamped to
     [0, 255]: the deepest point renders at a fixed contrast regardless of
-    delta, and the imprint shrinks as delta does.
-
-    Only the imprint window is shaded: the pixel box bounding the projection
-    of the ball of radius rho (``_imprint_radius_mm``) around the contact
-    point, padded by 2 px.  Every other pixel sees an undisplaced membrane
-    point and keeps the background.  If the ball reaches z <= 0 or a tangent
-    ray reaches 90 degrees the window is the whole frame.  The window is
-    shaded in bands of whole rows holding at most RENDER_BAND_PX pixels (one
-    row if a row is wider), so memory stays bounded when the window is large.
+    delta, and the imprint shrinks as delta does.  Only ``_imprint_window``
+    is shaded (see the module docstring), in bands of whole rows holding at
+    most RENDER_BAND_PX pixels, or one row if a row is wider.
     """
     if not ind.depth < g.r:
         raise ValueError(
@@ -392,8 +372,8 @@ def _manifest_entry(item) -> ManifestEntry:
         # directory; the check reads the text, so symbolic links are followed.
         if key != "object" and (value.startswith("/") or ".." in value.split("/")):
             raise ValueError(f"{key} must be a relative path without '..', got {value!r}")
-        if key != "object" and not value:  # it would name the manifest's directory
-            raise ValueError(f"{key} must name a file, got ''")
+        if key != "object" and value.rpartition("/")[2] in ("", "."):  # it would name a directory
+            raise ValueError(f"{key} must name a file, got {value!r}")
     truth = item["truth_mm"]
     if not isinstance(truth, list) or len(truth) != 3:
         raise ValueError(f"truth_mm must be a list of 3 numbers, got {truth!r}")
@@ -532,62 +512,6 @@ def _add_noise(pixels: np.ndarray, noise: _NoiseTable | None, rng: np.random.Gen
         pixels[rows] = k
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity call on this OS
-        return os.cpu_count() or 1
-
-
-_job = None  # a forked worker's job, set by its pool's initializer
-
-
-def _set_job(job) -> None:
-    global _job
-    _job = job
-
-
-def _run_job(item):
-    return _job(item)
-
-
-def _map_forked(job, items: tuple, workers: int) -> list:
-    """``[job(item) for item in items]``, on up to ``workers`` forked worker processes.
-
-    It runs the frames of ``dataset`` and of ``localize``.  The pool's
-    initializer hands ``job`` to each worker, which inherits it with the rest
-    of the parent's memory, so only the items and the results are pickled.
-    With one worker, or where the OS cannot fork, ``job`` runs inline and no
-    process is started.  An exception that ``job`` raises is raised here with
-    its type and message; a worker that dies (a signal, ``os._exit``, the OOM
-    killer) raises ``OSError``.  Either way the call returns or raises only
-    once every worker has ended.
-
-    Workers are forked, not spawned: a spawned worker would import NumPy and
-    the package again and could not inherit ``job``.  The pool forks every
-    worker before it starts its own thread, so a caller with no other
-    threads forks none that could hold a lock.  ``multiprocessing`` is
-    imported only here, when there is more than one worker.
-    """
-    workers = min(workers, len(items))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, context, initializer=_set_job, initargs=(job,))
-            try:
-                with pool:
-                    return list(pool.map(_run_job, items))
-            except BrokenProcessPool as exc:
-                raise OSError(f"a worker process died: {exc}") from exc
-    return [job(item) for item in items]
-
-
 def _image_error(path: Path, exc: OSError) -> OSError:
     """The error of writing image ``path``, naming ``path`` where ``exc`` named a temporary file."""
     if exc.filename is not None:
@@ -605,28 +529,19 @@ def generate_protocol_dataset(
     """Render the full 56-image protocol plus one reference frame.
 
     Writes PGM images and ``manifest.json`` into ``out_dir`` and returns the
-    manifest's entries.  Gaussian pixel noise of standard deviation
-    ``noise_sigma`` is added independently to every written frame (reference
-    included), with one RNG stream split off the master seed per image, so
-    outputs are reproducible for a fixed (seed, noise_sigma) and unchanged by
-    rendering order.  Every pixel gets clip(p + K, 0, 255) with
-    K = rint(N(0, noise_sigma)), drawn by ``_add_noise`` from one
-    ``_NoiseTable`` built per call (about 5 ms; none when ``noise_sigma`` is
-    0, which writes the clean frames).
+    manifest's entries.  Every written frame, reference included, gets
+    clip(p + K, 0, 255) with K = rint(N(0, noise_sigma)), drawn by
+    ``_add_noise`` from one ``_NoiseTable`` (none when ``noise_sigma`` is 0)
+    and from its own RNG stream split off the master seed, so a frame depends
+    only on its pose, the seed and ``noise_sigma``, never on the CPU count.
 
-    Each frame is one job of ``_map_forked``, on forked worker processes, one
-    per usable CPU, or inline at one CPU: the job renders the frame, builds its
-    manifest entry, adds its noise and writes the PGM under a temporary name
-    in ``out_dir``.  Each process makes all its frames in one frame buffer,
-    so no frame-sized array is allocated, freed and page-faulted again per
-    frame.  Only the entry, or the exception that stopped the frame, comes
-    back; no pixels cross between processes.  A frame depends only on its own
-    pose and stream, so the bytes do not depend on scheduling or on the
-    number of CPUs.  Once every worker has ended, the calling process
-    renames the frames into place in protocol order, so the frames before a
-    failing render or write are written when its error is raised, and none
-    after it; every temporary file is removed first.  The frames after a
-    failing one are still made, then removed.
+    Each frame is one job of ``workers.map_forked``: the job renders the
+    frame, builds its manifest entry, adds its noise and writes the PGM under
+    a temporary name in ``out_dir``, all in one frame buffer per process.
+    Only the entry, or the exception that stopped the frame, comes back.  The
+    calling process then renames the frames into place in protocol order, so
+    the frames before a failing render or write are written when its error is
+    raised, and none after it; every temporary file is removed first.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
@@ -649,32 +564,29 @@ def generate_protocol_dataset(
 
     pixels = None  # the frame of the process running the jobs, made at its first job
 
-    def frame(index: int) -> ManifestEntry | None | Exception:
-        """Make and write image ``index`` under its temporary name: its manifest entry, or its error."""
+    def frame(index: int) -> ManifestEntry | None:
+        """Make and write image ``index`` under its temporary name, and return its manifest entry."""
         nonlocal pixels
         name, object_label, pose = jobs[index]
+        if pixels is None:
+            pixels = np.empty((k.height, k.width), dtype=np.uint8)
+        pixels.fill(BACKGROUND_INTENSITY)
+        entry = None
+        if object_label is not None:
+            ind = default_indenter(object_label, pose, g)
+            truth = ind.contact_point
+            entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
+            _shade_imprint(ind, g, k, pixels)
+        _add_noise(pixels, noise, np.random.default_rng(streams[index]))
         try:
-            if pixels is None:
-                pixels = np.empty((k.height, k.width), dtype=np.uint8)
-            pixels.fill(BACKGROUND_INTENSITY)
-            entry = None
-            if object_label is not None:
-                ind = default_indenter(object_label, pose, g)
-                truth = ind.contact_point
-                entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
-                _shade_imprint(ind, g, k, pixels)
-            _add_noise(pixels, noise, np.random.default_rng(streams[index]))
-            try:
-                write_pgm(temps[index], pixels)
-            except OSError as exc:
-                raise _image_error(out_dir / name, exc) from exc
-            return entry
-        except Exception as exc:  # raised by the calling process, in protocol order
-            return exc
+            write_pgm(temps[index], pixels)
+        except OSError as exc:
+            raise _image_error(out_dir / name, exc) from exc
+        return entry
 
     entries = []
     try:
-        outcomes = _map_forked(frame, tuple(range(len(jobs))), _usable_cpus())
+        outcomes = map_forked(frame, range(len(jobs)))
         for (name, _, _), temp, outcome in zip(jobs, temps, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome

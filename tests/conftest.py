@@ -1,4 +1,6 @@
+import contextlib
 import os
+from unittest import mock
 
 import pytest
 
@@ -28,10 +30,24 @@ def protocol_dataset(tmp_path_factory):
     return out_dir, entries
 
 
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """The pid of every process forked during the test, as the parent saw it."""
-    pids = []
+class Forks(list):
+    """The pid of every process forked while counted, as the parent saw it."""
+
+    def reaped(self) -> bool:
+        """Whether each of them has been reaped, so ``waitpid`` knows it no longer."""
+        for pid in self:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+
+@contextlib.contextmanager
+def counted_forks():
+    """Count every ``os.fork`` made inside the block into the ``Forks`` it yields."""
+    pids = Forks()
     fork = os.fork
 
     def counted() -> int:
@@ -40,5 +56,12 @@ def forks(monkeypatch) -> list[int]:
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
+    with mock.patch.object(os, "fork", counted):
+        yield pids
+
+
+@pytest.fixture
+def forks():
+    """The pid of every process forked during the test (see ``Forks``)."""
+    with counted_forks() as pids:
+        yield pids

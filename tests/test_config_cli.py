@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fingersense
-from fingersense import imaging, render
+from fingersense import imaging, render, workers
 from fingersense.calibration import load_correspondences
 from fingersense.cli import main
 from fingersense.config import ConfigError, SessionConfig, load_config
@@ -365,7 +364,7 @@ def test_dataset_unwritable_image_fails_with_one_line(tmp_path, capsys):
 
 def test_dataset_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch, forks):
     # A worker process that dies mid-frame (a signal, os._exit, the OOM
-    # killer) breaks the pool: dataset exits 1 with one line, and leaves no
+    # killer) stops the map: dataset exits 1 with one line, and leaves no
     # frame, manifest, temporary file or worker behind.
     (tmp_path / "small.json").write_text(json.dumps(SMALL_CAMERA))
     out = tmp_path / "ds"
@@ -379,7 +378,7 @@ def test_dataset_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch,
         shade_imprint(ind, g, k, image)
 
     monkeypatch.setattr(render, "_shade_imprint", dying)
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     code = main(["dataset", "--config", str(tmp_path / "small.json"), "--out-dir", str(out), "--noise", "2"])
     assert code == 1
     captured = capsys.readouterr()
@@ -387,7 +386,7 @@ def test_dataset_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch,
     assert captured.err.startswith("error: a worker process died: ")
     assert captured.err.count("\n") == 1
     assert list(out.iterdir()) == []
-    assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
 
 
 @pytest.mark.parametrize(
@@ -451,6 +450,11 @@ def test_localize_empty_manifest_fails(tmp_path, capsys):
         (json.dumps([GOOD_ENTRY, {**GOOD_ENTRY, "reference": ""}]), "entry 1: reference must name a file"),
         (json.dumps([{**GOOD_ENTRY, "truth_mm": [0.0, 0.0, 1e308]}]), "entry 0: truth_mm items must lie in"),
         (json.dumps([{**GOOD_ENTRY, "truth_mm": [-2.000001e6, 0.0, 40.0]}]), "entry 0: truth_mm items must lie in"),
+        # A path whose last part is empty or "." names a directory too.
+        (json.dumps([{**GOOD_ENTRY, "frame": "."}]), "entry 0: frame must name a file, got '.'\n"),
+        (json.dumps([{**GOOD_ENTRY, "frame": "a/."}]), "entry 0: frame must name a file, got 'a/.'\n"),
+        (json.dumps([{**GOOD_ENTRY, "reference": "a/"}]), "entry 0: reference must name a file, got 'a/'\n"),
+        (json.dumps([GOOD_ENTRY, {**GOOD_ENTRY, "frame": "./"}]), "entry 1: frame must name a file, got './'\n"),
     ],
 )
 def test_localize_malformed_manifest_fails_cleanly(tmp_path, capsys, payload, message):
@@ -518,7 +522,7 @@ def test_localize_keeps_one_reference_for_any_number_of_spellings(tmp_path, monk
         (tmp_path / image.name).symlink_to(image)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(payload))
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 1)  # inline: one frame in flight
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # inline: one frame in flight
     tracemalloc.start()
     try:
         with redirect_stdout(io.StringIO()):
@@ -651,12 +655,12 @@ def _fresh_copy(dataset: Path, work: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "workers, switch_s", [(2, None), (3, None), (3, 1e-6)], ids=["2cpus", "3cpus", "3cpus-switch1us"]
+    "n_cpus, switch_s", [(2, None), (3, None), (3, 1e-6)], ids=["2cpus", "3cpus", "3cpus-switch1us"]
 )
 def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatch, forks,
-                                                    broken_dataset, workers, switch_s):
+                                                    broken_dataset, n_cpus, switch_s):
     # One CPU runs every frame inline; more fork one worker process per CPU.
-    # The switch interval perturbs the parent's pool threads.
+    # The switch interval would perturb any thread of the calling process.
     work = tmp_path / "work"  # one directory, since messages hold paths
     argv = _fresh_copy(broken_dataset, work)
     outputs = [work / name for name in ("errors.csv", "by_pose.csv", "by_object.csv")]
@@ -664,7 +668,7 @@ def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatc
     def run(cpus: int, interval: float | None) -> tuple:
         for path in outputs:
             path.unlink(missing_ok=True)
-        monkeypatch.setattr(render, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         saved = sys.getswitchinterval()
         try:
             if interval is not None:
@@ -677,9 +681,9 @@ def test_localize_output_does_not_depend_on_threads(tmp_path, capsys, monkeypatc
 
     serial = run(1, None)
     assert forks == []
-    assert run(workers, switch_s) == serial
-    assert len(forks) == workers
-    assert multiprocessing.active_children() == []
+    assert run(n_cpus, switch_s) == serial
+    assert len(forks) == n_cpus
+    assert forks.reaped()
     code, out, err, (errors, _, _) = serial
     assert code == 0 and json.loads(out)["n_entries"] == 56
     # One warning per nan row, in manifest order, each naming its frame.
@@ -710,7 +714,7 @@ def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, forks, br
         return localize_frame(reference, frame, config)
 
     monkeypatch.setattr(imaging, "localize_frame", failing)
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     threads = threading.active_count()
     raised = []
 
@@ -729,13 +733,13 @@ def test_localize_worker_exception_escapes_main(tmp_path, monkeypatch, forks, br
     assert str(raised[0]) == "worker broke"
     assert not (tmp_path / "work" / "errors.csv").exists()
     assert threading.active_count() == threads
-    assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
 
 
 def test_localize_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch, forks,
                                                    broken_dataset):
     # A worker process that dies mid-frame (a signal, os._exit, the OOM
-    # killer) breaks the pool: localize exits 1 with one line, writes no
+    # killer) stops the map: localize exits 1 with one line, writes no
     # errors.csv and leaves no worker behind.
     argv = _fresh_copy(broken_dataset, tmp_path / "work")
     payload = json.loads((broken_dataset / "manifest.json").read_text())
@@ -748,14 +752,14 @@ def test_localize_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch
         return localize_frame(reference, frame, config)
 
     monkeypatch.setattr(imaging, "localize_frame", dying)
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: a worker process died: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "work" / "errors.csv").exists()
-    assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
 
 
 def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):
@@ -1086,19 +1090,18 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
 # so the per-layer trace finds every layer module (see the next test).
 _CLI_MODULES = {"cli", "config", "geometry", "calibration", "blocksworld"}
 # Per command, the fingersense modules it loads besides those, and which of
-# four other packages that only some commands need it loads.  None loads
+# five other packages that only some commands need it loads.  None loads
 # SciPy: detection smooths and labels in NumPy (see the next test too).
-# dataset and localize load the process pool only when they fork workers,
-# which they do with more than one usable CPU.
-_DETECTION = {"render", "imaging", "pgm"}
-_POOL = {"concurrent.futures"} if render._usable_cpus() > 1 else set()
+# dataset and localize fork their workers with os.fork, on any number of
+# CPUs, so neither loads multiprocessing or concurrent.futures.
+_DETECTION = {"render", "imaging", "pgm", "workers"}
 COMMAND_MODULES = {
     "import": (set(), set()),
     "blocksworld": (set(), {"fractions"}),
     "calibrate": (set(), {"csv"}),
     "render": (_DETECTION, set()),
-    "dataset": (_DETECTION, _POOL),
-    "localize": (_DETECTION, _POOL),
+    "dataset": (_DETECTION, set()),
+    "localize": (_DETECTION, set()),
 }
 
 
@@ -1132,9 +1135,8 @@ def test_noisy_localize_loads_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_multiprocessing(tmp_path):
-    # dataset and localize import the process pool only when they fork
-    # workers, so the import that every command pays for goes without it,
-    # and so does a dataset on one CPU, which forks nothing.
+    # The import that every command pays for loads no multiprocessing, and
+    # a dataset on one CPU forks nothing and loads none either.
     done = _run_python("-c", "import sys, fingersense.cli\nprint('multiprocessing' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
@@ -1168,7 +1170,7 @@ def _modules_loaded_by(argv: list[str] | None) -> tuple[set[str], set[str]]:
         "from fingersense.cli import main\n"
         f"{run}\n"
         "names = [m for m in sys.modules if m.startswith('fingersense.')]\n"
-        "names += [m for m in ('csv', 'concurrent.futures', 'fractions') if m in sys.modules]\n"
+        "names += [m for m in ('csv', 'concurrent.futures', 'fractions', 'multiprocessing') if m in sys.modules]\n"
         "names += [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
         "print(code, *sorted(names), file=sys.stderr)\n"
     )

@@ -527,10 +527,10 @@ def traced_peak(function, *args) -> int:
         tracemalloc.stop()
 
 
-def noisy_pair(seed: int) -> list[np.ndarray]:
-    """A reference and a frame of 1920x1080 pixels, each with sigma-16 noise around 128."""
+def noisy_pair(seed: int, shape: tuple[int, int] = (1080, 1920)) -> list[np.ndarray]:
+    """A reference and a frame of ``shape``, 1920x1080 pixels by default, each with sigma-16 noise around 128."""
     rng = np.random.default_rng(seed)
-    return [np.clip(np.rint(128.0 + rng.normal(0.0, 16.0, (1080, 1920))), 0, 255).astype(np.uint8)
+    return [np.clip(np.rint(128.0 + rng.normal(0.0, 16.0, shape)), 0, 255).astype(np.uint8)
             for _ in range(2)]
 
 
@@ -673,6 +673,18 @@ def test_detect_contacts_on_a_whole_noisy_frame_needs_no_scipy(monkeypatch, read
     assert 0 < smoothed_px <= 0.01 * 1080 * 1920
 
 
+@pytest.mark.parametrize("sigma", [16.0, 24.0, 32.0, 42.0, 43.0])
+def test_detect_contacts_smooths_few_noise_pixels_exactly_at_any_sigma(smoothed_shapes, sigma):
+    # Axis 0 of the integer bound once summed in uint16 up to 257 taps, where
+    # the tail weights rounded up so far that at sigma 24 to 42 the bound
+    # passed nearly every pixel of sigma-16 noise, and each was smoothed
+    # exactly: 10-30 times the work of sigma 16 or 43.
+    ref, frame = (TactileImage(pixels) for pixels in noisy_pair(16, (240, 320)))
+    assert detect_contacts(ref, frame, sigma, 25.0, 20) == full_frame_pipeline(ref, frame, sigma, 25.0, 20)
+    smoothed_px = sum(pixels for _, pixels in smoothed_shapes)
+    assert smoothed_px <= 0.01 * 240 * 320
+
+
 @pytest.fixture(scope="module")
 def protocol_noise():
     """The sigma-16 noise table of ``dataset --noise 16`` and its noisy default-camera reference."""
@@ -804,9 +816,10 @@ def bound_images(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     bound_images(),
-    # Radius 128 is the most that axis 0 sums in uint16 (2 r + 1 = 257 taps);
-    # sigma 42.8 is its last sigma and 42.9 the first of radius 129.
-    st.sampled_from([0.0, 1e-15, 0.45, 2.0, 7.0, 42.5, 42.8, 42.9, 43.2, MAX_SIGMA_PX])
+    # Axis 0 sums in uint16 up to sigma 17.14 and in uint32 from 17.15.
+    # Radius 128 is the most uint16 could hold (2 r + 1 = 257 taps); sigma
+    # 42.8 is its last sigma and 42.9 the first of radius 129.
+    st.sampled_from([0.0, 1e-15, 0.45, 2.0, 7.0, 17.14, 17.15, 42.5, 42.8, 42.9, 43.2, MAX_SIGMA_PX])
     | st.floats(0.0, MAX_SIGMA_PX),
     st.data(),
 )

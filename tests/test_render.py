@@ -5,7 +5,6 @@ import errno
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fingersense import render
+from fingersense import render, workers
 from fingersense.geometry import (
     CameraIntrinsics,
     ContactPose,
@@ -519,7 +518,7 @@ ODD_CAMERA = CameraIntrinsics(alpha=40.0, cx=48.0, cy=40.0, width=97, height=NOI
 
 
 @pytest.mark.parametrize(
-    "sigma, workers, switch_s, camera",
+    "sigma, cpus, switch_s, camera",
     [
         (0.0, 2, None, WIDE_CAMERA),
         (16.0, 2, None, ORACLE_CAMERA),
@@ -529,15 +528,15 @@ ODD_CAMERA = CameraIntrinsics(alpha=40.0, cx=48.0, cy=40.0, width=97, height=NOI
     ],
     ids=["noise0", "noise16", "noise16-1cpu", "noise16-3cpus-switch1us", "noise16-odd-width"],
 )
-def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, forks, geometry, sigma, workers,
+def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, forks, geometry, sigma, cpus,
                                        switch_s, camera):
-    # The bytes depend on neither the worker count nor how often the pool's
-    # threads in the calling process switch.  One CPU runs every frame
-    # inline; more fork one worker process per CPU.
-    monkeypatch.setattr(render, "_usable_cpus", lambda: workers)
+    # The bytes depend on neither the worker count nor how often threads in
+    # the calling process switch.  One CPU runs every frame inline; more fork
+    # one worker process per CPU.
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     if camera is WIDE_CAMERA:
-        # The first forked run imports the pool's modules; the peak below
-        # counts only this run's allocations.
+        # A first run made earlier, so the peak below counts only this run's
+        # allocations, none of them one-time.
         generate_protocol_dataset(tmp_path / "warm", geometry, camera, sigma, seed=29)
         del forks[:]
     out_dir = tmp_path / "out"
@@ -555,8 +554,8 @@ def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, forks, geometry, s
         sys.setswitchinterval(interval)
         if not tracing:
             tracemalloc.stop()
-    assert len(forks) == (0 if workers == 1 else workers)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (0 if cpus == 1 else cpus)
+    assert forks.reaped()
     if camera is WIDE_CAMERA:
         # Each worker writes its own frames: only manifest entries come back.
         assert peak - before < camera.width * camera.height, peak - before
@@ -569,7 +568,7 @@ def test_dataset_matches_serial_oracle(tmp_path, monkeypatch, forks, geometry, s
 
 def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, monkeypatch, forks, geometry):
     (tmp_path / "cone_rotation_0.pgm").mkdir()
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(OSError, match=r"^cannot write image .*cone_rotation_0\.pgm: ") as exc:
         generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
@@ -577,7 +576,7 @@ def test_dataset_write_error_stops_writing_and_ends_threads(tmp_path, monkeypatc
     path = tmp_path / "cone_rotation_0.pgm"
     assert str(exc.value) == f"cannot write image {path}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
     assert threading.active_count() == threads
-    assert len(forks) == 2 and multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
     # As in protocol order: nothing after the frame that could not be written,
     # and no temporary file.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cone_rotation_0.pgm", "reference.pgm"]
@@ -595,12 +594,12 @@ def test_dataset_render_error_writes_earlier_frames_first(tmp_path, monkeypatch,
         shade_imprint(ind, g, k, image)
 
     monkeypatch.setattr(render, "_shade_imprint", fail_third_frame)
-    monkeypatch.setattr(render, "_usable_cpus", lambda: 4)  # later frames are made, then removed
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)  # later frames are made, then removed
     threads = threading.active_count()
     with pytest.raises(ValueError, match="^cannot render this one$"):
         generate_protocol_dataset(tmp_path, geometry, ORACLE_CAMERA, 2.0, seed=3)
     assert threading.active_count() == threads
-    assert len(forks) == 4 and multiprocessing.active_children() == []
+    assert len(forks) == 4 and forks.reaped()
     expected = serial_dataset(geometry, ORACLE_CAMERA, 2.0, seed=3)
     written = sorted(p.name for p in tmp_path.iterdir())  # no temporary file is left
     assert written == ["cone_rotation_0.pgm", "cone_rotation_1.pgm", "reference.pgm"]
