@@ -8,9 +8,9 @@ Five subcommands cover the full workflow:
 - ``calibrate``   fit camera intrinsics from a correspondence CSV
 - ``blocksworld`` Monte-Carlo grasping statistics for the three policies
 
-Every command accepts ``--config FILE`` (JSON, see config.py) and is
-deterministic given its flags: all randomness flows from ``--seed`` (default
-0), never from the clock.  Exit status is 0 exactly when the command
+Every command but ``blocksworld`` reads ``--config FILE`` (JSON, see config.py).
+Each is deterministic given its flags: all randomness flows from ``--seed``
+(default 0), never from the clock.  Exit status is 0 exactly when the command
 completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
@@ -80,7 +80,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     indenter = default_indenter(args.object, pose, config.geometry)  # validates the pose
     truth = indenter.contact_point
 
-    out_dir = Path(args.out if args.out is not None else config.out_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(out_dir / "reference.pgm", render_reference(config.intrinsics).pixels)
     write_pgm(out_dir / "contact.pgm", render_contact(indenter, config.geometry, config.intrinsics).pixels)
@@ -109,10 +109,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
     seed = _seed(args)
     config = _session_config(args)
-    out_dir = Path(args.out_dir if args.out_dir is not None else config.out_dir)
-    noise = args.noise if args.noise is not None else config.noise_sigma
+    out_dir = Path(args.out_dir)
     generate_protocol_dataset(
-        out_dir, config.geometry, config.intrinsics, noise_sigma=noise, seed=seed
+        out_dir, config.geometry, config.intrinsics, noise_sigma=args.noise, seed=seed
     )
     print(str(out_dir / "manifest.json"))
     return 0
@@ -252,7 +251,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_blocksworld(args: argparse.Namespace) -> int:
-    _session_config(args)  # validates --config; no key affects the simulation
     kinds = (
         [PolicyKind.CONTROL, PolicyKind.RG, PolicyKind.RGTR]
         if args.policy == "all"
@@ -303,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, config: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON configuration file")
+        if config:
+            p.add_argument("--config", default=None, help="JSON configuration file")
         p.set_defaults(func=func)
         return p
 
@@ -314,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     pose = p.add_mutually_exclusive_group(required=True)
     pose.add_argument("--rotation", type=float, default=None, help="tip rotation (radians)")
     pose.add_argument("--translation", type=float, default=None, help="side offset (mm)")
-    p.add_argument("--out", default=None, help="output directory (default from config)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
 
     p = add("dataset", cmd_dataset, "render the full contact protocol with manifest")
-    p.add_argument("--out-dir", default=None, help="output directory (default from config)")
-    p.add_argument("--noise", type=float, default=None, help="pixel noise sigma (default 0)")
+    p.add_argument("--out-dir", default="out", help="output directory (default: out)")
+    p.add_argument("--noise", type=float, default=0.0, help="pixel noise sigma (default: 0)")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("localize", cmd_localize, "localize every manifest entry and tabulate errors")
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("calibrate", cmd_calibrate, "fit intrinsics from a u,v,x,y,z CSV")
     p.add_argument("csv", help="correspondence CSV with header u,v,x,y,z")
 
-    p = add("blocksworld", cmd_blocksworld, "Monte-Carlo grasping statistics")
+    p = add("blocksworld", cmd_blocksworld, "Monte-Carlo grasping statistics", config=False)
     p.add_argument("--policy", required=True, choices=["control", "rg", "rgtr", "all"])
     p.add_argument("-n", "--n-boards", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

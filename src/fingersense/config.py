@@ -1,4 +1,4 @@
-"""JSON-backed session configuration shared by every CLI command.
+"""JSON-backed sensor and detector settings for the commands that take ``--config``.
 
 Keys carry their units in the name (``r_mm``, ``alpha_px``) so a config file
 is self-describing.  Every key is optional — omitted keys fall back to the
@@ -9,7 +9,6 @@ so a typo cannot silently leave a setting at its default.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,15 +41,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Settings for one command invocation."""
+    """The sensor and the detector of one command invocation."""
 
     geometry: SensorGeometry = SensorGeometry()
     intrinsics: CameraIntrinsics = CameraIntrinsics()
     sigma_px: float = DEFAULT_SIGMA_PX  # smoothing kernel for detection
     threshold: float = DEFAULT_THRESHOLD  # difference-intensity cut
     min_area_px: int = DEFAULT_MIN_AREA_PX  # smallest accepted blob
-    noise_sigma: float = 0.0  # synthetic-dataset pixel noise
-    out_dir: str = "out"  # default output directory
 
     def __post_init__(self) -> None:
         for key, value, low, high in (
@@ -58,7 +55,6 @@ class SessionConfig:
             ("d_mm", self.geometry.d, 0, MAX_SCALE),
             ("alpha_px", self.intrinsics.alpha, 1 / MAX_SCALE, MAX_SCALE),
             ("sigma_px", self.sigma_px, 0, MAX_SIGMA_PX),
-            ("noise_sigma", self.noise_sigma, 0, math.inf),
         ):
             if not low <= value <= high:  # NaN fails too
                 raise ConfigError(f"{key} must be in [{low:g}, {high:g}], got {value}")
@@ -84,8 +80,6 @@ class SessionConfig:
             "sigma_px": self.sigma_px,
             "threshold": self.threshold,
             "min_area_px": self.min_area_px,
-            "noise_sigma": self.noise_sigma,
-            "out_dir": self.out_dir,
         }
 
     @classmethod
@@ -96,10 +90,7 @@ class SessionConfig:
             raise ConfigError(f"unknown configuration keys: {', '.join(map(repr, unknown))}")
         merged = {**defaults, **data}
         for key, value in merged.items():
-            if key == "out_dir":
-                if not isinstance(value, str):
-                    raise ConfigError(f"{key} must be a string, got {value!r}")
-            elif key in ("width_px", "height_px", "min_area_px"):
+            if key in ("width_px", "height_px", "min_area_px"):
                 # bool is an int subclass; exclude it explicitly.
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -120,8 +111,6 @@ class SessionConfig:
                 sigma_px=merged["sigma_px"],
                 threshold=merged["threshold"],
                 min_area_px=merged["min_area_px"],
-                noise_sigma=merged["noise_sigma"],
-                out_dir=merged["out_dir"],
             )
         except ValueError as exc:  # constituent invariant violated
             raise ConfigError(str(exc)) from exc

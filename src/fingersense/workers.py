@@ -5,11 +5,13 @@ forks one worker per usable CPU, at most one per item, each with its own
 pipe.  The split is static: worker ``w`` of ``n`` runs items ``w, w + n,
 ...`` in order, then pickles their outcomes into its pipe in one message.
 An outcome is ``job(item)`` or the ``Exception`` it raised, so the caller
-decides in item order what an error means.  Forked workers inherit ``job``
-with the rest of the parent's memory: only outcomes are pickled and nothing
-is imported again.  The map starts no thread, so a caller with no other
-thread forks none that could hold a lock.  With one CPU, one item or no
-``os.fork``, the jobs run inline through the same outcome loop.
+decides in item order what an error means; one raised in a worker arrives
+with that worker's traceback, as text, in a ``WorkerTraceback`` that is its
+``__cause__``.  Forked workers inherit ``job`` with the rest of the parent's
+memory: only outcomes are pickled and nothing is imported again.  The map
+starts no thread, so a caller with no other thread forks none that could
+hold a lock.  With one CPU, one item or no ``os.fork``, the jobs run inline
+through the same outcome loop.
 """
 
 from __future__ import annotations
@@ -37,12 +39,35 @@ def _outcomes(job, items) -> list:
     return outcomes
 
 
+class WorkerTraceback(Exception):
+    """The traceback, formatted in a worker process, of an exception its job raised."""
+
+
+def _caused(exc: Exception, text: str) -> Exception:
+    exc.__cause__ = WorkerTraceback(text)
+    return exc
+
+
+class _Raised:
+    """A job's exception in a worker, which unpickles with its traceback as its cause."""
+
+    def __init__(self, exc: Exception) -> None:
+        import traceback  # only a worker whose job raised needs it
+
+        self.exc = exc
+        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    def __reduce__(self):
+        return _caused, (self.exc, self.text)
+
+
 def _work(job, items, pipe: int) -> None:
     """Pickle the outcomes into ``pipe``, then leave, with status 0 once all is written."""
     status = 1
     try:
+        outcomes = [_Raised(o) if isinstance(o, Exception) else o for o in _outcomes(job, items)]
         with open(pipe, "wb") as out:
-            pickle.dump(_outcomes(job, items), out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(outcomes, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)  # so the inherited stdio buffers and atexit handlers never run twice

@@ -76,24 +76,20 @@ def test_config_rejects_invalid_values(tmp_path):
     path.write_text('{"width_px": 19.5}')
     with pytest.raises(ConfigError):
         load_config(path)
-    path.write_text('{"out_dir": 3}')
-    with pytest.raises(ConfigError):
-        load_config(path)
     # Out of scale: overflows in geometry, or a smoothing kernel of 6e8 taps.
     for text in ('{"r_mm": 1e7}', '{"r_mm": 1e-7}', '{"alpha_px": 1e300, "d_mm": 10.0}',
                  '{"alpha_px": 5e-324}', '{"d_mm": 1e200}', '{"sigma_px": 1e8}'):
         path.write_text(text)
         with pytest.raises(ConfigError, match=f"^{path}: (r_mm|d_mm|alpha_px|sigma_px) must be"):
             load_config(path)
-    for nan_key in ("sigma_px", "noise_sigma"):
-        with pytest.raises(ConfigError, match=nan_key):
-            SessionConfig(**{nan_key: math.nan})
+    with pytest.raises(ConfigError, match="sigma_px"):
+        SessionConfig(sigma_px=math.nan)
 
 
 @pytest.mark.parametrize(
     "text, key",
     [
-        ('{"noise_sigma": NaN}', "noise_sigma"),
+        ('{"threshold": NaN}', "threshold"),
         ('{"d_mm": NaN}', "d_mm"),
         ('{"sigma_px": Infinity}', "sigma_px"),
         ('{"alpha_px": -Infinity}', "alpha_px"),
@@ -341,12 +337,19 @@ def test_dataset_rejects_invalid_noise(tmp_path, capsys, noise):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_dataset_rejects_nan_noise_in_config(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("noise_sigma", 2.0), ("out_dir", "ds")])
+def test_config_refuses_the_settings_that_flags_carry(tmp_path, capsys, key, value):
+    # --noise and --out-dir set these; the configuration holds only the
+    # sensor and the detector.
     config_path = tmp_path / "config.json"
-    config_path.write_text('{"noise_sigma": NaN}')
-    code = main(["dataset", "--config", str(config_path), "--out-dir", str(tmp_path / "ds")])
+    config_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "ds"
+    code = main(["dataset", "--config", str(config_path), "--out-dir", str(out)])
     assert code == 1
-    assert "noise_sigma must be finite" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config_path}: unknown configuration keys: {key!r}\n"
+    assert not out.exists()
 
 
 def test_dataset_unwritable_image_fails_with_one_line(tmp_path, capsys):
@@ -947,13 +950,12 @@ def test_blocksworld_all_prints_comparison(capsys):
     assert float(table["rg"][oracle_col]) == pytest.approx(0.2373046875)
 
 
-def test_blocksworld_reads_config(tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    assert main(["blocksworld", "--policy", "rg", "-n", "10", "--config", str(missing)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot read configuration {missing}: ")
-    assert captured.err.count("\n") == 1
+def test_blocksworld_takes_no_config(tmp_path, capsys):
+    # No configuration key affects the simulation, so the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["blocksworld", "--policy", "rg", "-n", "10", "--config", str(tmp_path / "c.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_blocksworld_unknown_policy_is_usage_error():
@@ -1016,8 +1018,7 @@ def small_frame_configs(draw) -> dict:
         "cx_px": draw(st.floats(0.0, 1.0)) * width,
         "cy_px": draw(st.floats(0.0, 1.0)) * height,
     }
-    for key in ("r_mm", "d_mm", "alpha_px", "cx_px", "cy_px", "sigma_px", "threshold",
-                "noise_sigma"):
+    for key in ("r_mm", "d_mm", "alpha_px", "cx_px", "cy_px", "sigma_px", "threshold"):
         if draw(st.booleans()):
             config[key] = draw(extreme_floats)
     if draw(st.booleans()):
@@ -1075,7 +1076,8 @@ def test_every_command_exits_cleanly_on_random_input(tmp_path_factory, small_dat
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
         warnings.simplefilter("error")  # any warning escapes main as an exception
-        code = main([name, "--config", str(work / "config.json"), *argv])
+        config = [] if name == "blocksworld" else ["--config", str(work / "config.json")]
+        code = main([name, *config, *argv])
     lines = stderr.getvalue().splitlines()
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     errors = sum(line.startswith("error: ") for line in lines)

@@ -1,9 +1,11 @@
-"""The package holds only code that a command reaches."""
+"""The package holds only code that a command reaches, and only settings that code reads."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import fingersense
+from fingersense.config import SessionConfig
 
 PACKAGE = Path(fingersense.__file__).parent
 
@@ -103,3 +105,51 @@ def test_every_parameter_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         unread |= _unread_parameters(path.read_text(), path.stem)
     assert unread == set()
+
+
+def test_every_config_field_is_read_outside_config():
+    # A field only config.py reads is a setting that changes nothing.  Any
+    # attribute of the field's name counts, which can only count too much.
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "config":
+            read |= {
+                sub.attr
+                for sub in ast.walk(ast.parse(path.read_text()))
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            }
+    assert {field.name for field in dataclasses.fields(SessionConfig)} - read == set()
+
+
+def _discarded_configs(source: str) -> set[str]:
+    """Each ``cmd_*`` function with a ``_session_config`` call whose result it never reads.
+
+    A call is read when it is part of a larger expression or assigned to a
+    name that the function reads.
+    """
+    discarded = set()
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        nodes = list(ast.walk(node))
+        read = {sub.id for sub in nodes if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for sub in nodes:
+            if (
+                isinstance(sub, (ast.Expr, ast.Assign))
+                and isinstance(sub.value, ast.Call)
+                and getattr(sub.value.func, "id", None) == "_session_config"
+                and not any(getattr(t, "id", None) in read for t in getattr(sub, "targets", []))
+            ):
+                discarded.add(node.name)
+    return discarded
+
+
+def test_every_command_that_loads_the_config_uses_it():
+    sample = (
+        "def cmd_a(args):\n    _session_config(args)\n"
+        "def cmd_b(args):\n    config = _session_config(args)\n"
+        "def cmd_c(args):\n    config = _session_config(args)\n    return config.r\n"
+        "def cmd_d(args):\n    return run(_session_config(args))\n"
+    )
+    assert _discarded_configs(sample) == {"cmd_a", "cmd_b"}
+    assert _discarded_configs((PACKAGE / "cli.py").read_text()) == set()

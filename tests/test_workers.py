@@ -4,13 +4,17 @@ import os
 import signal
 import threading
 import time
+import traceback
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fingersense import workers
+from fingersense import imaging, workers
+from fingersense.cli import main
+from fingersense.geometry import CameraIntrinsics, SensorGeometry
+from fingersense.render import generate_protocol_dataset
 from fingersense.workers import map_forked
 
 from conftest import counted_forks
@@ -50,6 +54,54 @@ def test_a_job_error_is_that_items_outcome(monkeypatch, forks, cpus):
     assert [type(o) for o in outcomes] == [int, RuntimeError, int, int, RuntimeError, int]
     assert [str(o) for o in outcomes] == ["0", "item 1 broke", "2", "3", "item 4 broke", "5"]
     assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_job_error_keeps_its_traceback(monkeypatch, forks, cpus):
+    # From a worker the traceback comes as the text of the error's cause;
+    # inline the error keeps its own.  The message and notes stay as raised.
+    def broken_job(item: int) -> int:
+        exc = RuntimeError(f"item {item} broke")
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(f"note {item}")
+        raise exc
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    outcomes = map_forked(broken_job, range(2))
+    for item, exc in enumerate(outcomes):
+        assert type(exc) is RuntimeError and str(exc) == f"item {item} broke"
+        assert getattr(exc, "__notes__", [f"note {item}"]) == [f"note {item}"]
+        if cpus == 2:
+            assert type(exc.__cause__) is workers.WorkerTraceback
+            text = str(exc.__cause__)
+            assert ", in broken_job\n" in text and f"\nRuntimeError: item {item} broke\n" in text
+            assert exc.__traceback__ is None
+        else:
+            assert exc.__cause__ is None
+            assert traceback.extract_tb(exc.__traceback__)[-1].name == "broken_job"
+    assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
+
+
+def test_a_worker_error_main_does_not_catch_keeps_its_traceback(tmp_path, monkeypatch):
+    # localize returns a job's ValueError or OSError as text; any other error
+    # ends the command and leaves main as raised, with the worker's traceback.
+    intrinsics = CameraIntrinsics(alpha=20.0, cx=32.0, cy=24.0, width=64, height=48)
+    generate_protocol_dataset(tmp_path, SensorGeometry(), intrinsics, noise_sigma=2.0, seed=0)
+    (tmp_path / "small.json").write_text(
+        '{"width_px": 64, "height_px": 48, "alpha_px": 20.0, "cx_px": 32.0, "cy_px": 24.0}'
+    )
+
+    def failing_localize_frame(reference, frame, config):
+        raise RuntimeError("detector bug")
+
+    monkeypatch.setattr(imaging, "localize_frame", failing_localize_frame)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    argv = ["localize", "--config", str(tmp_path / "small.json"), "--manifest", str(tmp_path / "manifest.json")]
+    with pytest.raises(RuntimeError, match="^detector bug$") as exc, counted_forks() as forks:
+        main(argv)
+    assert type(exc.value.__cause__) is workers.WorkerTraceback
+    assert ", in failing_localize_frame\n" in str(exc.value.__cause__)
+    assert len(forks) == 2 and forks.reaped()
 
 
 @pytest.mark.parametrize(
