@@ -212,15 +212,3 @@ def exact_metrics(kind: PolicyKind) -> RunMetrics:
 
     totals = (fail_total, attempts_total, collisions_total)
     return RunMetrics(*(float(total / N_COLUMNS) for total in totals), n_blocks=0)
-
-
-def metrics_to_json_dict(metrics: RunMetrics, policy: PolicyKind, seed: int) -> dict:
-    """The JSON shape used by the command-line report."""
-    return {
-        "policy": policy.value,
-        "n_blocks": metrics.n_blocks,
-        "failure_rate": metrics.failure_rate,
-        "attempts_per_block": metrics.attempts_per_block,
-        "collisions_per_block": metrics.collisions_per_block,
-        "seed": seed,
-    }

@@ -27,23 +27,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .blocksworld import (
     HARDWARE_TABLE,
     PolicyKind,
     exact_metrics,
-    metrics_to_json_dict,
     run_batch,
 )
 from .calibration import fit_intrinsics, load_correspondences, solve_alpha
 from .config import SessionConfig, load_config
-from .geometry import OBJECT_ORDER, ContactPose
-
-if TYPE_CHECKING:
-    from .imaging import GroupStats
+from .geometry import OBJECT_ORDER, ContactPose, PoseKind
 
 
 def _session_config(args: argparse.Namespace) -> SessionConfig:
@@ -121,26 +119,36 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 # localize
 
 
+def _pose_label(translation: bool, value: float) -> str:
+    """A ``by_pose.csv`` label; -0.0 and 0.0 share one, and with it the hardware values."""
+    value += 0.0  # -0.0 + 0.0 is 0.0
+    if translation:
+        return f"translation {value:g}"
+    # Protocol angles are simple fractions of pi; label them as such.
+    for name, angle in (("0", 0.0), ("pi/6", math.pi / 6), ("pi/4", math.pi / 4), ("pi/3", math.pi / 3)):
+        if math.isclose(value, angle, abs_tol=1e-12):
+            return f"rotation {name}"
+    return f"rotation {value:g}"
+
+
 def _write_group_csv(
-    path: Path, key_column: str, stats: list[GroupStats], hardware: dict[str, tuple[float, float]]
+    path: Path, key_column: str, groups, hardware: dict[str, tuple[float, float]]
 ) -> None:
+    """One row per ``(label, errors)`` group: mean, sample std (0.0 for one error) and count."""
     lines = [f"{key_column},mean_mm,std_mm,count,hardware_mean_mm,hardware_std_mm"]
-    for s in stats:
-        hw = hardware.get(s.label)
+    for label, errors in groups:
+        std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
+        hw = hardware.get(label)
         hw_mean, hw_std = (_fmt(hw[0]), _fmt(hw[1])) if hw else ("", "")
-        lines.append(f"{s.label},{_fmt(s.mean)},{_fmt(s.std)},{s.count},{hw_mean},{hw_std}")
+        lines.append(f"{label},{_fmt(np.mean(errors))},{_fmt(std)},{len(errors)},{hw_mean},{hw_std}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .imaging import (
         HARDWARE_ERRORS_BY_OBJECT,
         HARDWARE_ERRORS_BY_POSE,
-        ErrorRecord,
         TactileImage,
-        aggregate_errors,
         localization_error,
         localize_frame,
     )
@@ -155,7 +163,6 @@ def cmd_localize(args: argparse.Namespace) -> int:
         raise ValueError(f"manifest {manifest_path} lists no entries")
     base = manifest_path.parent
 
-    records: list[ErrorRecord] = []
     rows = ["object,pose_kind,pose_value,error_mm"]
     reference_path = reference = pixels = None
 
@@ -191,31 +198,37 @@ def cmd_localize(args: argparse.Namespace) -> int:
     for outcome in outcomes:  # an error ``localized`` did not return as text ends the command first
         if isinstance(outcome, Exception):
             raise outcome
+    # Each group's errors in manifest order; objects in order of first appearance.
+    errors: list[float] = []
+    by_pose: dict[tuple[bool, float], list[float]] = {}
+    by_object: dict[str, list[float]] = {}
     for entry, outcome in zip(entries, outcomes):
         row = f"{entry.object_label},{entry.pose.kind.value},{_fmt(entry.pose.value)}"
         if isinstance(outcome, str):
             print(f"warning: {entry.frame}: {outcome}", file=sys.stderr)
             rows.append(f"{row},nan")
         else:
-            records.append(ErrorRecord(entry.object_label, entry.pose, outcome))
+            errors.append(outcome)
+            by_pose.setdefault((entry.pose.kind is not PoseKind.ROTATION, entry.pose.value), []).append(outcome)
+            by_object.setdefault(entry.object_label, []).append(outcome)
             rows.append(f"{row},{_fmt(outcome)}")
 
     (base / "errors.csv").write_text("\n".join(rows) + "\n")
-    if not records:
+    if not errors:
         print("error: no entry could be localized", file=sys.stderr)
         return 1
 
-    by_pose, by_object = aggregate_errors(records)
-    _write_group_csv(base / "by_pose.csv", "pose", by_pose, HARDWARE_ERRORS_BY_POSE)
-    _write_group_csv(base / "by_object.csv", "object", by_object, HARDWARE_ERRORS_BY_OBJECT)
+    # Rotations, then translations, each by value: one row per key, even where two labels print alike.
+    poses = [(_pose_label(*key), by_pose[key]) for key in sorted(by_pose)]
+    _write_group_csv(base / "by_pose.csv", "pose", poses, HARDWARE_ERRORS_BY_POSE)
+    _write_group_csv(base / "by_object.csv", "object", by_object.items(), HARDWARE_ERRORS_BY_OBJECT)
 
-    mean_error = sum(r.error_mm for r in records) / len(records)
     print(
         json.dumps(
             {
                 "n_entries": len(entries),
-                "n_detected": len(records),
-                "mean_error_mm": mean_error,
+                "n_detected": len(errors),
+                "mean_error_mm": sum(errors) / len(errors),
             }
         )
     )
@@ -261,7 +274,18 @@ def cmd_blocksworld(args: argparse.Namespace) -> int:
     for kind in kinds:
         metrics = run_batch(kind, args.n_boards, seed=seed)
         simulated[kind] = metrics
-        print(json.dumps(metrics_to_json_dict(metrics, kind, seed)))
+        print(
+            json.dumps(
+                {
+                    "policy": kind.value,
+                    "n_blocks": metrics.n_blocks,
+                    "failure_rate": metrics.failure_rate,
+                    "attempts_per_block": metrics.attempts_per_block,
+                    "collisions_per_block": metrics.collisions_per_block,
+                    "seed": seed,
+                }
+            )
+        )
 
     if args.policy == "all":
         lines = [

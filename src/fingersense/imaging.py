@@ -29,7 +29,7 @@ import numpy as np
 # The detection defaults are config's; perfbench/run.py reads DEFAULT_SIGMA_PX
 # and DEFAULT_THRESHOLD from this module.
 from .config import DEFAULT_SIGMA_PX, DEFAULT_THRESHOLD, MAX_SIGMA_PX, SessionConfig
-from .geometry import ContactPose, PixelCoord, PoseKind, SurfacePoint, _as_xyz, back_project
+from .geometry import PixelCoord, SurfacePoint, _as_xyz, back_project
 
 # Frame rows that detection reads, bounds or smooths at once: taller bands
 # make fewer ufunc calls but hold larger buffers.  At noise 16 on 2 vCPUs, 32
@@ -131,23 +131,6 @@ class ContactBlob:
 class ContactEstimate:
     pixel: PixelCoord
     point: SurfacePoint
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """One localisation trial: which object, which pose, what 3D error."""
-
-    object_label: str
-    pose: ContactPose
-    error_mm: float
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    label: str
-    mean: float
-    std: float  # sample std (ddof 1); 0.0 for singleton groups
-    count: int
 
 
 def _check_same_size(ref: TactileImage, frame: TactileImage) -> None:
@@ -550,48 +533,3 @@ def localization_error(e: ContactEstimate, truth) -> float:
     x, y, z = _as_xyz(truth)
     dx, dy, dz = e.point.x - x, e.point.y - y, e.point.z - z
     return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def _pose_label(pose: ContactPose) -> str:
-    if pose.kind is PoseKind.ROTATION:
-        # Protocol angles are simple fractions of pi; label them as such.
-        for name, angle in (("0", 0.0), ("pi/6", math.pi / 6), ("pi/4", math.pi / 4),
-                            ("pi/3", math.pi / 3)):
-            if math.isclose(pose.value, angle, abs_tol=1e-12):
-                return f"rotation {name}"
-        return f"rotation {pose.value:g}"
-    return f"translation {pose.value:g}"
-
-
-def _group_stats(label: str, errors: list[float]) -> GroupStats:
-    mean = float(np.mean(errors))
-    std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
-    return GroupStats(label, mean, std, len(errors))
-
-
-def aggregate_errors(
-    records: list[ErrorRecord],
-) -> tuple[list[GroupStats], list[GroupStats]]:
-    """Mean +/- sample std per pose and per object.
-
-    Returns (by_pose, by_object): poses ordered rotations first then
-    translations, each by increasing pose value; objects in first-appearance
-    order, which for protocol datasets is the canonical object order.
-    """
-    if not records:
-        raise ValueError("cannot aggregate an empty record list")
-
-    by_pose: dict[tuple[int, float], list[float]] = {}
-    by_object: dict[str, list[float]] = {}
-    pose_labels: dict[tuple[int, float], str] = {}
-    for rec in records:
-        pose_key = (0 if rec.pose.kind is PoseKind.ROTATION else 1, rec.pose.value)
-        by_pose.setdefault(pose_key, []).append(rec.error_mm)
-        pose_labels[pose_key] = _pose_label(rec.pose)
-        by_object.setdefault(rec.object_label, []).append(rec.error_mm)
-
-    pose_stats = [
-        _group_stats(pose_labels[key], by_pose[key]) for key in sorted(by_pose)
-    ]
-    object_stats = [_group_stats(label, errs) for label, errs in by_object.items()]
-    return pose_stats, object_stats

@@ -1,5 +1,6 @@
 """Tests for the grasping simulation and its exact-expectation oracle."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -14,11 +15,11 @@ from fingersense.blocksworld import (
     RunMetrics,
     _play,
     exact_metrics,
-    metrics_to_json_dict,
     outcome_table,
     replay_policy,
     run_batch,
 )
+from fingersense.cli import main
 from oracle import batch_distribution
 
 # Closed-form expectations for the default 5-attempt cap, derived by hand:
@@ -285,16 +286,17 @@ def test_run_metrics_validation():
         RunMetrics(0.0, 1.0, -0.1, 4)
 
 
-def test_metrics_json_shape():
-    payload = metrics_to_json_dict(run_batch(PolicyKind.RG, 10, seed=0), PolicyKind.RG, 0)
-    assert set(payload) == {
+def test_metrics_json_shape(capsys):
+    assert main(["blocksworld", "--policy", "rg", "-n", "10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
         "policy",
         "n_blocks",
         "failure_rate",
         "attempts_per_block",
         "collisions_per_block",
         "seed",
-    }
+    ]
     assert payload["policy"] == "rg"
     assert payload["n_blocks"] == 40
 

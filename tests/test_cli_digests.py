@@ -6,6 +6,7 @@ A change that alters an output on purpose updates ``RECORDED`` and says so in
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,10 @@ RECORDED = {
     "noise16/errors.csv": "ccfd9b0cc30e6791d11d888164d86fb4e5c21275b01853c904185a1dc47bb5f7",
     "noise16/by_pose.csv": "c8e55d5dae72774b41e769ded5f61acff930e3c57d6042835ac4cb867e8718e5",
     "noise16/by_object.csv": "40ba9361e843ed70ab1e509fd29ec1213c241b887188984e0c8d018bfe0668b4",
+    "localize shuffled": "6bcb322b565d3a21f3694fb78fe7b244a8907153aba5beec30843fc5bd47a600",
+    "noise2 shuffled/errors.csv": "10de0552cc8d6fcdeb326c934bca911d083350b175f919e256ff81d6fa1deca4",
+    "noise2 shuffled/by_pose.csv": "9d49364fb7b06f1c7ad76db6a27c87df513c80dccad003af90752b47d2c95c50",
+    "noise2 shuffled/by_object.csv": "f9f97503a6173ff6f7fe3415e7c4916855cbed4362ac42b3dcd7f3cd32c5294d",
     "render": "34430a7e8cdc24c0ed4c2bbab34d945dfe444b87166ff2c099cc008027c1274b",
     "one/reference.pgm": "c07efa189dff31758e26b55a630acce3c9f2285f3c16c7d1f85f5e4a743d181c",
     "one/contact.pgm": "b98c2e749960242b69e190dca939059f4c3f27e48d0ac87900a8858daee7a69b",
@@ -71,6 +76,17 @@ def _digests(capsys) -> dict[str, str]:
         digests[f"{out}/*.pgm"] = _sha("".join(f"{n} {_sha((out / n).read_bytes())}\n" for n in frames).encode())
         for name in ("manifest.json", "errors.csv", "by_pose.csv", "by_object.csv"):
             digests[f"{out}/{name}"] = _sha((out / name).read_bytes())
+    # The noise-2 manifest shuffled, with one frame missing (a nan row and a
+    # warning) and tube cut to one entry (a group of one).
+    entries = json.loads(Path("noise2/manifest.json").read_text())
+    random.Random(3).shuffle(entries)
+    tube = next(e for e in entries if e["object"] == "tube")
+    entries = [e for e in entries if e["object"] != "tube" or e is tube]
+    next(e for e in entries if e["object"] != "tube")["frame"] = "missing.pgm"
+    Path("noise2/shuffled.json").write_text(json.dumps(entries))
+    run("localize shuffled", ["localize", *config, "--manifest", "noise2/shuffled.json"])
+    for name in ("errors.csv", "by_pose.csv", "by_object.csv"):
+        digests[f"noise2 shuffled/{name}"] = _sha(Path("noise2", name).read_bytes())
     run("render", ["render", *config, "--object", "sphere", "--rotation", "0.5235987755982988", "--out", "one"])
     for name in ("reference.pgm", "contact.pgm"):
         digests[f"one/{name}"] = _sha(Path("one", name).read_bytes())

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -487,6 +488,70 @@ def test_localize_missing_frame_writes_nan_row(tmp_path, capsys, protocol_datase
     rows = (tmp_path / "errors.csv").read_text().splitlines()
     assert rows[1].endswith(",nan")
     assert json.loads(captured.out)["n_detected"] == 55
+
+
+def test_localize_group_tables_follow_errors_csv(tmp_path, capsys, protocol_dataset):
+    # A shuffled manifest with one frame missing (a nan row) and tube cut to
+    # one entry (a group of one).
+    out_dir, _ = protocol_dataset
+    payload = json.loads((out_dir / "manifest.json").read_text())
+    random.Random(5).shuffle(payload)
+    tube = next(e for e in payload if e["object"] == "tube")
+    payload = [e for e in payload if e["object"] != "tube" or e is tube]
+    next(e for e in payload if e["object"] != "tube")["frame"] = "missing.pgm"
+    for image in out_dir.glob("*.pgm"):
+        (tmp_path / image.name).symlink_to(image)
+    (tmp_path / "manifest.json").write_text(json.dumps(payload))
+    assert main(["localize", "--manifest", str(tmp_path / "manifest.json")]) == 0
+    assert "missing.pgm" in capsys.readouterr().err
+
+    def table(name: str) -> list[dict]:
+        with (tmp_path / name).open(newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    rows = table("errors.csv")
+    assert [row["object"] for row in rows] == [e["object"] for e in payload]
+    detected = [row for row in rows if row["error_mm"] != "nan"]
+    assert len(detected) == len(rows) - 1
+    by_object, by_pose = {}, {}  # each group's errors in manifest order
+    for row in detected:
+        error = float(row["error_mm"])
+        by_object.setdefault(row["object"], []).append(error)
+        by_pose.setdefault((row["pose_kind"] == "translation", float(row["pose_value"])), []).append(error)
+
+    def check(group_rows: list[dict], groups: list[list[float]]) -> None:
+        assert [int(row["count"]) for row in group_rows] == [len(errors) for errors in groups]
+        for row, errors in zip(group_rows, groups):
+            assert float(row["mean_mm"]) == np.mean(errors)
+            assert float(row["std_mm"]) == (np.std(errors, ddof=1) if len(errors) > 1 else 0.0)
+
+    objects = table("by_object.csv")
+    assert [row["object"] for row in objects] == list(by_object)  # by first appearance
+    assert by_object["tube"] == [float(next(row for row in rows if row["object"] == "tube")["error_mm"])]
+    check(objects, list(by_object.values()))
+    poses = table("by_pose.csv")
+    # Rotations, then translations, each by value; every protocol pose is a hardware row.
+    assert [row["pose"] for row in poses] == list(imaging.HARDWARE_ERRORS_BY_POSE)
+    check(poses, [by_pose[key] for key in sorted(by_pose)])
+
+
+def test_localize_labels_minus_zero_as_zero(tmp_path, capsys, protocol_dataset):
+    # The label once came from the group's last record: a -0.0 on slab, the
+    # last object, gave "translation -0" with blank hardware columns.
+    out_dir, _ = protocol_dataset
+    payload = json.loads((out_dir / "manifest.json").read_text())
+    slab = next(e for e in payload if e["object"] == "slab" and e["pose_kind"] == "translation")
+    assert slab["pose_value"] == 0.0
+    slab["pose_value"] = -0.0
+    for image in out_dir.glob("*.pgm"):
+        (tmp_path / image.name).symlink_to(image)
+    (tmp_path / "manifest.json").write_text(json.dumps(payload))
+    assert main(["localize", "--manifest", str(tmp_path / "manifest.json")]) == 0
+    capsys.readouterr()
+    assert "slab,translation,-0.0," in (tmp_path / "errors.csv").read_text()  # the manifest's value
+    by_pose = (tmp_path / "by_pose.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in by_pose[1:]] == list(imaging.HARDWARE_ERRORS_BY_POSE)
+    assert next(line for line in by_pose if line.startswith("translation 0,")).endswith(",7,7.87,5.08")
 
 
 def test_localize_refuses_frames_of_another_camera(tmp_path, capsys, small_dataset):

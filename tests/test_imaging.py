@@ -26,9 +26,7 @@ from fingersense.imaging import (
     ContactBlob,
     ContactEstimate,
     DiffImage,
-    ErrorRecord,
     TactileImage,
-    aggregate_errors,
     detect_contacts,
     localization_error,
     localize_frame,
@@ -970,74 +968,7 @@ def test_error_is_a_metric():
 
 
 # ---------------------------------------------------------------------------
-# aggregation
-
-
-def records_for(errors_by_pose) -> list:
-    recs = []
-    for obj in ("cone", "sphere"):
-        for pose, err in errors_by_pose:
-            recs.append(ErrorRecord(obj, pose, err))
-    return recs
-
-
-def test_aggregate_constant_errors():
-    poses = [
-        (ContactPose.rotation(0.0), 2.0),
-        (ContactPose.rotation(math.pi / 6), 2.0),
-        (ContactPose.translation(5.0), 2.0),
-    ]
-    by_pose, by_object = aggregate_errors(records_for(poses))
-    assert all(g.mean == 2.0 and g.std == 0.0 for g in by_pose)
-    assert all(g.mean == 2.0 and g.std == 0.0 for g in by_object)
-    assert [g.label for g in by_object] == ["cone", "sphere"]
-
-
-def test_aggregate_sample_std():
-    recs = [
-        ErrorRecord("cone", ContactPose.rotation(0.0), 1.0),
-        ErrorRecord("cone", ContactPose.rotation(0.0), 3.0),
-    ]
-    by_pose, by_object = aggregate_errors(recs)
-    assert by_pose[0].mean == pytest.approx(2.0)
-    assert by_pose[0].std == pytest.approx(math.sqrt(2.0), abs=1e-3)  # 1.414
-    assert by_object[0].count == 2
-
-
-def test_aggregate_orders_rotations_before_translations():
-    recs = [
-        ErrorRecord("cone", ContactPose.translation(15.0), 1.0),
-        ErrorRecord("cone", ContactPose.translation(5.0), 1.0),
-        ErrorRecord("cone", ContactPose.rotation(math.pi / 4), 1.0),
-        ErrorRecord("cone", ContactPose.rotation(0.0), 1.0),
-    ]
-    by_pose, _ = aggregate_errors(recs)
-    assert [g.label for g in by_pose] == [
-        "rotation 0",
-        "rotation pi/4",
-        "translation 5",
-        "translation 15",
-    ]
-
-
-def test_aggregate_permutation_invariance():
-    rng = np.random.default_rng(23)
-    poses = [(ContactPose.rotation(v), float(e)) for v, e in zip((0.0, 0.5, 1.0), (1, 4, 9))]
-    recs = records_for(poses)
-    base = aggregate_errors(recs)
-    for _ in range(5):
-        shuffled = list(recs)
-        rng.shuffle(shuffled)
-        result = aggregate_errors(shuffled)
-        for got, want in zip(result[0], base[0]):
-            assert got.label == want.label
-            assert got.mean == pytest.approx(want.mean, rel=1e-12)
-            assert got.std == pytest.approx(want.std, rel=1e-12)
-
-
-def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValueError):
-        aggregate_errors([])
+# hardware tables
 
 
 def test_hardware_reference_tables_shape():
