@@ -1,7 +1,11 @@
 """Tests for the contact detection and localisation pipeline."""
 
+import csv
+import io
+import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from fingersense import imaging
+from fingersense import imaging, workers
+from fingersense.cli import main
 from fingersense.config import SessionConfig
 from fingersense.geometry import (
     CameraIntrinsics,
@@ -976,3 +981,96 @@ def test_hardware_reference_tables_shape():
     assert len(HARDWARE_ERRORS_BY_OBJECT) == 7
     assert HARDWARE_ERRORS_BY_OBJECT["cone"] == (3.63, 3.26)
     assert HARDWARE_ERRORS_BY_POSE["rotation pi/4"] == (1.04, 0.46)
+
+
+# ---------------------------------------------------------------------------
+# error tables: localize groups the pipeline's errors by pose and by object
+
+
+def group_tables(directory, monkeypatch, protocol_dataset, records) -> tuple[list[dict], list[dict]]:
+    """The rows of ``by_pose.csv`` and ``by_object.csv`` for ``(object, pose, error_mm)`` records.
+
+    Localisation is stubbed to give each entry's error, carried in its
+    ``truth_mm[0]``, so the tables hold exactly the chosen errors.
+    """
+    out_dir, _ = protocol_dataset
+    directory.mkdir()
+    (directory / "reference.pgm").symlink_to(out_dir / "reference.pgm")
+    manifest = [
+        {"object": obj, "pose_kind": pose.kind.value, "pose_value": pose.value, "reference": "reference.pgm",
+         "frame": "reference.pgm", "truth_mm": [error, 0.0, 0.0]}
+        for obj, pose, error in records
+    ]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(imaging, "localize_frame", lambda reference, frame, config: object())
+    monkeypatch.setattr(imaging, "localization_error", lambda estimate, truth_mm: truth_mm[0])
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # inline, so the stubs hold
+    with redirect_stdout(io.StringIO()):
+        assert main(["localize", "--manifest", str(directory / "manifest.json")]) == 0
+
+    def table(name: str) -> list[dict]:
+        with (directory / name).open(newline="") as fh:
+            return [
+                {**row, "mean_mm": float(row["mean_mm"]), "std_mm": float(row["std_mm"]), "count": int(row["count"])}
+                for row in csv.DictReader(fh)
+            ]
+
+    return table("by_pose.csv"), table("by_object.csv")
+
+
+def records_for(errors_by_pose) -> list:
+    return [(obj, pose, err) for obj in ("cone", "sphere") for pose, err in errors_by_pose]
+
+
+def test_aggregate_constant_errors(tmp_path, monkeypatch, protocol_dataset):
+    poses = [
+        (ContactPose.rotation(0.0), 2.0),
+        (ContactPose.rotation(math.pi / 6), 2.0),
+        (ContactPose.translation(5.0), 2.0),
+    ]
+    by_pose, by_object = group_tables(tmp_path / "run", monkeypatch, protocol_dataset, records_for(poses))
+    assert all(g["mean_mm"] == 2.0 and g["std_mm"] == 0.0 for g in by_pose)
+    assert all(g["mean_mm"] == 2.0 and g["std_mm"] == 0.0 for g in by_object)
+    assert [g["object"] for g in by_object] == ["cone", "sphere"]
+
+
+def test_aggregate_sample_std(tmp_path, monkeypatch, protocol_dataset):
+    recs = [
+        ("cone", ContactPose.rotation(0.0), 1.0),
+        ("cone", ContactPose.rotation(0.0), 3.0),
+    ]
+    by_pose, by_object = group_tables(tmp_path / "run", monkeypatch, protocol_dataset, recs)
+    assert by_pose[0]["mean_mm"] == pytest.approx(2.0)
+    assert by_pose[0]["std_mm"] == pytest.approx(math.sqrt(2.0), abs=1e-3)  # 1.414
+    assert by_object[0]["count"] == 2
+
+
+def test_aggregate_orders_rotations_before_translations(tmp_path, monkeypatch, protocol_dataset):
+    recs = [
+        ("cone", ContactPose.translation(15.0), 1.0),
+        ("cone", ContactPose.translation(5.0), 1.0),
+        ("cone", ContactPose.rotation(math.pi / 4), 1.0),
+        ("cone", ContactPose.rotation(0.0), 1.0),
+    ]
+    by_pose, _ = group_tables(tmp_path / "run", monkeypatch, protocol_dataset, recs)
+    assert [g["pose"] for g in by_pose] == [
+        "rotation 0",
+        "rotation pi/4",
+        "translation 5",
+        "translation 15",
+    ]
+
+
+def test_aggregate_permutation_invariance(tmp_path, monkeypatch, protocol_dataset):
+    rng = np.random.default_rng(23)
+    poses = [(ContactPose.rotation(v), float(e)) for v, e in zip((0.0, 0.5, 1.0), (1, 4, 9))]
+    recs = records_for(poses)
+    base = group_tables(tmp_path / "base", monkeypatch, protocol_dataset, recs)
+    for run in range(5):
+        shuffled = list(recs)
+        rng.shuffle(shuffled)
+        result = group_tables(tmp_path / f"run{run}", monkeypatch, protocol_dataset, shuffled)
+        for got, want in zip(result[0], base[0]):
+            assert got["pose"] == want["pose"]
+            assert got["mean_mm"] == pytest.approx(want["mean_mm"], rel=1e-12)
+            assert got["std_mm"] == pytest.approx(want["std_mm"], rel=1e-12)
