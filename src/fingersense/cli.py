@@ -15,12 +15,14 @@ completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
 it, so ``blocksworld`` and ``calibrate`` load none of it.  ``dataset`` and
-``localize`` run their frames through ``workers.map_forked``; ``dataset``'s
-workers write their own frames, and ``localize``'s calling process writes
-every row, warning and table in manifest order.  The two NumPy-only layers,
-``calibration`` and ``blocksworld``, are imported here: the per-layer trace
-of ``perfbench/traced.py`` looks every layer module up right after
-importing this one and ``imaging`` and ``render``.
+``localize`` run their frames through ``workers.map_forked``, which returns
+every frame's result or raises the first frame's error.  ``dataset``
+renames the frames its workers wrote only once all are written;
+``localize``'s calling process writes every row, warning and table in
+manifest order.  The two NumPy-only layers, ``calibration`` and
+``blocksworld``, are imported here: the per-layer trace of
+``perfbench/traced.py`` looks every layer module up right after importing
+this one and ``imaging`` and ``render``.
 """
 
 from __future__ import annotations
@@ -194,10 +196,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return str(exc)
 
-    outcomes = map_forked(localized, entries)
-    for outcome in outcomes:  # an error ``localized`` did not return as text ends the command first
-        if isinstance(outcome, Exception):
-            raise outcome
+    outcomes = map_forked(localized, entries)  # an error ``localized`` does not return as text ends the command
     # Each group's errors in manifest order; objects in order of first appearance.
     errors: list[float] = []
     by_pose: dict[tuple[bool, float], list[float]] = {}

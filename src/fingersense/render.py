@@ -493,8 +493,7 @@ def _add_noise(pixels: np.ndarray, noise: _NoiseTable | None, rng: np.random.Gen
     ``_buckets`` needs to draw the stream of ``rng.integers``.  That order is
     the stream's layout, so a seed gives the same bytes everywhere.  Each
     chunk's rows are read before they are written.  Touches nothing but
-    ``pixels`` and ``rng`` (``noise`` is only read), so frames with their own
-    generators can be noised at once.
+    ``pixels`` and ``rng``; ``noise`` is only read.
     """
     if noise is None:
         return
@@ -535,67 +534,64 @@ def generate_protocol_dataset(
     and from its own RNG stream split off the master seed, so a frame depends
     only on its pose, the seed and ``noise_sigma``, never on the CPU count.
 
-    Each frame is one job of ``workers.map_forked``: the job renders the
-    frame, builds its manifest entry, adds its noise and writes the PGM under
-    a temporary name in ``out_dir``, all in one frame buffer per process.
-    Only the entry, or the exception that stopped the frame, comes back.  The
-    calling process then renames the frames into place in protocol order, so
-    the frames before a failing render or write are written when its error is
-    raised, and none after it; every temporary file is removed first.
+    Every image's name, indenter and manifest entry is planned first, so a
+    pose the geometry cannot hold is refused before ``out_dir`` is made.
+    Each image is then one job of ``workers.map_forked``, which shades it,
+    adds its noise and writes the PGM under a temporary name in ``out_dir``,
+    all in one frame buffer per process, and returns nothing.  Only once
+    every image is written does the calling process remove the old
+    ``manifest.json`` and rename the images into place in protocol order, so
+    a failed render, write or worker renames none, and a failed rename
+    leaves no manifest; every temporary file is removed first.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
+    reference_name = "reference.pgm"
+    # (file name, indenter) of every image in stream order; the reference has no indenter.
+    images = [(reference_name, None)]
+    entries = []
+    for object_label in OBJECT_ORDER:
+        for pose_index, pose in enumerate(protocol_poses()):
+            name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
+            ind = default_indenter(object_label, pose, g)
+            truth = ind.contact_point
+            images.append((name, ind))
+            entries.append(ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z)))
+
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create dataset directory {out_dir}: {exc}") from exc
-
-    reference_name = "reference.pgm"
-    # (file name, object, pose) of every image in stream order; the reference has no object.
-    jobs = [(reference_name, None, None)] + [
-        (f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm", object_label, pose)
-        for object_label in OBJECT_ORDER
-        for pose_index, pose in enumerate(protocol_poses())
-    ]
-    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name, _, _ in jobs]
-    streams = np.random.SeedSequence(seed).spawn(len(jobs))
+    temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name, _ in images]
+    streams = np.random.SeedSequence(seed).spawn(len(images))
     noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
 
     pixels = None  # the frame of the process running the jobs, made at its first job
 
-    def frame(index: int) -> ManifestEntry | None:
-        """Make and write image ``index`` under its temporary name, and return its manifest entry."""
+    def frame(index: int) -> None:
+        """Make image ``index`` and write it under its temporary name."""
         nonlocal pixels
-        name, object_label, pose = jobs[index]
+        name, ind = images[index]
         if pixels is None:
             pixels = np.empty((k.height, k.width), dtype=np.uint8)
         pixels.fill(BACKGROUND_INTENSITY)
-        entry = None
-        if object_label is not None:
-            ind = default_indenter(object_label, pose, g)
-            truth = ind.contact_point
-            entry = ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z))
+        if ind is not None:
             _shade_imprint(ind, g, k, pixels)
         _add_noise(pixels, noise, np.random.default_rng(streams[index]))
         try:
             write_pgm(temps[index], pixels)
         except OSError as exc:
             raise _image_error(out_dir / name, exc) from exc
-        return entry
 
-    entries = []
     try:
-        outcomes = map_forked(frame, range(len(jobs)))
-        for (name, _, _), temp, outcome in zip(jobs, temps, outcomes):
-            if isinstance(outcome, Exception):
-                raise outcome
+        map_forked(frame, range(len(images)))
+        (out_dir / "manifest.json").unlink(missing_ok=True)  # so a failed rename leaves no manifest of mixed frames
+        for (name, _), temp in zip(images, temps):
             try:
                 os.replace(temp, out_dir / name)
             except OSError as exc:
                 raise _image_error(out_dir / name, exc) from exc
-            if outcome is not None:
-                entries.append(outcome)
     except BaseException:
         for temp in temps:
             with contextlib.suppress(OSError):

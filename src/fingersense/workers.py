@@ -1,17 +1,18 @@
 """One map of a job over items, on forked worker processes.
 
-``dataset`` and ``localize`` run their frames through ``map_forked``.  It
-forks one worker per usable CPU, at most one per item, each with its own
-pipe.  The split is static: worker ``w`` of ``n`` runs items ``w, w + n,
-...`` in order, then pickles their outcomes into its pipe in one message.
-An outcome is ``job(item)`` or the ``Exception`` it raised, so the caller
-decides in item order what an error means; one raised in a worker arrives
-with that worker's traceback, as text, in a ``WorkerTraceback`` that is its
-``__cause__``.  Forked workers inherit ``job`` with the rest of the parent's
-memory: only outcomes are pickled and nothing is imported again.  The map
-starts no thread, so a caller with no other thread forks none that could
-hold a lock.  With one CPU, one item or no ``os.fork``, the jobs run inline
-through the same outcome loop.
+``dataset`` and ``localize`` run their frames through ``map_forked``, which
+returns ``[job(item) for item in items]`` or raises what that would: the
+exception of the first failing item in item order.  It forks one worker per
+usable CPU, at most one per item, each with its own pipe.  The split is
+static: worker ``w`` of ``n`` runs items ``w, w + n, ...`` in order up to its
+first failing item, then pickles their results and that item's exception
+into its pipe in one message, so every item before the first failing one
+has run.  An exception raised in a worker arrives with that worker's
+traceback, as text, in a ``WorkerTraceback`` that is its ``__cause__``.
+Forked workers inherit ``job`` with the rest of the parent's memory: only
+results are pickled and nothing is imported again.  The map starts no
+thread, so a caller with no other thread forks none that could hold a lock.
+With one CPU, one item or no ``os.fork``, the comprehension runs inline.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity call on this OS
         return os.cpu_count() or 1
-
-
-def _outcomes(job, items) -> list:
-    outcomes = []
-    for item in items:
-        try:
-            outcomes.append(job(item))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
 
 
 class WorkerTraceback(Exception):
@@ -62,19 +53,24 @@ class _Raised:
 
 
 def _work(job, items, pipe: int) -> None:
-    """Pickle the outcomes into ``pipe``, then leave, with status 0 once all is written."""
+    """Pickle into ``pipe`` the results up to the first failing item and its exception or None, then leave."""
     status = 1
     try:
-        outcomes = [_Raised(o) if isinstance(o, Exception) else o for o in _outcomes(job, items)]
+        results, raised = [], None
+        try:
+            for item in items:
+                results.append(job(item))
+        except Exception as exc:
+            raised = _Raised(exc)
         with open(pipe, "wb") as out:
-            pickle.dump(outcomes, out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((results, raised), out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)  # so the inherited stdio buffers and atexit handlers never run twice
 
 
 def map_forked(job, items) -> list:
-    """The outcome of ``job`` on each of ``items``, in item order (see the module docstring).
+    """``[job(item) for item in items]``, or the exception it would raise (see the module docstring).
 
     A worker that ends with a non-zero status (a signal, ``os._exit``, the
     OOM killer) raises ``OSError``; every worker is reaped before the call
@@ -83,8 +79,9 @@ def map_forked(job, items) -> list:
     items = tuple(items)
     workers = min(usable_cpus(), len(items))
     if workers < 2 or not hasattr(os, "fork"):
-        return _outcomes(job, items)
-    outcomes = [None] * len(items)
+        return [job(item) for item in items]
+    results = [None] * len(items)
+    failed = {}  # item index -> exception, of each worker's first failing item
     pipes, pids = [], []  # the workers not yet reaped, in order
     try:
         for w in range(workers):
@@ -105,11 +102,17 @@ def map_forked(job, items) -> list:
                 code = os.waitstatus_to_exitcode(status)
                 ending = f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
                 raise OSError(f"a worker process died: {ending}")
-            outcomes[w::workers] = pickle.loads(message)
+            done, raised = pickle.loads(message)
+            if raised is None:
+                results[w::workers] = done
+            else:
+                failed[w + workers * len(done)] = raised
+        if failed:
+            raise failed[min(failed)]
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-    return outcomes
+    return results

@@ -394,6 +394,72 @@ def test_dataset_worker_death_fails_with_one_line(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "failure, cpus",
+    [("geometry", 1), ("geometry", 2), ("render", 1), ("render", 2), ("worker", 2)],
+)
+def test_a_failed_rerun_leaves_the_dataset_as_it_was(tmp_path, capsys, monkeypatch, forks, failure, cpus):
+    # A rerun into a dataset's directory that fails before every frame is
+    # made (a geometry that cannot hold the protocol, a render error, a worker
+    # that dies) leaves every file there as it was.  On one CPU the frames
+    # run inline, with no worker to die.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CAMERA))
+    out = tmp_path / "ds"
+    argv = ["dataset", "--config", str(config), "--out-dir", str(out), "--noise", "2"]
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    assert main([*argv, "--seed", "1"]) == 0
+    del forks[:]
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    doomed = render.default_indenter("slab", render.protocol_poses()[5], SessionConfig().geometry)
+    shade_imprint = render._shade_imprint
+
+    def failing(ind, g, k, image):
+        if ind == doomed:
+            if failure == "worker":
+                os._exit(3)
+            raise ValueError("cannot render this one")
+        shade_imprint(ind, g, k, image)
+
+    if failure == "geometry":
+        config.write_text(json.dumps({**SMALL_CAMERA, "d_mm": 12.0}))
+        message = "error: translation 15.0 outside [0, 12.0] mm\n"
+    else:
+        monkeypatch.setattr(render, "_shade_imprint", failing)
+        message = "error: cannot render this one\n" if failure == "render" else "error: a worker process died: exit code 3\n"
+    capsys.readouterr()
+    assert main([*argv, "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == before
+    assert len(forks) == (2 if cpus == 2 and failure != "geometry" else 0)
+    assert forks.reaped()
+
+
+def test_a_failed_rename_leaves_no_manifest(tmp_path, capsys):
+    # A frame that cannot be renamed into place stops a rerun after the frames
+    # before it.  The old manifest is gone by then, so localize refuses the
+    # directory instead of reading a mix of two datasets.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CAMERA))
+    out = tmp_path / "ds"
+    argv = ["dataset", "--config", str(config), "--out-dir", str(out), "--noise", "2"]
+    assert main([*argv, "--seed", "1"]) == 0
+    blocked = out / "cone_rotation_1.pgm"
+    blocked.unlink()
+    blocked.mkdir()  # a directory where a frame goes
+    capsys.readouterr()
+    assert main([*argv, "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write image {blocked}: ")
+    assert captured.err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".*.tmp"))
+    assert main(["localize", "--config", str(config), "--manifest", str(out / "manifest.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read manifest {out / 'manifest.json'}: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["dataset", "--noise", "2"], ["blocksworld", "--policy", "rg", "-n", "10"]],
     ids=["dataset", "blocksworld"],
@@ -850,6 +916,7 @@ def test_tiny_d_never_raises_a_traceback(tmp_path, capsys, protocol_dataset):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: translation 5.0 outside [0, 1e-300] mm\n"
+    assert not (tmp_path / "ds").exists()  # refused before anything is made
 
 
 def test_localize_out_of_scale_radius_fails_with_one_line(tmp_path, capsys, protocol_dataset):

@@ -8,7 +8,7 @@ import traceback
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fingersense import imaging, workers
@@ -25,34 +25,63 @@ def _job(item: int) -> tuple:
 
 
 @settings(max_examples=30, deadline=None)
-@given(items=st.lists(st.integers(-1000, 1000), max_size=9), cpus=st.integers(1, 4))
-def test_map_forked_matches_the_inline_map(items, cpus):
+@given(
+    items=st.lists(st.integers(-1000, 1000), max_size=9),
+    cpus=st.integers(1, 4),
+    failing=st.sets(st.integers(0, 8), max_size=3),
+)
+@example(items=[0, 1, 2, 3], cpus=2, failing={1, 2})  # worker 1 fails first in item order
+def test_map_forked_matches_the_inline_map(items, cpus, failing):
     # Each worker runs its own items, so only the pids may differ from the
     # inline map's; every item runs once, on worker (index mod workers).
+    # Where the job raises on the items at ``failing``, both maps raise the
+    # same error.
+    def job(pair: tuple) -> tuple:
+        index, item = pair
+        if index in failing:
+            raise (KeyError if item % 2 else ValueError)(f"item {index} broke")
+        return _job(item)
+
+    pairs = list(enumerate(items))
+    try:
+        expected = [job(pair) for pair in pairs]
+    except Exception as exc:
+        expected = exc
     threads = threading.active_count()
     with mock.patch.object(workers, "usable_cpus", lambda: cpus), counted_forks() as forks:
-        outcomes = map_forked(_job, items)
-    assert [outcome[:3] for outcome in outcomes] == [_job(item)[:3] for item in items]
+        try:
+            outcome = map_forked(job, pairs)
+        except Exception as exc:
+            outcome = exc
     n = min(cpus, len(items))
     assert len(forks) == (n if n > 1 else 0)
-    assert [outcome[3] for outcome in outcomes] == [
-        (forks[index % n] if forks else os.getpid()) for index in range(len(items))
-    ]
     assert forks.reaped()
     assert threading.active_count() == threads
+    if isinstance(expected, Exception):
+        assert (type(outcome), str(outcome)) == (type(expected), str(expected))
+        return
+    assert [result[:3] for result in outcome] == [result[:3] for result in expected]
+    assert [result[3] for result in outcome] == [
+        (forks[index % n] if forks else os.getpid()) for index in range(len(items))
+    ]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_job_error_is_that_items_outcome(monkeypatch, forks, cpus):
+def test_a_job_error_raises_the_first_items_error(tmp_path, monkeypatch, forks, cpus):
+    # Items 1 and 4 raise: the map raises item 1's error, as the inline map
+    # would.  A worker stops at its first failing item, so worker 1 of 2
+    # never runs items 3 and 5.
     def job(item: int) -> int:
+        (tmp_path / str(item)).touch()
         if item % 3 == 1:
             raise RuntimeError(f"item {item} broke")
         return item
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-    outcomes = map_forked(job, range(6))
-    assert [type(o) for o in outcomes] == [int, RuntimeError, int, int, RuntimeError, int]
-    assert [str(o) for o in outcomes] == ["0", "item 1 broke", "2", "3", "item 4 broke", "5"]
+    with pytest.raises(RuntimeError, match="^item 1 broke$"):
+        map_forked(job, range(6))
+    ran = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert ran == ([0, 1, 2, 4] if cpus == 2 else [0, 1])
     assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
 
 
@@ -67,18 +96,19 @@ def test_a_job_error_keeps_its_traceback(monkeypatch, forks, cpus):
         raise exc
 
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-    outcomes = map_forked(broken_job, range(2))
-    for item, exc in enumerate(outcomes):
-        assert type(exc) is RuntimeError and str(exc) == f"item {item} broke"
-        assert getattr(exc, "__notes__", [f"note {item}"]) == [f"note {item}"]
-        if cpus == 2:
-            assert type(exc.__cause__) is workers.WorkerTraceback
-            text = str(exc.__cause__)
-            assert ", in broken_job\n" in text and f"\nRuntimeError: item {item} broke\n" in text
-            assert exc.__traceback__ is None
-        else:
-            assert exc.__cause__ is None
-            assert traceback.extract_tb(exc.__traceback__)[-1].name == "broken_job"
+    with pytest.raises(RuntimeError) as raised:
+        map_forked(broken_job, range(2))
+    exc = raised.value
+    assert str(exc) == "item 0 broke"
+    assert getattr(exc, "__notes__", ["note 0"]) == ["note 0"]
+    if cpus == 2:
+        assert type(exc.__cause__) is workers.WorkerTraceback
+        text = str(exc.__cause__)
+        assert ", in broken_job\n" in text and "\nRuntimeError: item 0 broke\n" in text
+        assert traceback.extract_tb(exc.__traceback__)[-1].name == "map_forked"
+    else:
+        assert exc.__cause__ is None
+        assert traceback.extract_tb(exc.__traceback__)[-1].name == "broken_job"
     assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
 
 
