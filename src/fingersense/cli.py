@@ -14,10 +14,12 @@ Each is deterministic given its flags: all randomness flows from ``--seed``
 completed with every validation passing.
 
 Rendering, imaging and PGM code is imported inside the subcommands that run
-it, so ``blocksworld`` and ``calibrate`` load none of it.  ``dataset`` and
-``localize`` run their frames through ``workers.map_forked``, which returns
-every frame's result or raises the first frame's error.  ``dataset``
-renames the frames its workers wrote only once all are written;
+it, so ``blocksworld`` and ``calibrate`` load none of it.  ``render``,
+``dataset`` and ``localize`` run their frames through
+``workers.map_forked``, which returns every frame's result or raises the
+first frame's error.  ``render`` and ``dataset`` write their images through
+``render.write_images``, which renames them into place only once all are
+written and removes the directory's old ``manifest.json``;
 ``localize``'s calling process writes every row, warning and table in
 manifest order.  The two NumPy-only layers, ``calibration`` and
 ``blocksworld``, are imported here: the per-layer trace of
@@ -69,21 +71,17 @@ def _fmt(value: float) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .pgm import write_pgm
-    from .render import default_indenter, render_contact, render_reference
+    from .render import default_indenter, write_images
 
     config = _session_config(args)
     if args.rotation is not None:
         pose = ContactPose.rotation(args.rotation)
     else:
         pose = ContactPose.translation(args.translation)
-    indenter = default_indenter(args.object, pose, config.geometry)  # validates the pose
+    indenter = default_indenter(args.object, pose, config.geometry)  # validates the pose and the depth
     truth = indenter.contact_point
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(out_dir / "reference.pgm", render_reference(config.intrinsics).pixels)
-    write_pgm(out_dir / "contact.pgm", render_contact(indenter, config.geometry, config.intrinsics).pixels)
+    images = [("reference.pgm", None), ("contact.pgm", indenter)]
+    write_images(args.out, images, config.geometry, config.intrinsics)
 
     print(
         json.dumps(

@@ -29,8 +29,11 @@ bands of whole rows, at most RENDER_BAND_PX pixels each, so the float64
 temporaries stay a few MB even when the box is the whole frame; every pixel
 is computed on its own, so the bands give the same bytes.
 
-Protocol dataset: see ``generate_protocol_dataset``.  Pixels are integers, so
-the noise is the rounded Gaussian K, drawn by inverse CDF (``_NoiseTable``).
+``write_images`` writes the images of ``render`` and ``dataset``, all or none,
+and removes the ``manifest.json`` they replace; a reference is the background
+alone, since every forward pixel ray strikes the membrane.  Pixels are
+integers, so the noise is the rounded Gaussian K, drawn by inverse CDF
+(``_NoiseTable``).
 """
 
 from __future__ import annotations
@@ -266,15 +269,6 @@ def _imprint_window(ind: Indenter, k: CameraIntrinsics) -> tuple[slice, slice]:
     return window[0], window[1]
 
 
-def render_reference(k: CameraIntrinsics) -> TactileImage:
-    """The no-contact frame: uniform background across the membrane silhouette.
-
-    The membrane wraps around the camera, so every forward pixel ray strikes
-    it (at z > 0) and the silhouette covers the full frame.
-    """
-    return TactileImage(np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8))
-
-
 def render_contact(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics) -> TactileImage:
     """Render the imprint of an indenter over the reference frame (see ``_shade_imprint``)."""
     image = np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
@@ -291,10 +285,6 @@ def _shade_imprint(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics, image:
     is shaded (see the module docstring), in bands of whole rows holding at
     most RENDER_BAND_PX pixels, or one row if a row is wider.
     """
-    if not ind.depth < g.r:
-        raise ValueError(
-            f"indentation depth {ind.depth} must stay below the membrane radius {g.r}"
-        )
     rows, columns = _imprint_window(ind, k)
     band_rows = max(1, RENDER_BAND_PX // max(1, columns.stop - columns.start))
     for top in range(rows.start, rows.stop, band_rows):
@@ -308,13 +298,15 @@ def _shade_imprint(ind: Indenter, g: SensorGeometry, k: CameraIntrinsics, image:
 
 
 def default_indenter(object_label: str, pose: ContactPose, g: SensorGeometry) -> Indenter:
-    """The protocol indenter for an object label at a protocol pose."""
+    """The protocol indenter for an object label at a protocol pose, refused before any image is made."""
     try:
         shape, size, depth = DEFAULT_INDENTER_SPECS[object_label]
     except KeyError:
         raise ValueError(
             f"unknown object {object_label!r}; expected one of {OBJECT_ORDER}"
         ) from None
+    if not depth < g.r:
+        raise ValueError(f"indentation depth {depth} must stay below the membrane radius {g.r}")
     return Indenter(shape, size, pose_to_contact_point(pose, g), depth)
 
 
@@ -518,51 +510,34 @@ def _image_error(path: Path, exc: OSError) -> OSError:
     return OSError(f"cannot write image {path}: {exc}")
 
 
-def generate_protocol_dataset(
+def write_images(
     out_dir: str | Path,
+    images: list[tuple[str, Indenter | None]],
     g: SensorGeometry,
     k: CameraIntrinsics,
     noise_sigma: float = 0.0,
     seed: int = 0,
-) -> tuple[ManifestEntry, ...]:
-    """Render the full 56-image protocol plus one reference frame.
+) -> None:
+    """Write every ``(file name, indenter or None)`` image into ``out_dir``, or none of them.
 
-    Writes PGM images and ``manifest.json`` into ``out_dir`` and returns the
-    manifest's entries.  Every written frame, reference included, gets
-    clip(p + K, 0, 255) with K = rint(N(0, noise_sigma)), drawn by
-    ``_add_noise`` from one ``_NoiseTable`` (none when ``noise_sigma`` is 0)
-    and from its own RNG stream split off the master seed, so a frame depends
-    only on its pose, the seed and ``noise_sigma``, never on the CPU count.
-
-    Every image's name, indenter and manifest entry is planned first, so a
-    pose the geometry cannot hold is refused before ``out_dir`` is made.
-    Each image is then one job of ``workers.map_forked``, which shades it,
-    adds its noise and writes the PGM under a temporary name in ``out_dir``,
-    all in one frame buffer per process, and returns nothing.  Only once
-    every image is written does the calling process remove the old
-    ``manifest.json`` and rename the images into place in protocol order, so
-    a failed render, write or worker renames none, and a failed rename
-    leaves no manifest; every temporary file is removed first.
+    An image is the background with the indenter's imprint, if any, plus
+    clip(p + K, 0, 255) with K = rint(N(0, noise_sigma)) from one
+    ``_NoiseTable`` (none at 0) and the image's own RNG stream split off
+    ``seed`` in list order, never depending on the CPU count.  Each image is
+    a job of ``workers.map_forked`` that shades, noises and writes it under a
+    temporary name, in one frame buffer per process.  Only once all are
+    written does the calling process remove ``out_dir``'s ``manifest.json``
+    and rename the images into place in list order, so a failed render, write
+    or worker renames none and a failed rename leaves no manifest; every
+    temporary file is removed first.
     """
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
-    reference_name = "reference.pgm"
-    # (file name, indenter) of every image in stream order; the reference has no indenter.
-    images = [(reference_name, None)]
-    entries = []
-    for object_label in OBJECT_ORDER:
-        for pose_index, pose in enumerate(protocol_poses()):
-            name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
-            ind = default_indenter(object_label, pose, g)
-            truth = ind.contact_point
-            images.append((name, ind))
-            entries.append(ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z)))
-
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OSError(f"cannot create dataset directory {out_dir}: {exc}") from exc
+        raise OSError(f"cannot create directory {out_dir}: {exc}") from exc
     temps = [out_dir / f".{name}.{os.getpid()}.tmp" for name, _ in images]
     streams = np.random.SeedSequence(seed).spawn(len(images))
     noise = _NoiseTable.for_sigma(noise_sigma) if noise_sigma > 0 else None
@@ -598,6 +573,32 @@ def generate_protocol_dataset(
                 temp.unlink(missing_ok=True)
         raise
 
+
+def generate_protocol_dataset(
+    out_dir: str | Path,
+    g: SensorGeometry,
+    k: CameraIntrinsics,
+    noise_sigma: float = 0.0,
+    seed: int = 0,
+) -> tuple[ManifestEntry, ...]:
+    """Render the full 56-image protocol plus one reference frame.
+
+    Plans every image's name, indenter and manifest entry, so a pose the
+    geometry cannot hold is refused before ``out_dir`` is made, then writes
+    them with ``write_images`` and returns the entries of ``manifest.json``.
+    """
+    reference_name = "reference.pgm"
+    images = [(reference_name, None)]
+    entries = []
+    for object_label in OBJECT_ORDER:
+        for pose_index, pose in enumerate(protocol_poses()):
+            name = f"{object_label}_{pose.kind.value}_{pose_index % 4}.pgm"
+            ind = default_indenter(object_label, pose, g)
+            truth = ind.contact_point
+            images.append((name, ind))
+            entries.append(ManifestEntry(object_label, pose, reference_name, name, (truth.x, truth.y, truth.z)))
+
+    write_images(out_dir, images, g, k, noise_sigma, seed)
     manifest = tuple(entries)
-    save_manifest(out_dir / "manifest.json", manifest)
+    save_manifest(Path(out_dir) / "manifest.json", manifest)
     return manifest

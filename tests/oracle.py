@@ -3,10 +3,10 @@
 No command runs any of this.  It is the plain whole-frame or one-point form
 of what the package computes faster, plus writers for the files the package
 only reads: the full-frame detection pipeline that ``detect_contacts`` must
-match bit for bit, the one-point indentation depth and projection, the
-noise tables by a search over every bucket edge, the per-batch spread of
-small grasp batches, and CSV and JSON writers for correspondences and
-configurations.
+match bit for bit, the uniform no-contact frame, the one-point indentation
+depth and projection, the noise tables by a search over every bucket edge,
+the per-batch spread of small grasp batches, and CSV and JSON writers for
+correspondences and configurations.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from fingersense.imaging import (
 )
 from fingersense.render import (
     _CDF_STEP,
+    BACKGROUND_INTENSITY,
     K_FALLOFF,
     NOISE_BUCKETS,
     NOISE_CAP,
@@ -81,6 +82,11 @@ def detect_blobs(values: np.ndarray, threshold: float, min_area: int) -> list[Co
         raise ValueError(f"detect_blobs needs a 2D array, got shape {values.shape}")
     mask = values > threshold
     return _blobs(np.flatnonzero(mask), values[mask], values.shape[1], min_area)
+
+
+def reference_frame(k: CameraIntrinsics) -> TactileImage:
+    """The no-contact frame: the background in every pixel, as ``render`` writes ``reference.pgm``."""
+    return TactileImage(np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8))
 
 
 def indentation_depth(p: SurfacePoint, ind: Indenter, g: SensorGeometry) -> float:

@@ -459,6 +459,97 @@ def test_a_failed_rename_leaves_no_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read manifest {out / 'manifest.json'}: ")
 
 
+# The 480x270 camera of tests/test_cli_digests.py.
+WIDE_CAMERA = {"width_px": 480, "height_px": 270, "cx_px": 240.0, "cy_px": 135.0, "alpha_px": 75.0}
+
+
+def _digest_all(directory) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+def _writer_argv(command: str, out) -> list[str]:
+    if command == "render":
+        return ["render", "--object", "cone", "--rotation", "0", "--out", str(out)]
+    return ["dataset", "--out-dir", str(out), "--noise", "2"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", ["render", "dataset"])
+def test_a_too_thin_membrane_is_refused_before_anything_is_written(tmp_path, capsys, command, existing):
+    # The cone presses 2.0 mm deep, so r_mm 1.5 cannot hold it.  Both
+    # commands refuse it where the indenter is made: they create no directory
+    # and leave a noisy dataset already there as it was.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WIDE_CAMERA))
+    out = tmp_path / "out"
+    if existing:
+        assert main(["dataset", "--config", str(config), "--out-dir", str(out), "--noise", "2", "--seed", "1"]) == 0
+        before = _digest_all(out)
+    config.write_text(json.dumps({**WIDE_CAMERA, "r_mm": 1.5}))
+    capsys.readouterr()
+    assert main([*_writer_argv(command, out), "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: indentation depth 2.0 must stay below the membrane radius 1.5\n")
+    if existing:
+        assert _digest_all(out) == before
+    else:
+        assert not out.exists()
+
+
+def test_render_into_a_dataset_leaves_no_manifest(tmp_path, capsys):
+    # The dataset's frames were not made against the reference that render
+    # writes, so render removes the manifest and localize refuses the directory.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WIDE_CAMERA))
+    out = tmp_path / "ds"
+    assert main(["dataset", "--config", str(config), "--out-dir", str(out), "--noise", "2", "--seed", "1"]) == 0
+    assert main([*_writer_argv("render", out), "--config", str(config)]) == 0
+    assert not (out / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["localize", "--config", str(config), "--manifest", str(out / "manifest.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read manifest {out / 'manifest.json'}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failed_render_leaves_the_old_pair(tmp_path, capsys, monkeypatch, forks, cpus):
+    # A render for another camera whose contact cannot be shaded writes
+    # neither image, so the pair already there stays a pair.
+    wide, small = tmp_path / "wide.json", tmp_path / "small.json"
+    wide.write_text(json.dumps(WIDE_CAMERA))
+    small.write_text(json.dumps(SMALL_CAMERA))
+    out = tmp_path / "pair"
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    assert main([*_writer_argv("render", out), "--config", str(wide)]) == 0
+    before = _digest_all(out)
+    del forks[:]
+
+    def failing(ind, g, k, image):
+        raise ValueError("cannot render this one")
+
+    monkeypatch.setattr(render, "_shade_imprint", failing)
+    capsys.readouterr()
+    assert main([*_writer_argv("render", out), "--config", str(small)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: cannot render this one\n")
+    assert sorted(before) == ["contact.pgm", "reference.pgm"]
+    assert _digest_all(out) == before  # no temporary file either
+    assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
+
+
+@pytest.mark.parametrize("command", ["render", "dataset"])
+def test_an_uncreatable_directory_fails_with_one_line(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(_writer_argv(command, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot create directory {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["dataset", "--noise", "2"], ["blocksworld", "--policy", "rg", "-n", "10"]],

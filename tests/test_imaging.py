@@ -43,9 +43,8 @@ from fingersense.render import (
     default_indenter,
     protocol_poses,
     render_contact,
-    render_reference,
 )
-from oracle import detect_blobs, smooth, subtract_reference
+from oracle import detect_blobs, reference_frame, smooth, subtract_reference
 
 
 def gray(value: int, shape=(32, 32)) -> TactileImage:
@@ -551,7 +550,7 @@ def test_detect_contacts_memory_stays_below_a_frame():
     config = SessionConfig()
     indenter = default_indenter("cone", ContactPose.rotation(0.0), config.geometry)
     clean = render_contact(indenter, config.geometry, config.intrinsics)
-    reference = render_reference(config.intrinsics)
+    reference = reference_frame(config.intrinsics)
     assert len(detect_contacts(reference, clean, 2.0, 25.0, 20)) == 1
     assert traced_peak(detect_contacts, reference, clean, 2.0, 25.0, 20) <= 2 * 2**20
 
@@ -692,7 +691,7 @@ def test_detect_contacts_smooths_few_noise_pixels_exactly_at_any_sigma(smoothed_
 def protocol_noise():
     """The sigma-16 noise table of ``dataset --noise 16`` and its noisy default-camera reference."""
     noise = _NoiseTable.for_sigma(16.0)
-    reference = render_reference(SessionConfig().intrinsics).pixels.copy()
+    reference = reference_frame(SessionConfig().intrinsics).pixels.copy()
     _add_noise(reference, noise, np.random.default_rng(0))
     return noise, TactileImage(reference)
 

@@ -14,6 +14,7 @@ ALLOWED_UNREACHED = {
     "blocksworld.replay_policy": "perfbench's exact_moments replays every draw sequence through it",
     "blocksworld.BlockRecord": "what the allowed replay_policy returns",
     "imaging.DiffImage": "perfbench's per-layer trace wraps its constructor and tests/oracle.py builds it",
+    "render.render_contact": "perfbench's check_shape counts imprint pixels through it",
 }
 
 

@@ -3,13 +3,16 @@
 import bisect
 import errno
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from fingersense.geometry import (
     back_project_pixels,
     pose_to_contact_point,
 )
+from fingersense.cli import main
 from fingersense.config import SessionConfig
 from fingersense.imaging import localization_error, localize_frame
 from fingersense.pgm import read_pgm
@@ -45,9 +49,8 @@ from fingersense.render import (
     load_manifest,
     protocol_poses,
     render_contact,
-    render_reference,
 )
-from oracle import indentation_depth, noise_tables, subtract_reference
+from oracle import indentation_depth, noise_tables, reference_frame, save_config, subtract_reference
 
 
 def indenter_at(shape: Shape, pose: ContactPose, geometry, size=6.0, depth=1.0):
@@ -55,23 +58,36 @@ def indenter_at(shape: Shape, pose: ContactPose, geometry, size=6.0, depth=1.0):
 
 
 # ---------------------------------------------------------------------------
-# render_reference
+# the reference frame that the render command writes
 
 
-def test_reference_is_uniform_background(intrinsics):
-    ref = render_reference(intrinsics)
-    assert ref.pixels[540, 960] == BACKGROUND_INTENSITY
+def rendered_reference(out, contact=("cone", "--rotation", "0"), config: SessionConfig | None = None) -> np.ndarray:
+    """The ``reference.pgm`` that ``render --object *contact`` writes into ``out``, on ``config``'s sensor."""
+    argv = ["render", "--object", *contact, "--out", str(out)]
+    if config is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        save_config(config, out / "config.json")
+        argv += ["--config", str(out / "config.json")]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return read_pgm(out / "reference.pgm")
+
+
+def test_reference_is_uniform_background(tmp_path):
+    ref = rendered_reference(tmp_path)
+    assert ref[540, 960] == BACKGROUND_INTENSITY
     # The membrane wraps around the camera, so even the frame corners see it
     # (their rays strike the side wall close to the base).
-    assert ref.pixels[0, 0] == BACKGROUND_INTENSITY
-    assert np.all(ref.pixels == BACKGROUND_INTENSITY)
-    assert (ref.height, ref.width) == (1080, 1920)
+    assert ref[0, 0] == BACKGROUND_INTENSITY
+    assert np.all(ref == BACKGROUND_INTENSITY)
+    assert ref.shape == (1080, 1920)
 
 
-def test_reference_is_deterministic(intrinsics):
-    a = render_reference(intrinsics)
-    b = render_reference(intrinsics)
-    np.testing.assert_array_equal(a.pixels, b.pixels)
+def test_reference_is_deterministic(tmp_path):
+    # The same frame whatever the contact beside it.
+    a = rendered_reference(tmp_path / "a")
+    b = rendered_reference(tmp_path / "b", ("slab", "--translation", "15"))
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +203,15 @@ def test_indenter_validation(geometry):
         Indenter(Shape.CONE, 0.0, contact, depth=1.0)
 
 
-def test_render_rejects_depth_reaching_axis(geometry, intrinsics):
-    contact = pose_to_contact_point(ContactPose.rotation(0.0), geometry)
-    ind = Indenter(Shape.CONE, 5.0, contact, depth=geometry.r)
-    with pytest.raises(ValueError):
-        render_contact(ind, geometry, intrinsics)
+def test_render_rejects_depth_reaching_axis():
+    # The cone presses 2.0 mm deep; a membrane that thin is refused where the
+    # indenter is made, before any command writes an image.
+    apex = ContactPose.rotation(0.0)
+    for r in (2.0, 1.5):
+        message = f"indentation depth 2.0 must stay below the membrane radius {r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            default_indenter("cone", apex, SensorGeometry(r=r, d=30.0))
+    assert default_indenter("cone", apex, SensorGeometry(r=2.5, d=30.0)).depth == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +238,7 @@ def test_tiny_depth_point_contact_matches_reference(geometry, intrinsics):
     ind = indenter_at(Shape.CONE, ContactPose.rotation(0.3), geometry, depth=0.005)
     image = render_contact(ind, geometry, intrinsics)
     np.testing.assert_array_equal(
-        image.pixels, render_reference(intrinsics).pixels
+        image.pixels, reference_frame(intrinsics).pixels
     )
 
 
@@ -228,14 +248,14 @@ def test_slab_blob_lies_on_footprint(geometry, intrinsics):
     )
     image = render_contact(ind, geometry, intrinsics)
     config = SessionConfig(geometry, intrinsics)
-    est = localize_frame(render_reference(intrinsics), image, config)
+    est = localize_frame(reference_frame(intrinsics), image, config)
     assert est is not None
     # Within the footprint half-diagonal (5, 2.5) -> 5.59 mm of the contact.
     assert localization_error(est, ind.contact_point) < math.hypot(5.0, 2.5)
 
 
 def test_imprint_mass_increases_with_depth(geometry, intrinsics):
-    ref = render_reference(intrinsics)
+    ref = reference_frame(intrinsics)
     masses = []
     for depth in (0.5, 1.0, 1.5, 2.0):
         ind = indenter_at(Shape.SPHERE, ContactPose.rotation(0.5), geometry, depth=depth)
@@ -274,7 +294,7 @@ def test_oriented_shapes_respond_to_orientation(shape, geometry):
 def test_cone_closed_loop_every_protocol_pose(geometry, intrinsics):
     # Sharp indenter: the pipeline must recover every protocol pose within
     # 1 mm on noise-free renders.
-    ref = render_reference(intrinsics)
+    ref = reference_frame(intrinsics)
     config = SessionConfig(geometry, intrinsics)
     for pose in protocol_poses():
         ind = default_indenter("cone", pose, geometry)
@@ -347,12 +367,10 @@ def test_windowed_render_matches_full_frame_oracle(case, band_px):
 
 @settings(max_examples=20, deadline=None)
 @given(window_cases())
-def test_reference_is_constant_background(case):
-    _, _, k = case
-    ref = render_reference(k)
-    np.testing.assert_array_equal(
-        ref.pixels, np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8)
-    )
+def test_reference_is_constant_background(tmp_path_factory, case):
+    _, g, k = case
+    ref = rendered_reference(tmp_path_factory.mktemp("render"), config=SessionConfig(g, k))
+    np.testing.assert_array_equal(ref, np.full((k.height, k.width), BACKGROUND_INTENSITY, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("shape", list(Shape))
