@@ -22,6 +22,7 @@ each standing for every (block column, draw sequence) cell that extends it,
 and a batch draws how many of its independent blocks land on each
 outcome in one multinomial draw, the only random draw in the module, at a cost
 constant in the boards.  ``exact_metrics`` is an independent closed form.
+The physical gripper's run printed beside both is ``cli``'s.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ N_COLUMNS = 4
 N_ROWS = 4
 DEFAULT_MAX_ATTEMPTS = 5
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-# Hardware baseline (20 blocks, physical gripper): failure rate, attempts and
-# collisions per block, per policy.  Reported for comparison; the simulation
-# is judged against the exact oracle, not these small-sample observations.
-HARDWARE_TABLE: dict[str, tuple[float, float, float]] = {
-    "control": (0.00, 1.00, 0.00),
-    "rg": (0.20, 3.30, 1.45),
-    "rgtr": (0.00, 1.85, 0.55),
-}
-
 
 class PolicyKind(Enum):
     CONTROL = "control"

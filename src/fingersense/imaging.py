@@ -9,7 +9,9 @@ hidden constants.
 ``localize_frame`` is the one call for the whole pipeline.  Its first four
 stages, ``detect_contacts``, read the frame once, in bands of rows, and
 smooth exactly only the pixels that can pass the threshold.  The tests hold
-the full-frame pipeline they are compared against.
+the full-frame pipeline they are compared against.  ``localization_error``
+scores an estimate against the ground truth; grouping the errors, and the
+physical sensor's errors they are printed beside, are ``cli``'s.
 
 Every exact value is smoothed and every foreground labelled in NumPy, with
 the same bits as SciPy's ``gaussian_filter`` and the same labels as its
@@ -36,31 +38,6 @@ from .geometry import PixelCoord, SurfacePoint, _as_xyz, back_project
 # rows took 1.00 s, 64 rows 0.93 s and 96 rows 0.96 s with 0.6 MB more RSS.
 DETECT_BAND_ROWS = 64
 BOUND_LOOSENESS_U16 = 1.3  # the loosest axis-0 bound kept in uint16 (see _bound_weights)
-
-# Localisation errors measured on the physical sensor (mm, mean and sample
-# std), reported alongside synthetic results for comparison.  Hardware
-# context, not software targets: they include elastomer flexion and hand
-# annotation, which the synthetic pipeline does not model.
-HARDWARE_ERRORS_BY_POSE: dict[str, tuple[float, float]] = {
-    "rotation 0": (4.71, 0.75),
-    "rotation pi/6": (2.01, 0.90),
-    "rotation pi/4": (1.04, 0.46),
-    "rotation pi/3": (6.96, 4.82),
-    "translation 0": (7.87, 5.08),
-    "translation 5": (8.03, 1.92),
-    "translation 10": (7.55, 5.00),
-    "translation 15": (4.86, 8.41),
-}
-HARDWARE_ERRORS_BY_OBJECT: dict[str, tuple[float, float]] = {
-    "cone": (3.63, 3.26),
-    "sphere": (6.79, 5.38),
-    "irregular": (5.61, 4.08),
-    "cylinder": (4.57, 4.30),
-    "edge": (7.47, 6.29),
-    "tube": (3.33, 1.90),
-    "slab": (6.27, 8.17),
-}
-
 
 def __getattr__(name: str):
     if name == "ndimage":

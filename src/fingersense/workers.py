@@ -7,8 +7,9 @@ usable CPU, at most one per item, each with its own pipe.  The split is
 static: worker ``w`` of ``n`` runs items ``w, w + n, ...`` in order up to its
 first failing item, then pickles their results and that item's exception
 into its pipe in one message, so every item before the first failing one
-has run.  An exception raised in a worker arrives with that worker's
-traceback, as text, in a ``WorkerTraceback`` that is its ``__cause__``.
+has run.  A traceback does not pickle, so a worker sends a job's exception
+with its traceback formatted as text, and the map, as it reads the message,
+sets a ``WorkerTraceback`` of that text as the exception's ``__cause__``.
 Forked workers inherit ``job`` with the rest of the parent's memory: only
 results are pickled and nothing is imported again.  The map starts no
 thread, so a caller with no other thread forks none that could hold a lock.
@@ -34,26 +35,8 @@ class WorkerTraceback(Exception):
     """The traceback, formatted in a worker process, of an exception its job raised."""
 
 
-def _caused(exc: Exception, text: str) -> Exception:
-    exc.__cause__ = WorkerTraceback(text)
-    return exc
-
-
-class _Raised:
-    """A job's exception in a worker, which unpickles with its traceback as its cause."""
-
-    def __init__(self, exc: Exception) -> None:
-        import traceback  # only a worker whose job raised needs it
-
-        self.exc = exc
-        self.text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-
-    def __reduce__(self):
-        return _caused, (self.exc, self.text)
-
-
 def _work(job, items, pipe: int) -> None:
-    """Pickle into ``pipe`` the results up to the first failing item and its exception or None, then leave."""
+    """Pickle into ``pipe`` the results up to the first failing item and its (exception, traceback text) or None."""
     status = 1
     try:
         results, raised = [], None
@@ -61,7 +44,9 @@ def _work(job, items, pipe: int) -> None:
             for item in items:
                 results.append(job(item))
         except Exception as exc:
-            raised = _Raised(exc)
+            import traceback  # only a worker whose job raised needs it
+
+            raised = exc, "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
         with open(pipe, "wb") as out:
             pickle.dump((results, raised), out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -106,7 +91,9 @@ def map_forked(job, items) -> list:
             if raised is None:
                 results[w::workers] = done
             else:
-                failed[w + workers * len(done)] = raised
+                exc, text = raised
+                exc.__cause__ = WorkerTraceback(text)
+                failed[w + workers * len(done)] = exc
         if failed:
             raise failed[min(failed)]
     finally:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fingersense.blocksworld import (
-    HARDWARE_TABLE,
     BlockRecord,
     PolicyKind,
     RunMetrics,
@@ -19,7 +18,7 @@ from fingersense.blocksworld import (
     replay_policy,
     run_batch,
 )
-from fingersense.cli import main
+from fingersense.cli import HARDWARE_BY_POLICY, main
 from oracle import batch_distribution
 
 # Closed-form expectations for the default 5-attempt cap, derived by hand:
@@ -264,8 +263,8 @@ def test_hardware_tuples_within_sampling_distribution():
     # The 20-block hardware observations must look like plausible 5-board
     # batches: each component inside the central 99% of its distribution.
     for policy, observed in (
-        (PolicyKind.RG, HARDWARE_TABLE["rg"]),
-        (PolicyKind.RGTR, HARDWARE_TABLE["rgtr"]),
+        (PolicyKind.RG, HARDWARE_BY_POLICY[PolicyKind.RG]),
+        (PolicyKind.RGTR, HARDWARE_BY_POLICY[PolicyKind.RGTR]),
     ):
         dist = batch_distribution(policy, 10_000, 5, seed=8)
         for j, value in enumerate(observed):
@@ -302,5 +301,5 @@ def test_metrics_json_shape(capsys):
 
 
 def test_hardware_table_rows():
-    assert set(HARDWARE_TABLE) == {"control", "rg", "rgtr"}
-    assert HARDWARE_TABLE["control"] == (0.0, 1.0, 0.0)
+    assert list(HARDWARE_BY_POLICY) == list(PolicyKind)
+    assert HARDWARE_BY_POLICY[PolicyKind.CONTROL] == (0.0, 1.0, 0.0)

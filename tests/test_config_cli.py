@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import fingersense
 from fingersense import imaging, render, workers
 from fingersense.calibration import load_correspondences
-from fingersense.cli import main
+from fingersense.cli import HARDWARE_ERRORS_BY_POSE, main
 from fingersense.config import ConfigError, SessionConfig, load_config
 from fingersense.geometry import (
     CameraIntrinsics,
@@ -688,7 +688,7 @@ def test_localize_group_tables_follow_errors_csv(tmp_path, capsys, protocol_data
     check(objects, list(by_object.values()))
     poses = table("by_pose.csv")
     # Rotations, then translations, each by value; every protocol pose is a hardware row.
-    assert [row["pose"] for row in poses] == list(imaging.HARDWARE_ERRORS_BY_POSE)
+    assert [row["pose"] for row in poses] == list(HARDWARE_ERRORS_BY_POSE)
     check(poses, [by_pose[key] for key in sorted(by_pose)])
 
 
@@ -707,7 +707,7 @@ def test_localize_labels_minus_zero_as_zero(tmp_path, capsys, protocol_dataset):
     capsys.readouterr()
     assert "slab,translation,-0.0," in (tmp_path / "errors.csv").read_text()  # the manifest's value
     by_pose = (tmp_path / "by_pose.csv").read_text().splitlines()
-    assert [line.split(",")[0] for line in by_pose[1:]] == list(imaging.HARDWARE_ERRORS_BY_POSE)
+    assert [line.split(",")[0] for line in by_pose[1:]] == list(HARDWARE_ERRORS_BY_POSE)
     assert next(line for line in by_pose if line.startswith("translation 0,")).endswith(",7,7.87,5.08")
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from fingersense import imaging, workers
-from fingersense.cli import main
+from fingersense.cli import HARDWARE_ERRORS_BY_OBJECT, HARDWARE_ERRORS_BY_POSE, main
 from fingersense.config import SessionConfig
 from fingersense.geometry import (
     CameraIntrinsics,
@@ -25,8 +25,6 @@ from fingersense.geometry import (
     back_project,
 )
 from fingersense.imaging import (
-    HARDWARE_ERRORS_BY_OBJECT,
-    HARDWARE_ERRORS_BY_POSE,
     MAX_SIGMA_PX,
     ContactBlob,
     ContactEstimate,
@@ -977,7 +975,7 @@ def test_error_is_a_metric():
 
 def test_hardware_reference_tables_shape():
     assert len(HARDWARE_ERRORS_BY_POSE) == 8
-    assert len(HARDWARE_ERRORS_BY_OBJECT) == 7
+    assert list(HARDWARE_ERRORS_BY_OBJECT) == list(OBJECT_ORDER)
     assert HARDWARE_ERRORS_BY_OBJECT["cone"] == (3.63, 3.26)
     assert HARDWARE_ERRORS_BY_POSE["rotation pi/4"] == (1.04, 0.46)
 

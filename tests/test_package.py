@@ -17,6 +17,9 @@ ALLOWED_UNREACHED = {
     "render.render_contact": "perfbench's check_shape counts imprint pixels through it",
 }
 
+# Public module-level constants no reached code reads, each kept for a reason outside the package.
+ALLOWED_UNREAD_CONSTANTS: dict[str, str] = {}
+
 
 def _names(node: ast.AST) -> set[str]:
     """Every name a piece of code mentions, bare, as an attribute or as an import."""
@@ -31,30 +34,42 @@ def _names(node: ast.AST) -> set[str]:
     return names
 
 
-def _unreached_public_names() -> set[str]:
-    """Public top-level functions and classes that no path from ``cli.main`` mentions by name.
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
-    Module-level code runs on import, so what it mentions is reached too.  A
-    name reaches every top-level function or class of that name in any
-    module, which can only count too much as reached, never too little.
+
+def _reached_code(sources: dict[str, str]) -> tuple[dict, set, list]:
+    """What a path from ``cli.main`` reaches: definitions by name, reached ``(module, name)``, reached code.
+
+    Module-level code runs on import, so it is reached, and what it mentions
+    too.  A name reaches every top-level function or class of that name in
+    any module, which can only count too much as reached, never too little.
+    The reached code is each reached ``(module, node)``.
     """
     definitions: dict[str, list[tuple[str, ast.AST]]] = {}
     pending = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        for node in ast.parse(path.read_text()).body:
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions.setdefault(node.name, []).append((module, node))
             else:
-                pending.append(node)
+                pending.append((module, node))
     reached = {("cli", "main")}
-    pending += [node for module, node in definitions["main"] if module == "cli"]
+    pending += [(module, node) for module, node in definitions["main"] if module == "cli"]
+    code = []
     while pending:
-        for name in _names(pending.pop()):
+        code.append(pending.pop())
+        for name in _names(code[-1][1]):  # the node just reached
             for module, node in definitions.get(name, []):
                 if (module, name) not in reached:
                     reached.add((module, name))
-                    pending.append(node)
+                    pending.append((module, node))
+    return definitions, reached, code
+
+
+def _unreached_public_names() -> set[str]:
+    """Public top-level functions and classes that no path from ``cli.main`` mentions by name."""
+    definitions, reached, _ = _reached_code(_package_sources())
     return {
         f"{module}.{name}"
         for name, defs in definitions.items()
@@ -65,6 +80,49 @@ def _unreached_public_names() -> set[str]:
 
 def test_every_public_function_is_reached_by_a_command_or_allowed():
     assert _unreached_public_names() == set(ALLOWED_UNREACHED)
+
+
+def _unread_public_constants(sources: dict[str, str]) -> set[str]:
+    """``module.NAME`` for each public module-level constant that no reached code reads.
+
+    A read is a bare name loaded in the constant's own module, or in a module
+    that imports it with ``from .module import NAME``, possibly through
+    re-exports.  Unlike a function, a constant is not reached by its name
+    alone, so a table left behind under a name that another module also
+    defines still counts as unread.
+    """
+    constants, imports = set(), {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            constants |= {
+                (module, t.id) for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    imports[module, alias.asname or alias.name] = (node.module, alias.name)
+    read = set()
+    for module, node in _reached_code(sources)[2]:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                key = (module, sub.id)
+                while key not in constants and key in imports:
+                    key = imports[key]
+                read.add(key)
+    return {f"{module}.{name}" for module, name in constants - read}
+
+
+def test_every_public_constant_is_read_by_a_command_or_allowed():
+    sample = {
+        "cli": "from .a import X as Y, f\ndef main():\n    return Y + f()\n",
+        "a": "X = 1\nUNREAD = 2\nIN_F = 3\n_PRIVATE = 4\n"
+        "def f():\n    return IN_F\ndef g():\n    return UNREAD\n",
+        "b": "X = 5  # the name cli reads, in a module it does not import it from\n",
+    }
+    assert _unread_public_constants(sample) == {"a.UNREAD", "b.X"}
+    assert _unread_public_constants(_package_sources()) == set(ALLOWED_UNREAD_CONSTANTS)
 
 
 def _unread_parameters(source: str, module: str) -> set[str]:

@@ -112,6 +112,33 @@ def test_a_job_error_keeps_its_traceback(monkeypatch, forks, cpus):
     assert len(forks) == (2 if cpus == 2 else 0) and forks.reaped()
 
 
+
+def test_an_os_error_keeps_its_fields_across_the_pipe(monkeypatch, forks):
+    # main prints "error: {exc}", so a field lost on the way from a worker
+    # would make stderr depend on the CPU count.
+    def job(item: int) -> int:
+        if item == 1:
+            raise FileNotFoundError(2, "No such file or directory", "frame1.pgm")
+        return item
+
+    def raised(cpus: int) -> FileNotFoundError:
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        with pytest.raises(FileNotFoundError) as exc:
+            map_forked(job, range(2))
+        return exc.value
+
+    inline, forked = raised(1), raised(2)
+    for exc in (inline, forked):
+        assert (type(exc), exc.errno, exc.strerror, exc.filename, str(exc)) == (
+            FileNotFoundError,
+            2,
+            "No such file or directory",
+            "frame1.pgm",
+            "[Errno 2] No such file or directory: 'frame1.pgm'",
+        )
+    assert inline.__cause__ is None and type(forked.__cause__) is workers.WorkerTraceback
+    assert len(forks) == 2 and forks.reaped()
+
 def test_a_worker_error_main_does_not_catch_keeps_its_traceback(tmp_path, monkeypatch):
     # localize returns a job's ValueError or OSError as text; any other error
     # ends the command and leaves main as raised, with the worker's traceback.
